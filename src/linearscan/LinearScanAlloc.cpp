@@ -1,33 +1,22 @@
-//===- linearscan/LinearScanAlloc.cpp - Linear-scan driver ----------------===//
+//===- linearscan/LinearScanAlloc.cpp - Linear-scan decide step -----------===//
 //
 // Part of briggs-regalloc. SPDX-License-Identifier: MIT
 //
 //===----------------------------------------------------------------------===//
 //
-// The linear-scan analogue of Allocator.cpp's runColoringPasses: the
-// same renumber/coalesce/spill-cost front end and the same spill-code
-// back end, with the build-simplify-select middle replaced by interval
-// construction plus one start-ordered walk. Because spill temporaries
-// carry an infinite cost estimate, the walk never evicts them, and —
-// as in the coloring backends — the worst-case pressure after spilling
-// everything is the operand count of one instruction, so the cycle
-// converges for every register file the tools accept.
+// Linear scan's decide step in the shared Figure 4 loop: one
+// start-ordered walk over the pass's live intervals. Because spill
+// temporaries carry an infinite cost estimate, the walk never evicts
+// them, and — as in the coloring backends — the worst-case pressure
+// after spilling everything is the operand count of one instruction, so
+// the cycle converges for every register file the tools accept.
 //
 //===----------------------------------------------------------------------===//
 
 #include "linearscan/LinearScanAlloc.h"
 
-#include "analysis/Liveness.h"
-#include "analysis/LoopInfo.h"
-#include "analysis/Renumber.h"
 #include "linearscan/LinearScan.h"
-#include "regalloc/SpillCost.h"
 #include "support/Budget.h"
-#include "support/Timer.h"
-#include "support/Trace.h"
-
-#include <chrono>
-#include <thread>
 
 using namespace ra;
 
@@ -64,18 +53,17 @@ void injectMiscoloring(const LiveIntervals &LI, const MachineInfo &Machine,
 /// interference graph, so Degree is 0 and CostPerDegree follows the
 /// table's degree-0 convention (== Cost).
 RangeMetrics intervalRow(const Function &F, const LiveInterval &I,
-                         unsigned Pass, const std::vector<double> &Area,
-                         const std::vector<unsigned> &DepthOf,
-                         RangeMetrics::Decision D, int32_t Color) {
+                         const PassInputs &In, RangeMetrics::Decision D,
+                         int32_t Color) {
   RangeMetrics RM;
   RM.Name = F.vreg(I.Reg).Name;
-  RM.Pass = Pass;
+  RM.Pass = In.Pass;
   RM.Class = I.Class;
   RM.Degree = 0;
-  RM.Area = Area[I.Reg];
+  RM.Area = In.Area[I.Reg];
   RM.Cost = I.Cost;
   RM.CostPerDegree = I.Cost;
-  RM.LoopDepth = DepthOf[I.Reg];
+  RM.LoopDepth = In.DepthOf[I.Reg];
   RM.D = D;
   RM.Color = Color;
   return RM;
@@ -83,162 +71,52 @@ RangeMetrics intervalRow(const Function &F, const LiveInterval &I,
 
 } // namespace
 
-namespace {
-
-/// Renders a tripped budget as this backend run's Failed result (the
-/// linear-scan twin of the helper in Allocator.cpp). The IR is valid —
-/// loops back out only at whole-unit boundaries — so the ladder can
-/// still run spill-everything on the function.
-AllocationResult overBudget(AllocationResult Result, Budget &Gov,
-                            unsigned Pass) {
-  Result.Success = false;
-  Result.Outcome = AllocOutcome::Failed;
-  Status S = Gov.status();
-  S.addContext("pass " + std::to_string(Pass));
-  Result.Diag = std::move(S);
-  Result.ColorOf.clear();
-  Result.Pieces.clear();
-  return Result;
-}
-
-} // namespace
-
-AllocationResult ra::runLinearScanPasses(Function &F,
-                                         const AllocatorConfig &C,
-                                         const CFG &G, const LoopInfo &Loops,
-                                         Budget *Gov) {
-  AllocationResult Result;
-  Result.Machine = C.Machine;
-
-  for (unsigned Pass = 0; Pass < C.MaxPasses; ++Pass) {
-    PassRecord Rec;
-    RA_TRACE_SPAN("Pass", "linearscan",
-                  [&] { return "pass=" + std::to_string(Pass); });
-    if (C.FaultInject.SlowPhaseMicros)
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(C.FaultInject.SlowPhaseMicros));
-    if (Gov && Gov->expired())
-      return overBudget(std::move(Result), *Gov, Pass);
-
-    //===----------------------------------------------------------===//
-    // Build: renumber, coalesce, number slots, intervals, costs.
-    //===----------------------------------------------------------===//
-    Timer BuildTimer;
-    RA_TRACE_SPAN_NAMED(BuildSpan, "Build", "linearscan");
-    BuildTimer.start();
-    {
-      RA_TRACE_SPAN("Renumber", "linearscan");
-      renumberLiveRanges(F, G);
-    }
-    if (C.Coalesce) {
-      CoalesceStats CS = coalesceAll(F, G, C.Coalescing, C.Machine, Gov);
-      Result.Stats.CopiesCoalesced += CS.CopiesRemoved;
-      if (C.CollectMetrics)
-        for (const CoalescedCopy &CC : CS.Merges) {
-          RangeMetrics RM;
-          RM.Name = CC.Merged;
-          RM.Pass = Pass;
-          RM.Class = CC.Class;
-          RM.D = RangeMetrics::Decision::Coalesced;
-          RM.CoalescedInto = CC.Into;
-          Result.Metrics.push_back(std::move(RM));
-        }
-      if (CS.CopiesRemoved != 0)
-        renumberLiveRanges(F, G); // compact ids merged away
-    }
-    Liveness LV = Liveness::compute(F, G);
-    InstrNumbering Num = InstrNumbering::compute(F);
-    LiveIntervals LI = LiveIntervals::compute(F, LV, Num);
-    std::vector<double> Costs = computeSpillCosts(F, Loops, C.Costs);
-    LI.setCosts(Costs);
-    std::vector<double> Area;
-    std::vector<unsigned> DepthOf;
+bool ra::decideLinearScan(const Function &F, const AllocatorConfig &C,
+                          LiveIntervals &LI, const PassInputs &In,
+                          PassRecord &Rec, AllocationResult &Result,
+                          std::vector<SpillRequest> &Spills) {
+  // The walk time lands in the record's select column (the decision
+  // phase); linear scan has no simplify analogue.
+  LI.setCosts(In.Costs);
+  ScanOptions SO;
+  SO.SplitIntervals = C.SplitIntervals;
+  SO.Governor = In.Gov;
+  ScanResult Scan = scanIntervals(LI, C.Machine, SO);
+  if (In.Gov && In.Gov->expired())
+    return false; // the walk was abandoned mid-queue
+  Rec.LiveRanges = Scan.LiveRanges;
+  Rec.SelectSeconds = Scan.WalkSeconds;
+  Rec.SpilledCost = Scan.SpilledCost;
+  Rec.SplitLiveRanges = Scan.SplitRanges;
+  Rec.SplitDecisions = Scan.Splits;
+  // Suffix-aware spills: a range whose head already won registers only
+  // spills the losing tail.
+  for (size_t I = 0; I < Scan.Spilled.size(); ++I) {
+    Spills.push_back({Scan.Spilled[I], Scan.SpillFromSlot[I]});
     if (C.CollectMetrics)
-      computeAreaAndDepth(F, Loops, LV, Area, DepthOf);
-    BuildTimer.stop();
-    Rec.BuildSeconds = BuildTimer.seconds();
-    BuildSpan.close();
-    if (Gov && Gov->expired()) {
-      Result.Stats.Passes.push_back(std::move(Rec));
-      return overBudget(std::move(Result), *Gov, Pass);
-    }
-
-    //===----------------------------------------------------------===//
-    // Scan: one start-ordered walk decides every interval. The walk
-    // time lands in the record's select column (the decision phase);
-    // linear scan has no simplify analogue.
-    //===----------------------------------------------------------===//
-    ScanOptions SO;
-    SO.SplitIntervals = C.SplitIntervals;
-    SO.Governor = Gov;
-    ScanResult Scan = scanIntervals(LI, C.Machine, SO);
-    if (Gov && Gov->expired()) {
-      // The walk was abandoned mid-queue; its spill set is partial.
-      Result.Stats.Passes.push_back(std::move(Rec));
-      return overBudget(std::move(Result), *Gov, Pass);
-    }
-    Rec.LiveRanges = Scan.LiveRanges;
-    Rec.SelectSeconds = Scan.WalkSeconds;
-    Rec.SpilledLiveRanges = Scan.Spilled.size();
-    Rec.SpilledCost = Scan.SpilledCost;
-    Rec.SplitLiveRanges = Scan.SplitRanges;
-    Rec.SplitDecisions = Scan.Splits;
-    for (VRegId R : Scan.Spilled)
-      Rec.SpilledNames.push_back(F.vreg(R).Name);
-    if (C.CollectMetrics)
-      for (VRegId R : Scan.Spilled)
-        Result.Metrics.push_back(
-            intervalRow(F, LI.interval(R), Pass, Area, DepthOf,
-                        RangeMetrics::Decision::Spilled, /*Color=*/-1));
-
-    if (Scan.success()) {
-      Result.ColorOf = std::move(Scan.ColorOf);
-      Result.Pieces = std::move(Scan.Pieces);
-      if (C.CollectMetrics) {
-        // Which vregs committed to several registers (Split rows).
-        std::vector<bool> IsSplit(F.numVRegs(), false);
-        for (const PieceAssignment &P : Result.Pieces)
-          IsSplit[P.Reg] = true;
-        for (const LiveInterval &I : LI.intervals())
-          if (!I.empty())
-            Result.Metrics.push_back(intervalRow(
-                F, I, Pass, Area, DepthOf,
-                IsSplit[I.Reg] ? RangeMetrics::Decision::Split
-                               : RangeMetrics::Decision::Colored,
-                Result.ColorOf[I.Reg]));
-      }
-      if (C.FaultInject.Miscolor)
-        injectMiscoloring(LI, C.Machine, Result);
-      Result.Stats.Passes.push_back(std::move(Rec));
-      Result.Success = true;
-      Result.Outcome = AllocOutcome::Converged;
-      return Result;
-    }
-
-    //===----------------------------------------------------------===//
-    // Spill: same inserter as the coloring backends — suffix-aware,
-    // so a range whose head already won registers only spills the
-    // losing tail — then rescan.
-    //===----------------------------------------------------------===//
-    std::vector<SpillRequest> Requests;
-    Requests.reserve(Scan.Spilled.size());
-    for (size_t I = 0; I < Scan.Spilled.size(); ++I)
-      Requests.push_back({Scan.Spilled[I], Scan.SpillFromSlot[I]});
-    Timer SpillTimer;
-    SpillTimer.start();
-    SpillCodeStats SC = insertSpillCode(F, Requests, C.Rematerialize);
-    SpillTimer.stop();
-    Rec.SpillSeconds = SpillTimer.seconds();
-    Result.Stats.SpillCode.Loads += SC.Loads;
-    Result.Stats.SpillCode.Stores += SC.Stores;
-    Result.Stats.SpillCode.Remats += SC.Remats;
-    Result.Stats.Passes.push_back(std::move(Rec));
+      Result.Metrics.push_back(
+          intervalRow(F, LI.interval(Scan.Spilled[I]), In,
+                      RangeMetrics::Decision::Spilled, /*Color=*/-1));
   }
+  if (!Scan.success())
+    return true;
 
-  Result.Success = false;
-  Result.Outcome = AllocOutcome::Failed;
-  Result.Diag = Status::error(StatusCode::NonConvergence,
-                              "no linear-scan allocation after " +
-                                  std::to_string(C.MaxPasses) + " passes");
-  return Result;
+  Result.ColorOf = std::move(Scan.ColorOf);
+  Result.Pieces = std::move(Scan.Pieces);
+  if (C.CollectMetrics) {
+    // Which vregs committed to several registers (Split rows).
+    std::vector<bool> IsSplit(F.numVRegs(), false);
+    for (const PieceAssignment &P : Result.Pieces)
+      IsSplit[P.Reg] = true;
+    for (const LiveInterval &I : LI.intervals())
+      if (!I.empty())
+        Result.Metrics.push_back(intervalRow(
+            F, I, In,
+            IsSplit[I.Reg] ? RangeMetrics::Decision::Split
+                           : RangeMetrics::Decision::Colored,
+            Result.ColorOf[I.Reg]));
+  }
+  if (C.FaultInject.Miscolor)
+    injectMiscoloring(LI, C.Machine, Result);
+  return true;
 }

@@ -21,8 +21,8 @@
 #include "analysis/LoopInfo.h"
 #include "analysis/Renumber.h"
 #include "linearscan/LinearScanAlloc.h"
+#include "linearscan/LiveInterval.h"
 #include "regalloc/AllocationAudit.h"
-#include "regalloc/Backend.h"
 #include "regalloc/BuildGraph.h"
 #include "regalloc/Coalesce.h"
 #include "regalloc/SpillCost.h"
@@ -33,6 +33,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
@@ -157,11 +158,13 @@ void injectMiscoloring(const std::array<ClassGraph, NumRegClasses> &Graphs,
   }
 }
 
-} // namespace
-
-void ra::computeAreaAndDepth(const Function &F, const LoopInfo &Loops,
-                             const Liveness &LV, std::vector<double> &Area,
-                             std::vector<unsigned> &DepthOf) {
+/// Loop-weighted area (sum over instructions where the range is live of
+/// 10^depth — Chaitin's "area" feature) and deepest-occurrence loop
+/// depth, per vreg: the backend-independent feature columns of the
+/// metrics table.
+void computeAreaAndDepth(const Function &F, const LoopInfo &Loops,
+                         const Liveness &LV, std::vector<double> &Area,
+                         std::vector<unsigned> &DepthOf) {
   Area.assign(F.numVRegs(), 0);
   DepthOf.assign(F.numVRegs(), 0);
   for (const BasicBlock &B : F.blocks()) {
@@ -183,35 +186,138 @@ void ra::computeAreaAndDepth(const Function &F, const LoopInfo &Loops,
   }
 }
 
-namespace {
-
 /// One metrics row for graph node \p Node of \p CG.
 RangeMetrics rangeRow(const Function &F, const ClassGraph &CG,
-                      uint32_t Node, unsigned Pass,
-                      const std::vector<double> &Costs,
-                      const std::vector<double> &Area,
-                      const std::vector<unsigned> &DepthOf,
+                      uint32_t Node, const PassInputs &In,
                       RangeMetrics::Decision D, int32_t Color,
                       unsigned SelectRounds) {
   VRegId R = CG.NodeToVReg[Node];
   RangeMetrics RM;
   RM.Name = F.vreg(R).Name;
-  RM.Pass = Pass;
+  RM.Pass = In.Pass;
   RM.Class = CG.Class;
   RM.Degree = CG.Graph.degree(Node);
-  RM.Area = Area[R];
-  RM.Cost = Costs[R];
+  RM.Area = In.Area[R];
+  RM.Cost = In.Costs[R];
   RM.CostPerDegree = RM.Cost == InterferenceGraph::InfiniteCost
                          ? RM.Cost
                          : (RM.Degree ? RM.Cost / RM.Degree : RM.Cost);
-  RM.LoopDepth = DepthOf[R];
+  RM.LoopDepth = In.DepthOf[R];
   RM.D = D;
   RM.Color = Color;
   RM.SelectRounds = SelectRounds;
   return RM;
 }
 
-/// Renders a tripped budget as this backend run's Failed result. The
+/// Estimated bytes of both class graphs' interference matrices, charged
+/// to the budget before they are built.
+uint64_t graphBytes(const Function &F, const AllocatorConfig &C) {
+  std::array<uint64_t, NumRegClasses> ClassNodes{};
+  for (VRegId R = 0; R < F.numVRegs(); ++R)
+    ++ClassNodes[static_cast<unsigned>(F.regClass(R))];
+  uint64_t Bytes = 0;
+  for (uint64_t N : ClassNodes)
+    Bytes += InterferenceGraph::estimateBytes(N);
+  if (C.FaultInject.GraphMemorySpike)
+    Bytes += uint64_t(1) << 30; // pretend the graph is ~1 GB bigger
+  return Bytes;
+}
+
+/// Graph coloring's decide step: simplify + select each class graph and
+/// append the uncolorable ranges to \p Spills (whole-range requests).
+/// When nothing spills it commits Result.ColorOf instead. Returns false
+/// when \p In.Gov tripped mid-coloring, leaving a partial coloring that
+/// must not feed spill decisions.
+bool colorClasses(const Function &F, const AllocatorConfig &C,
+                  std::array<ClassGraph, NumRegClasses> &Graphs,
+                  const PassInputs &In, PassRecord &Rec,
+                  AllocationResult &Result,
+                  std::vector<SpillRequest> &Spills) {
+  for (ClassGraph &CG : Graphs) {
+    setNodeCosts(F, In.Costs, CG);
+    Rec.LiveRanges += CG.Graph.numNodes();
+    Rec.Interferences += CG.Graph.numEdges();
+  }
+  std::array<ColoringResult, NumRegClasses> Colorings;
+  static_assert(NumRegClasses == 2, "per-class threading assumes 2");
+  SelectOptions SelOpts;
+  SelOpts.Parallel = C.ParallelGraph;
+  SelOpts.Threads = C.ParallelGraphJobs;
+  SelOpts.MinNodes = C.ParallelGraphMinNodes;
+  SelOpts.Governor = In.Gov;
+  auto Color = [&](unsigned Cls) {
+    Colorings[Cls] = colorGraph(Graphs[Cls].Graph,
+                                C.Machine.numRegs(Graphs[Cls].Class), C.H,
+                                SelOpts);
+  };
+  if (C.ParallelClasses &&
+      Graphs[0].Graph.numNodes() >= ParallelClassThreshold &&
+      Graphs[1].Graph.numNodes() >= ParallelClassThreshold) {
+    // The two class files are disjoint, so their colorings share no
+    // state; run Float on a helper thread while Int colors here.
+    // Results land in fixed slots — output is identical to serial.
+    // The helper traces under its own sub-context so the event log
+    // groups deterministically whether or not it was spawned.
+    std::string ParentCtx = trace::ScopedContext::current();
+    std::thread Helper([&, ParentCtx] {
+      RA_TRACE_CONTEXT([&] { return ParentCtx + "/flt-helper"; });
+      Color(1);
+    });
+    Color(0);
+    Helper.join();
+  } else {
+    Color(0);
+    Color(1);
+  }
+  if (In.Gov && In.Gov->expired())
+    return false;
+
+  for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls) {
+    const ClassGraph &CG = Graphs[Cls];
+    const ColoringResult &Col = Colorings[Cls];
+    Rec.SimplifySeconds += Col.SimplifySeconds;
+    Rec.SelectSeconds += Col.SelectSeconds;
+    for (size_t I = 0; I != Col.SelectRounds.size(); ++I) {
+      ++Rec.SelectRounds;
+      Rec.SelectConflicts += Col.SelectRounds[I].Conflicts;
+      if (I > 0) // entry 0 is speculation, not repair
+        Rec.SelectRecolored += Col.SelectRounds[I].Colored;
+    }
+    for (uint32_t Node : Col.Spilled) {
+      VRegId R = CG.NodeToVReg[Node];
+      Spills.push_back({R, /*FromSlot=*/0});
+      Rec.SpilledCost += In.Costs[R];
+      if (C.CollectMetrics)
+        Result.Metrics.push_back(
+            rangeRow(F, CG, Node, In, RangeMetrics::Decision::Spilled,
+                     /*Color=*/-1, unsigned(Col.SelectRounds.size())));
+    }
+  }
+  if (!Spills.empty())
+    return true;
+
+  // Done: translate per-class node colors into a per-vreg map.
+  Result.ColorOf.assign(F.numVRegs(), -1);
+  for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls) {
+    const ClassGraph &CG = Graphs[Cls];
+    for (uint32_t Node = 0; Node < CG.Graph.numNodes(); ++Node)
+      Result.ColorOf[CG.NodeToVReg[Node]] = Colorings[Cls].ColorOf[Node];
+  }
+  if (C.CollectMetrics)
+    for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls) {
+      const ClassGraph &CG = Graphs[Cls];
+      for (uint32_t Node = 0; Node < CG.Graph.numNodes(); ++Node)
+        Result.Metrics.push_back(rangeRow(
+            F, CG, Node, In, RangeMetrics::Decision::Colored,
+            Colorings[Cls].ColorOf[Node],
+            unsigned(Colorings[Cls].SelectRounds.size())));
+    }
+  if (C.FaultInject.Miscolor)
+    injectMiscoloring(Graphs, Colorings, C.Machine, Result);
+  return true;
+}
+
+/// Renders a tripped budget as this pass loop's Failed result. The
 /// partial allocation state (colors, pieces) is wiped — the IR itself
 /// is valid (loops only back out at whole-unit boundaries), so the
 /// ladder can rerun a cheaper engine on the same function.
@@ -227,46 +333,47 @@ AllocationResult overBudget(AllocationResult Result, Budget &Gov,
   return Result;
 }
 
-/// FaultInjectOptions::SlowPhaseMicros — stall so a tiny test deadline
-/// trips deterministically regardless of machine speed.
-void injectSlowPhase(const AllocatorConfig &C) {
-  if (C.FaultInject.SlowPhaseMicros)
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(C.FaultInject.SlowPhaseMicros));
-}
-
-/// The Figure 4 loop: renumber -> [build -> coalesce -> costs ->
-/// simplify -> select -> spill]* until no pass spills. Sets Success and
-/// a NonConvergence diagnostic, but performs no auditing or fallback —
+/// The Figure 4 loop, shared by both backends: renumber -> [build ->
+/// coalesce -> costs -> decide -> spill]* until a pass spills nothing.
+/// Only the decide step is per backend: graph coloring builds and
+/// colors the two class graphs (colorClasses), linear scan builds and
+/// walks live intervals (decideLinearScan). Sets Success and a
+/// NonConvergence diagnostic, but performs no auditing or fallback —
 /// allocateRegisters layers those on top.
 ///
-/// With a governed \p Gov: each pass charges the estimated size of its
-/// interference matrices before building them (a refusal exits before
-/// the bytes exist), every long loop polls the token, and phase
-/// boundaries force a deadline check, so a trip surfaces as a Failed
-/// over-budget result within one phase of the expiry.
-AllocationResult runColoringPasses(Function &F, const AllocatorConfig &C,
-                                   const CFG &G, const LoopInfo &Loops,
-                                   Budget *Gov) {
+/// With a governed \p Gov: each coloring pass charges the estimated
+/// size of its interference matrices before building them (a refusal
+/// exits before the bytes exist), every long loop polls the token, and
+/// phase boundaries force a deadline check, so a trip surfaces as a
+/// Failed over-budget result within one phase of the expiry.
+AllocationResult runPasses(Function &F, const AllocatorConfig &C,
+                           const CFG &G, const LoopInfo &Loops,
+                           Budget *Gov) {
+  const bool Scan = C.B == Backend::LinearScan;
+  const char *Cat = Scan ? "linearscan" : "regalloc";
   AllocationResult Result;
   Result.Machine = C.Machine;
 
   for (unsigned Pass = 0; Pass < C.MaxPasses; ++Pass) {
     PassRecord Rec;
-    RA_TRACE_SPAN("Pass", "regalloc",
-                  [&] { return "pass=" + std::to_string(Pass); });
-    injectSlowPhase(C);
+    RA_TRACE_SPAN("Pass", Cat, [&] { return "pass=" + std::to_string(Pass); });
+    // FaultInjectOptions::SlowPhaseMicros — stall so a tiny test
+    // deadline trips deterministically regardless of machine speed.
+    if (C.FaultInject.SlowPhaseMicros)
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(C.FaultInject.SlowPhaseMicros));
     if (Gov && Gov->expired())
       return overBudget(std::move(Result), *Gov, Pass);
 
     //===----------------------------------------------------------===//
-    // Build: renumber, coalesce, build graphs, compute spill costs.
+    // Build: renumber, coalesce, the backend's graphs or intervals,
+    // spill costs.
     //===----------------------------------------------------------===//
     Timer BuildTimer;
-    RA_TRACE_SPAN_NAMED(BuildSpan, "Build", "regalloc");
+    RA_TRACE_SPAN_NAMED(BuildSpan, "Build", Cat);
     BuildTimer.start();
     {
-      RA_TRACE_SPAN("Renumber", "regalloc");
+      RA_TRACE_SPAN("Renumber", Cat);
       renumberLiveRanges(F, G);
     }
     if (C.Coalesce) {
@@ -289,32 +396,24 @@ AllocationResult runColoringPasses(Function &F, const AllocatorConfig &C,
     // matrix is the allocation that OOMs at scale, and refusing it up
     // front turns a would-be OOM into a clean over-budget exit. The
     // charge is held for the pass (the graphs die with the iteration).
-    uint64_t GraphBytes = 0;
-    if (Gov) {
-      std::array<uint64_t, NumRegClasses> ClassNodes{};
-      for (VRegId R = 0; R < F.numVRegs(); ++R)
-        ++ClassNodes[static_cast<unsigned>(F.regClass(R))];
-      for (uint64_t N : ClassNodes)
-        GraphBytes += InterferenceGraph::estimateBytes(N);
-      if (C.FaultInject.GraphMemorySpike)
-        GraphBytes += uint64_t(1) << 30; // pretend the graph is ~1 GB bigger
-    }
-    ScopedCharge GraphCharge(Gov, GraphBytes);
+    // Linear scan builds no matrix and charges nothing.
+    Budget *GraphGov = Scan ? nullptr : Gov;
+    ScopedCharge GraphCharge(GraphGov, GraphGov ? graphBytes(F, C) : 0);
     if (!GraphCharge.granted())
       return overBudget(std::move(Result), *Gov, Pass);
 
     Liveness LV = Liveness::compute(F, G);
-    auto Graphs = buildInterferenceGraphs(F, LV, Gov);
+    std::array<ClassGraph, NumRegClasses> Graphs;
+    std::optional<LiveIntervals> Intervals;
+    if (Scan)
+      Intervals = LiveIntervals::compute(F, LV, InstrNumbering::compute(F));
+    else
+      Graphs = buildInterferenceGraphs(F, LV, Gov);
     std::vector<double> Costs = computeSpillCosts(F, Loops, C.Costs);
     std::vector<double> Area;
     std::vector<unsigned> DepthOf;
     if (C.CollectMetrics)
       computeAreaAndDepth(F, Loops, LV, Area, DepthOf);
-    for (ClassGraph &CG : Graphs) {
-      setNodeCosts(F, Costs, CG);
-      Rec.LiveRanges += CG.Graph.numNodes();
-      Rec.Interferences += CG.Graph.numEdges();
-    }
     BuildTimer.stop();
     Rec.BuildSeconds = BuildTimer.seconds();
     BuildSpan.close();
@@ -324,95 +423,21 @@ AllocationResult runColoringPasses(Function &F, const AllocatorConfig &C,
     }
 
     //===----------------------------------------------------------===//
-    // Simplify + select, one class at a time.
+    // Decide: color or walk; either commits registers or names spills.
     //===----------------------------------------------------------===//
-    std::vector<VRegId> ToSpill;
-    std::array<ColoringResult, NumRegClasses> Colorings;
-    static_assert(NumRegClasses == 2, "per-class threading assumes 2");
-    SelectOptions SelOpts;
-    SelOpts.Parallel = C.ParallelGraph;
-    SelOpts.Threads = C.ParallelGraphJobs;
-    SelOpts.MinNodes = C.ParallelGraphMinNodes;
-    SelOpts.Governor = Gov;
-    bool Concurrent =
-        C.ParallelClasses &&
-        Graphs[0].Graph.numNodes() >= ParallelClassThreshold &&
-        Graphs[1].Graph.numNodes() >= ParallelClassThreshold;
-    if (Concurrent) {
-      // The two class files are disjoint, so their colorings share no
-      // state; run Float on a helper thread while Int colors here.
-      // Results land in fixed slots — output is identical to serial.
-      // The helper traces under its own sub-context so the event log
-      // groups deterministically whether or not it was spawned.
-      std::string ParentCtx = trace::ScopedContext::current();
-      std::thread Helper([&, ParentCtx] {
-        RA_TRACE_CONTEXT([&] { return ParentCtx + "/flt-helper"; });
-        Colorings[1] =
-            colorGraph(Graphs[1].Graph, C.Machine.numRegs(Graphs[1].Class),
-                       C.H, SelOpts);
-      });
-      Colorings[0] = colorGraph(Graphs[0].Graph,
-                                C.Machine.numRegs(Graphs[0].Class), C.H,
-                                SelOpts);
-      Helper.join();
-    } else {
-      for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls)
-        Colorings[Cls] = colorGraph(Graphs[Cls].Graph,
-                                    C.Machine.numRegs(Graphs[Cls].Class),
-                                    C.H, SelOpts);
-    }
-    if (Gov && Gov->expired()) {
-      // A class coloring was abandoned mid-phase; its ColoringResult is
-      // partial and must not feed spill decisions.
+    const PassInputs In{Pass, Costs, Area, DepthOf, Gov};
+    std::vector<SpillRequest> Spills;
+    bool Decided =
+        Scan ? decideLinearScan(F, C, *Intervals, In, Rec, Result, Spills)
+             : colorClasses(F, C, Graphs, In, Rec, Result, Spills);
+    if (!Decided) {
       Result.Stats.Passes.push_back(std::move(Rec));
       return overBudget(std::move(Result), *Gov, Pass);
     }
-    for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls) {
-      ClassGraph &CG = Graphs[Cls];
-      Rec.SimplifySeconds += Colorings[Cls].SimplifySeconds;
-      Rec.SelectSeconds += Colorings[Cls].SelectSeconds;
-      for (size_t I = 0; I != Colorings[Cls].SelectRounds.size(); ++I) {
-        const SelectRound &SR = Colorings[Cls].SelectRounds[I];
-        ++Rec.SelectRounds;
-        Rec.SelectConflicts += SR.Conflicts;
-        if (I > 0) // entry 0 is speculation, not repair
-          Rec.SelectRecolored += SR.Colored;
-      }
-      for (uint32_t Node : Colorings[Cls].Spilled) {
-        VRegId R = CG.NodeToVReg[Node];
-        ToSpill.push_back(R);
-        Rec.SpilledNames.push_back(F.vreg(R).Name);
-        Rec.SpilledCost += Costs[R];
-        if (C.CollectMetrics)
-          Result.Metrics.push_back(rangeRow(
-              F, CG, Node, Pass, Costs, Area, DepthOf,
-              RangeMetrics::Decision::Spilled, /*Color=*/-1,
-              unsigned(Colorings[Cls].SelectRounds.size())));
-      }
-    }
-    Rec.SpilledLiveRanges = ToSpill.size();
-
-    if (ToSpill.empty()) {
-      // Done: translate per-class node colors into a per-vreg map.
-      Result.ColorOf.assign(F.numVRegs(), -1);
-      for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls) {
-        const ClassGraph &CG = Graphs[Cls];
-        for (uint32_t Node = 0; Node < CG.Graph.numNodes(); ++Node)
-          Result.ColorOf[CG.NodeToVReg[Node]] =
-              Colorings[Cls].ColorOf[Node];
-      }
-      if (C.CollectMetrics)
-        for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls) {
-          const ClassGraph &CG = Graphs[Cls];
-          for (uint32_t Node = 0; Node < CG.Graph.numNodes(); ++Node)
-            Result.Metrics.push_back(
-                rangeRow(F, CG, Node, Pass, Costs, Area, DepthOf,
-                         RangeMetrics::Decision::Colored,
-                         Colorings[Cls].ColorOf[Node],
-                         unsigned(Colorings[Cls].SelectRounds.size())));
-        }
-      if (C.FaultInject.Miscolor)
-        injectMiscoloring(Graphs, Colorings, C.Machine, Result);
+    Rec.SpilledLiveRanges = Spills.size();
+    for (const SpillRequest &S : Spills)
+      Rec.SpilledNames.push_back(F.vreg(S.Reg).Name);
+    if (Spills.empty()) {
       Result.Stats.Passes.push_back(std::move(Rec));
       Result.Success = true;
       Result.Outcome = AllocOutcome::Converged;
@@ -424,7 +449,7 @@ AllocationResult runColoringPasses(Function &F, const AllocatorConfig &C,
     //===----------------------------------------------------------===//
     Timer SpillTimer;
     SpillTimer.start();
-    SpillCodeStats SC = insertSpillCode(F, ToSpill, C.Rematerialize);
+    SpillCodeStats SC = insertSpillCode(F, Spills, C.Rematerialize);
     SpillTimer.stop();
     Rec.SpillSeconds = SpillTimer.seconds();
     Result.Stats.SpillCode.Loads += SC.Loads;
@@ -437,9 +462,10 @@ AllocationResult runColoringPasses(Function &F, const AllocatorConfig &C,
   // allocateRegisters degrades to spill-everything from here.
   Result.Success = false;
   Result.Outcome = AllocOutcome::Failed;
-  Result.Diag = Status::error(StatusCode::NonConvergence,
-                              "no coloring after " +
-                                  std::to_string(C.MaxPasses) + " passes");
+  Result.Diag = Status::error(
+      StatusCode::NonConvergence,
+      std::string(Scan ? "no linear-scan allocation" : "no coloring") +
+          " after " + std::to_string(C.MaxPasses) + " passes");
   return Result;
 }
 
@@ -467,39 +493,18 @@ AllocationResult spillEverything(Function &F, const AllocatorConfig &C,
   FallbackC.MaxPasses = 8;
   // The bottom rung runs ungoverned: it is the guaranteed-progress
   // escape hatch, and its residual graph is tiny by construction.
-  return runColoringPasses(F, FallbackC, G, Loops, /*Gov=*/nullptr);
+  return runPasses(F, FallbackC, G, Loops, /*Gov=*/nullptr);
 }
-
-/// Backend.h's engine for Backend::GraphColoring.
-class GraphColoringBackend final : public AllocatorBackend {
-public:
-  const char *name() const override { return "graph-coloring"; }
-  AllocationResult runPasses(Function &F, const AllocatorConfig &C,
-                             const CFG &G, const LoopInfo &Loops,
-                             Budget *Gov) const override {
-    return runColoringPasses(F, C, G, Loops, Gov);
-  }
-};
-
-/// Backend.h's engine for Backend::LinearScan.
-class LinearScanBackend final : public AllocatorBackend {
-public:
-  const char *name() const override { return "linear-scan"; }
-  AllocationResult runPasses(Function &F, const AllocatorConfig &C,
-                             const CFG &G, const LoopInfo &Loops,
-                             Budget *Gov) const override {
-    return runLinearScanPasses(F, C, G, Loops, Gov);
-  }
-};
 
 } // namespace
 
-const AllocatorBackend &ra::backendFor(Backend B) {
-  static const GraphColoringBackend Coloring;
-  static const LinearScanBackend Scan;
-  return B == Backend::LinearScan
-             ? static_cast<const AllocatorBackend &>(Scan)
-             : static_cast<const AllocatorBackend &>(Coloring);
+AllocationResult ra::runLinearScanPasses(Function &F,
+                                         const AllocatorConfig &C,
+                                         const CFG &G, const LoopInfo &Loops,
+                                         Budget *Gov) {
+  AllocatorConfig ScanC = C;
+  ScanC.B = Backend::LinearScan;
+  return runPasses(F, ScanC, G, Loops, Gov);
 }
 
 AllocationResult ra::allocateRegisters(Function &F,
@@ -559,7 +564,7 @@ AllocationResult ra::allocateRegisters(Function &F,
     Result.Diag = Status::error(StatusCode::NonConvergence,
                                 "fault injection: forced non-convergence");
   } else {
-    Result = backendFor(C.B).runPasses(F, C, G, Loops, Gov);
+    Result = runPasses(F, C, G, Loops, Gov);
   }
 
   // Rung 1 of the budget ladder: graph coloring ran over its deadline
@@ -577,10 +582,7 @@ AllocationResult ra::allocateRegisters(Function &F,
     RA_TRACE_COUNTER("budget.retry.linear_scan", 1);
     Status Why = Result.Diag;
     Token.rearm();
-    AllocatorConfig RetryC = C;
-    RetryC.B = Backend::LinearScan;
-    AllocationResult Retry =
-        backendFor(Backend::LinearScan).runPasses(F, RetryC, G, Loops, Gov);
+    AllocationResult Retry = runLinearScanPasses(F, C, G, Loops, Gov);
     if (Retry.Success) {
       Status RetryAudit = auditAllocationStatus(F, Retry);
       if (RetryAudit.ok()) {
