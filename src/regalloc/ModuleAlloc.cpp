@@ -9,7 +9,9 @@
 // pool. Each function is an independent allocation unit (allocateRegisters
 // mutates only its own Function; the Module's arrays and function table
 // are read-only during allocation), so any worker count produces
-// bit-identical output: futures are collected in function order.
+// bit-identical output: futures are collected in function order. It is
+// the only module fan-out: AllocationService hands it its cache misses,
+// its shared pool and the optimizer as the per-function pre-step.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +24,7 @@
 
 #include <algorithm>
 #include <future>
+#include <optional>
 #include <vector>
 
 using namespace ra;
@@ -55,26 +58,43 @@ AllocationResult collectOne(const Function &F, const AllocatorConfig &C,
 
 } // namespace
 
-ModuleAllocationResult ra::allocateModule(Module &M,
-                                          const AllocatorConfig &C) {
+ModuleAllocationResult
+ra::allocateModule(Module &M, const AllocatorConfig &C, ThreadPool *Pool,
+                   const std::vector<unsigned> *Only,
+                   const std::function<void(Function &)> &PreStep) {
   ModuleAllocationResult Result;
   Result.Functions.resize(M.numFunctions());
   Timer Wall;
   Wall.start();
 
+  std::vector<unsigned> All;
+  if (!Only) {
+    All.resize(M.numFunctions());
+    for (unsigned I = 0; I < M.numFunctions(); ++I)
+      All[I] = I;
+    Only = &All;
+  }
   unsigned Jobs = ThreadPool::resolveJobs(C.Jobs);
+  if (Pool)
+    Jobs = std::min(Jobs, Pool->numThreads());
   // Scheduling events go in the "sched" category: they describe how work
   // landed on workers, which varies with --jobs, so normalizedLog drops
   // them while trace viewers still show the fan-out.
   RA_TRACE_SPAN("ModuleAlloc", "sched", [&] {
-    return "functions=" + std::to_string(M.numFunctions()) +
+    return "functions=" + std::to_string(Only->size()) +
            ";jobs=" + std::to_string(Jobs);
   });
-  if (Jobs <= 1 || M.numFunctions() <= 1) {
-    for (unsigned I = 0; I < M.numFunctions(); ++I) {
+  // One work unit: the pre-step (if any), then allocation, both inside
+  // collectOne's exception boundary.
+  auto Allocate = [&PreStep](Function &F, const AllocatorConfig &UnitC) {
+    if (PreStep)
+      PreStep(F);
+    return allocateRegisters(F, UnitC);
+  };
+  if (Jobs <= 1 || Only->size() <= 1) {
+    for (unsigned I : *Only) {
       Function &F = M.function(I);
-      Result.Functions[I] =
-          collectOne(F, C, [&] { return allocateRegisters(F, C); });
+      Result.Functions[I] = collectOne(F, C, [&] { return Allocate(F, C); });
     }
   } else {
     // When functions already fan out across the pool, divide the
@@ -86,22 +106,23 @@ ModuleAllocationResult ra::allocateModule(Module &M,
     if (C.ParallelGraph && C.ParallelGraphJobs == 0)
       WorkerC.ParallelGraphJobs =
           std::max(1u, ThreadPool::resolveJobs(0) / Jobs);
-    ThreadPool Pool(Jobs);
+    std::optional<ThreadPool> OwnPool;
+    ThreadPool &P = Pool ? *Pool : OwnPool.emplace(Jobs);
     std::vector<std::future<AllocationResult>> Pending;
-    Pending.reserve(M.numFunctions());
-    for (unsigned I = 0; I < M.numFunctions(); ++I) {
+    Pending.reserve(Only->size());
+    for (unsigned I : *Only) {
       Function &F = M.function(I);
       if (trace::enabled())
         RA_TRACE_INSTANT("TaskQueued", "sched", "@" + F.name());
-      Pending.push_back(Pool.submit([&F, &WorkerC] {
-        return allocateRegisters(F, WorkerC);
-      }));
+      Pending.push_back(
+          P.submit([&F, &WorkerC, &Allocate] { return Allocate(F, WorkerC); }));
     }
-    for (unsigned I = 0; I < M.numFunctions(); ++I) {
+    for (size_t J = 0; J < Only->size(); ++J) {
+      Function &F = M.function((*Only)[J]);
       RA_TRACE_SPAN("CollectFunction", "sched",
-                    [&] { return "@" + M.function(I).name(); });
-      Result.Functions[I] =
-          collectOne(M.function(I), C, [&] { return Pending[I].get(); });
+                    [&] { return "@" + F.name(); });
+      Result.Functions[(*Only)[J]] =
+          collectOne(F, C, [&] { return Pending[J].get(); });
     }
   }
 

@@ -13,49 +13,8 @@
 #include "support/Timer.h"
 #include "support/Trace.h"
 
-#include <future>
-
 using namespace ra;
 using namespace ra::service;
-
-namespace {
-
-/// Converts a worker exception into a Failed result for just that
-/// function — the same contract allocateModule keeps, so routing a
-/// module through the service never changes failure isolation.
-template <typename GetT>
-AllocationResult collectOne(const Function &F, const AllocatorConfig &C,
-                            GetT Get) {
-  try {
-    return Get();
-  } catch (const std::exception &E) {
-    AllocationResult R;
-    R.Machine = C.Machine;
-    R.Diag = Status::error(StatusCode::WorkerError, E.what())
-                 .addContext("allocating @" + F.name());
-    return R;
-  } catch (...) {
-    AllocationResult R;
-    R.Machine = C.Machine;
-    R.Diag = Status::error(StatusCode::WorkerError,
-                           "worker threw a non-standard exception")
-                 .addContext("allocating @" + F.name());
-    return R;
-  }
-}
-
-/// Optimize-then-allocate for one cache miss. Optimization happens
-/// inside the work unit (not up front as the old rac driver did) so a
-/// hit skips it too; functions are independent, so the result is
-/// identical either way.
-AllocationResult allocateMiss(Function &F, const AllocatorConfig &C,
-                              bool Optimize) {
-  if (Optimize)
-    optimizeFunction(F);
-  return allocateRegisters(F, C);
-}
-
-} // namespace
 
 AllocationService::AllocationService(const ServiceConfig &SC)
     : SC(SC), Cache(SC.CacheEnabled ? SC.CacheMaxEntries : 0,
@@ -85,19 +44,10 @@ ServiceReply AllocationService::run(const ServiceRequest &R) {
     return Reply;
   }
 
-  allocateParsed(*Reply.M, R.Alloc, R.Optimize, R.UseCache, Reply.MA,
-                 Reply.CacheHit);
-  return Reply;
-}
-
-void AllocationService::allocateParsed(Module &M, const AllocatorConfig &C,
-                                       bool Optimize, bool UseCache,
-                                       ModuleAllocationResult &MA,
-                                       std::vector<uint8_t> &CacheHit) {
+  Module &M = *Reply.M;
+  const AllocatorConfig &C = R.Alloc;
   const unsigned N = M.numFunctions();
-  MA.Functions.clear();
-  MA.Functions.resize(N);
-  CacheHit.assign(N, 0);
+  Reply.CacheHit.assign(N, 0);
 
   Timer Wall;
   Wall.start();
@@ -106,75 +56,51 @@ void AllocationService::allocateParsed(Module &M, const AllocatorConfig &C,
   });
 
   const bool Cacheable =
-      SC.CacheEnabled && UseCache && cacheableConfig(C);
+      SC.CacheEnabled && R.UseCache && cacheableConfig(C);
 
   // Phase 1: cache probe. Hit = substitute the memoized rewritten
   // function (deep copy) and result; the Build->Select work — ~97% of
   // allocation time — never runs.
   std::vector<std::string> Keys(N);
+  std::vector<AllocCache::Value> Hits(N);
   std::vector<unsigned> Misses;
   Misses.reserve(N);
   for (unsigned I = 0; I < N; ++I) {
     if (Cacheable) {
-      Keys[I] = canonicalFunctionKey(M, M.function(I), C, Optimize);
-      AllocCache::Value V;
-      if (Cache.lookup(Keys[I], V)) {
-        M.function(I) = std::move(V.F);
-        MA.Functions[I] = std::move(V.A);
-        CacheHit[I] = 1;
+      Keys[I] = canonicalFunctionKey(M, M.function(I), C, R.Optimize);
+      if (Cache.lookup(Keys[I], Hits[I])) {
+        M.function(I) = std::move(Hits[I].F);
+        Reply.CacheHit[I] = 1;
         continue;
       }
     }
     Misses.push_back(I);
   }
 
-  // Phase 2: allocate the misses, sharding across the service pool.
-  // Collection stays in function order, so output is bit-identical at
-  // any pool width (the same argument allocateModule makes).
-  if (!Misses.empty()) {
-    AllocatorConfig WorkerC = C;
-    const unsigned Jobs = ThreadPool::resolveJobs(C.Jobs);
-    const unsigned Width = std::min<unsigned>(Pool.numThreads(), Jobs);
-    if (Width <= 1 || Misses.size() <= 1) {
-      for (unsigned I : Misses) {
-        Function &F = M.function(I);
-        MA.Functions[I] = collectOne(
-            F, C, [&] { return allocateMiss(F, WorkerC, Optimize); });
-      }
-    } else {
-      // Divide the intra-graph parallel-Select thread budget between
-      // concurrently allocating functions instead of oversubscribing —
-      // same tuning allocateModule applies, results identical at any
-      // split.
-      if (C.ParallelGraph && C.ParallelGraphJobs == 0)
-        WorkerC.ParallelGraphJobs =
-            std::max(1u, ThreadPool::resolveJobs(0) / Width);
-      std::vector<std::future<AllocationResult>> Pending;
-      Pending.reserve(Misses.size());
-      for (unsigned I : Misses) {
-        Function &F = M.function(I);
-        Pending.push_back(Pool.submit(
-            [&F, &WorkerC, Optimize] {
-              return allocateMiss(F, WorkerC, Optimize);
-            }));
-      }
-      for (size_t J = 0; J < Misses.size(); ++J)
-        MA.Functions[Misses[J]] = collectOne(
-            M.function(Misses[J]), C, [&] { return Pending[J].get(); });
-    }
-  }
+  // Phase 2: optimize-then-allocate the misses on the shared pool.
+  // Optimization happens inside the work unit (not up front) so a hit
+  // skips it too; functions are independent, so the result is identical
+  // either way.
+  std::function<void(Function &)> PreStep;
+  if (R.Optimize)
+    PreStep = optimizeFunction;
+  Reply.MA = allocateModule(M, C, &Pool, &Misses, PreStep);
+  for (unsigned I = 0; I < N; ++I)
+    if (Reply.CacheHit[I])
+      Reply.MA.Functions[I] = std::move(Hits[I].A);
 
   // Phase 3: memoize fresh Converged results. Degraded and Failed
   // outcomes are wall-clock-dependent (or broken) and never cached.
   if (Cacheable)
     for (unsigned I : Misses)
-      if (MA.Functions[I].Outcome == AllocOutcome::Converged) {
+      if (Reply.MA.Functions[I].Outcome == AllocOutcome::Converged) {
         AllocCache::Value V;
         V.F = M.function(I);
-        V.A = MA.Functions[I];
+        V.A = Reply.MA.Functions[I];
         Cache.insert(Keys[I], V);
       }
 
   Wall.stop();
-  MA.WallSeconds = Wall.seconds();
+  Reply.MA.WallSeconds = Wall.seconds();
+  return Reply;
 }

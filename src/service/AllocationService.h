@@ -16,10 +16,11 @@
 ///    copy) and its AllocationResult into the request's module —
 ///    byte-identical to the cold run and skipping renumber/build/
 ///    simplify/select/spill/audit entirely;
-///  * a MISS allocates on the shared pool (function order preserved,
-///    worker exceptions converted to per-function WorkerError results
-///    exactly like allocateModule) and, when the result Converged under
-///    a cacheable config, inserts it for the next request.
+///  * the MISSES go to allocateModule — the one module fan-out — on the
+///    shared pool, with the optimizer as its per-function pre-step
+///    (function order preserved, worker exceptions converted to
+///    per-function WorkerError results); each result that Converged
+///    under a cacheable config is inserted for the next request.
 ///
 /// Only Converged results are memoized: Degraded outcomes depend on
 /// when a deadline tripped, which is wall-clock state, not content.
@@ -94,13 +95,6 @@ public:
   /// failures come back as ParseError / VerifyError statuses shaped
   /// exactly as the rac CLI has always reported them (golden-tested).
   ServiceReply run(const ServiceRequest &R);
-
-  /// The module-level core for callers that already hold a parsed,
-  /// verified module: optimizes + allocates every function of \p M in
-  /// place, filling \p MA and the per-function \p CacheHit flags.
-  void allocateParsed(Module &M, const AllocatorConfig &C, bool Optimize,
-                      bool UseCache, ModuleAllocationResult &MA,
-                      std::vector<uint8_t> &CacheHit);
 
   CacheStats cacheStats() const { return Cache.stats(); }
   void clearCache() { Cache.clear(); }

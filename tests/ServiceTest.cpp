@@ -14,6 +14,7 @@
 //  * content keys are deliberately rename-SENSITIVE and exclude pure
 //    performance knobs;
 //  * concurrent clients hammering one service stay consistent;
+//  * a worker exception fails only its own function;
 //  * cache counters flow into an active Trace session.
 //
 //===----------------------------------------------------------------------===//
@@ -21,6 +22,7 @@
 #include "ir/IRBuilder.h"
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
+#include "opt/Optimizer.h"
 #include "service/AllocationService.h"
 #include "service/ContentHash.h"
 #include "support/Trace.h"
@@ -37,9 +39,8 @@ namespace {
 
 /// A loop with array traffic and enough pressure to make the allocator
 /// work: sum = 0; for (i = 0; i < n; ++i) { a[i] = i*3; sum += a[i]; }
-std::string sumSource(const char *FnName = "sum", const char *IVar = "i") {
-  Module M;
-  uint32_t Arr = M.newArray("a", 64, RegClass::Int);
+void buildSum(Module &M, uint32_t Arr, const std::string &FnName,
+              const char *IVar) {
   Function &F = M.newFunction(FnName);
   IRBuilder B(M, F);
   uint32_t Entry = B.newBlock("entry");
@@ -69,6 +70,11 @@ std::string sumSource(const char *FnName = "sum", const char *IVar = "i") {
 
   B.setInsertPoint(Exit);
   B.ret(Sum);
+}
+
+std::string sumSource(const char *FnName = "sum", const char *IVar = "i") {
+  Module M;
+  buildSum(M, M.newArray("a", 64, RegClass::Int), FnName, IVar);
   return printModule(M);
 }
 
@@ -260,6 +266,61 @@ TEST(ServiceTest, CacheCountersFlowIntoTraceSessions) {
   EXPECT_EQ(Log.counter("cache.hits"), 1.0);
   EXPECT_EQ(Log.counter("cache.misses"), 1.0);
   EXPECT_GT(Log.counter("cache.bytes"), 0.0);
+}
+
+// A worker that throws must fail only its own function, on the inline
+// path (one worker) and on the pooled path alike. Every sibling must
+// match the same function allocated by allocateModule outside the
+// service byte for byte.
+TEST(ServiceTest, WorkerExceptionFailsOnlyThatFunction) {
+  Module Src;
+  uint32_t Arr = Src.newArray("a", 64, RegClass::Int);
+  for (unsigned I = 0; I < 4; ++I)
+    buildSum(Src, Arr, "sum" + std::to_string(I), "i");
+  const std::string Source = printModule(Src);
+  const std::string Victim = "sum2";
+
+  AllocatorConfig C = tightConfig(Backend::GraphColoring, Heuristic::Briggs);
+  C.FaultInject.ThrowInFunction = Victim;
+
+  Module Ref;
+  std::string Error;
+  ASSERT_TRUE(parseModule(Source, Ref, Error)) << Error;
+  for (unsigned I = 0; I < Ref.numFunctions(); ++I)
+    optimizeFunction(Ref.function(I));
+  ModuleAllocationResult RefMA = allocateModule(Ref, C);
+
+  for (unsigned Workers : {1u, 4u}) {
+    ServiceConfig SC;
+    SC.Workers = Workers;
+    AllocationService Svc(SC);
+    ServiceRequest R;
+    R.Source = Source;
+    R.Alloc = C;
+    R.Alloc.Jobs = Workers;
+    ServiceReply Reply = Svc.run(R);
+    ASSERT_TRUE(Reply.S.ok()) << Reply.S.toString();
+    ASSERT_EQ(Reply.MA.Functions.size(), Ref.numFunctions());
+    for (unsigned I = 0; I < Ref.numFunctions(); ++I) {
+      const AllocationResult &A = Reply.MA.Functions[I];
+      const std::string Where =
+          "workers=" + std::to_string(Workers) + " @" + Ref.function(I).name();
+      if (Ref.function(I).name() == Victim) {
+        EXPECT_EQ(A.Outcome, AllocOutcome::Failed) << Where;
+        EXPECT_EQ(A.Diag.code(), StatusCode::WorkerError) << Where;
+        EXPECT_NE(A.Diag.toString().find(Victim), std::string::npos)
+            << Where << ": " << A.Diag.toString();
+        continue;
+      }
+      ASSERT_TRUE(A.Success) << Where << ": " << A.Diag.toString();
+      EXPECT_EQ(printFunction(*Reply.M, Reply.M->function(I)),
+                printFunction(Ref, Ref.function(I)))
+          << Where;
+      EXPECT_EQ(A.ColorOf, RefMA.Functions[I].ColorOf) << Where;
+      EXPECT_EQ(A.Stats.numPasses(), RefMA.Functions[I].Stats.numPasses())
+          << Where;
+    }
+  }
 }
 
 //===--------------------------------------------------------------------===//
