@@ -6,6 +6,8 @@
 
 #include "service/Protocol.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstring>
 
 using namespace ra;
@@ -185,13 +187,26 @@ Status WireConfig::parse(const std::string &Text) {
                            "config token '" + Token +
                                "' is not of the form key=value");
     std::string Key = Token.substr(0, Eq), Val = Token.substr(Eq + 1);
+    auto Bad = [&](const std::string &Expected) {
+      return Status::error(StatusCode::InvalidInput,
+                           "config key '" + Key + "' expects " + Expected +
+                               ", got '" + Val + "'");
+    };
+    // from_chars takes no sign, whitespace or trailing text, so a
+    // value either is a whole decimal number in range or is rejected.
+    auto Number = [&](auto &Out) {
+      auto [Ptr, Err] = std::from_chars(Val.data(), Val.data() + Val.size(),
+                                        Out);
+      return Err == std::errc() && Ptr == Val.data() + Val.size();
+    };
     auto AsBool = [&](bool &Out) {
-      Out = Val != "0";
+      if (Val != "0" && Val != "1")
+        return Bad("0 or 1");
+      Out = Val == "1";
       return Status();
     };
     auto AsUnsigned = [&](unsigned &Out) {
-      Out = unsigned(std::strtoul(Val.c_str(), nullptr, 10));
-      return Status();
+      return Number(Out) ? Status() : Bad("a decimal unsigned integer");
     };
     Status S;
     if (Key == "allocator")
@@ -212,10 +227,15 @@ Status WireConfig::parse(const std::string &Text) {
       S = AsBool(UseCache);
     else if (Key == "print")
       S = AsBool(Print);
-    else if (Key == "deadline_ms")
-      DeadlineMs = std::strtod(Val.c_str(), nullptr);
-    else if (Key == "mem_mb")
-      MemBudgetMb = std::strtoull(Val.c_str(), nullptr, 10);
+    else if (Key == "deadline_ms") {
+      if (!Number(DeadlineMs) || !std::isfinite(DeadlineMs) || DeadlineMs < 0)
+        S = Bad("a finite decimal number >= 0");
+    } else if (Key == "mem_mb") {
+      // The budget is applied in bytes (MemBudgetMb << 20); anything
+      // larger would wrap to a tiny budget.
+      if (!Number(MemBudgetMb) || MemBudgetMb > MaxMemBudgetMb)
+        S = Bad("a decimal number of MB <= " + std::to_string(MaxMemBudgetMb));
+    }
     else
       return Status::error(StatusCode::InvalidInput,
                            "unknown config key '" + Key + "'");

@@ -91,7 +91,9 @@ private:
 /// The per-request allocation configuration, rendered as one
 /// space-separated "k=v" text line. Unknown keys are a parse error —
 /// a client speaking a newer dialect must fail loudly, not silently
-/// lose a knob.
+/// lose a knob — and so is any value that is not exactly 0/1 (flags),
+/// a whole decimal number in range (int, flt, mem_mb), or a finite
+/// decimal >= 0 (deadline_ms).
 struct WireConfig {
   std::string Allocator = "briggs"; ///< rac --allocator spellings.
   unsigned IntK = 16, FltK = 8;
@@ -103,6 +105,8 @@ struct WireConfig {
   bool Print = false; ///< Return printed allocated functions.
   double DeadlineMs = 0;
   uint64_t MemBudgetMb = 0;
+  /// The largest MemBudgetMb whose byte count (<< 20) fits in 64 bits.
+  static constexpr uint64_t MaxMemBudgetMb = UINT64_MAX >> 20;
 
   std::string render() const;
   Status parse(const std::string &Text);

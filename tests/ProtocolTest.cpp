@@ -10,7 +10,8 @@
 //    corrupt length prefixes without crashing or allocating unboundedly;
 //  * every message round-trips encode -> decode, and truncated payloads
 //    decode to structured errors, never out-of-bounds reads;
-//  * WireConfig's "k=v" line round-trips and rejects unknown keys;
+//  * WireConfig's "k=v" line round-trips and rejects unknown keys and
+//    malformed or out-of-range values;
 //  * RacdServer::handleFrame answers a replayed AllocRequest from the
 //    cache, serves stats, and acknowledges Shutdown by ending the
 //    connection.
@@ -211,6 +212,66 @@ TEST(ProtocolTest, WireConfigRoundTripsAndRejectsUnknownKeys) {
   ASSERT_FALSE(S.ok());
   EXPECT_NE(S.toString().find("unknown allocator 'bogus'"),
             std::string::npos);
+}
+
+/// Parses \p Text into a fresh WireConfig, expecting an InvalidInput
+/// status that names \p Key.
+void expectRejected(const std::string &Text, const std::string &Key) {
+  WireConfig C;
+  Status S = C.parse(Text);
+  ASSERT_FALSE(S.ok()) << Text << " was accepted";
+  EXPECT_EQ(S.code(), StatusCode::InvalidInput) << Text;
+  EXPECT_NE(S.toString().find("'" + Key + "'"), std::string::npos)
+      << Text << ": " << S.toString();
+}
+
+TEST(ProtocolTest, WireConfigFlagsAcceptOnlyZeroOrOne) {
+  expectRejected("split=false", "split");
+  expectRejected("opt=yes", "opt");
+  expectRejected("audit=2", "audit");
+  expectRejected("cache=", "cache");
+  WireConfig C;
+  ASSERT_TRUE(C.parse("split=0 print=1").ok());
+  EXPECT_FALSE(C.Split);
+  EXPECT_TRUE(C.Print);
+}
+
+TEST(ProtocolTest, WireConfigCountsMustBeWholeDecimals) {
+  expectRejected("int=4x", "int");
+  expectRejected("flt=-1", "flt");
+  expectRejected("int=+4", "int");
+  expectRejected("flt=", "flt");
+  expectRejected("mem_mb=12MB", "mem_mb");
+}
+
+TEST(ProtocolTest, WireConfigCountsMustFitTheirField) {
+  expectRejected("int=4294967296", "int");
+  expectRejected("mem_mb=18446744073709551616", "mem_mb");
+}
+
+TEST(ProtocolTest, WireConfigDeadlineMustBeFiniteAndNonNegative) {
+  expectRejected("deadline_ms=abc", "deadline_ms");
+  expectRejected("deadline_ms=5ms", "deadline_ms");
+  expectRejected("deadline_ms=-1", "deadline_ms");
+  expectRejected("deadline_ms=inf", "deadline_ms");
+  expectRejected("deadline_ms=nan", "deadline_ms");
+  WireConfig C;
+  C.DeadlineMs = 2.5;
+  WireConfig Back;
+  ASSERT_TRUE(Back.parse(C.render()).ok()) << C.render();
+  EXPECT_EQ(Back.DeadlineMs, 2.5);
+}
+
+TEST(ProtocolTest, WireConfigMemoryBudgetMustNotWrap) {
+  // 2^44 + 1 MB is 2^64 + 2^20 bytes: shifted into bytes it would wrap
+  // to a 1 MB budget.
+  expectRejected("mem_mb=17592186044417", "mem_mb");
+  WireConfig C;
+  ASSERT_TRUE(
+      C.parse("mem_mb=" + std::to_string(WireConfig::MaxMemBudgetMb)).ok());
+  AllocatorConfig AC;
+  ASSERT_TRUE(C.apply(AC).ok());
+  EXPECT_EQ(AC.MemoryBudgetBytes >> 20, WireConfig::MaxMemBudgetMb);
 }
 
 TEST(ProtocolTest, HandleFrameServesWarmRepliesStatsAndShutdown) {

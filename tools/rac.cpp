@@ -65,6 +65,7 @@
 #include "ir/IRPrinter.h"
 #include "regalloc/Allocator.h"
 #include "service/AllocationService.h"
+#include "service/Protocol.h"
 #include "sim/Simulator.h"
 #include "support/Status.h"
 #include "support/Table.h"
@@ -299,7 +300,15 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--deadline-ms" && I + 1 < Argc) {
       Opt.DeadlineMs = std::atof(Argv[++I]);
     } else if (Arg == "--mem-budget-mb" && I + 1 < Argc) {
-      Opt.MemBudgetMb = uint64_t(std::atoll(Argv[++I]));
+      // The wire's strict mem_mb rule: a whole decimal whose byte count
+      // fits in 64 bits.
+      service::WireConfig W;
+      if (Status S = W.parse(std::string("mem_mb=") + Argv[++I]); !S.ok()) {
+        S.addContext(Arg);
+        std::fprintf(stderr, "rac: %s\n", S.toString().c_str());
+        return 1;
+      }
+      Opt.MemBudgetMb = W.MemBudgetMb;
     } else if (Arg == "--no-opt") {
       Opt.Optimize = false;
     } else if (Arg == "--remat") {
