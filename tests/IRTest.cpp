@@ -153,6 +153,10 @@ struct ParserErrorCase {
   const char *ExpectInMessage;
 };
 
+// Without a printer gtest names each case by the raw bytes of its
+// pointers, which change from run to run under address randomization.
+void PrintTo(const ParserErrorCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class ParserErrors : public ::testing::TestWithParam<ParserErrorCase> {};
 
 TEST_P(ParserErrors, RejectsWithDiagnostic) {

@@ -28,6 +28,10 @@ struct ParseCase {
   const char *ExpectedError; ///< exact "line N: message"
 };
 
+// Without a printer gtest names each case by the raw bytes of its
+// pointers, which change from run to run under address randomization.
+void PrintTo(const ParseCase &C, std::ostream *OS) { *OS << C.Name; }
+
 const ParseCase ParseCases[] = {
     {"MissingModuleKeyword", "modul {\n}\n", "line 1: expected 'module'"},
     {"UnexpectedCharacter", "module { $ }\n",
