@@ -10,6 +10,7 @@
 #include "analysis/LoopInfo.h"
 #include "analysis/Renumber.h"
 #include "ir/IRBuilder.h"
+#include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
 #include "sim/Simulator.h"
 #include "workloads/RandomProgram.h"
@@ -236,10 +237,13 @@ TEST(RenumberTest, IsIdempotent) {
   Function &F = buildSVD(M);
   CFG G = CFG::compute(F);
   RenumberStats First = renumberLiveRanges(F, G);
+  std::string Once = printFunction(M, F);
   RenumberStats Second = renumberLiveRanges(F, G);
   EXPECT_EQ(Second.VRegsBefore, First.VRegsAfter);
   EXPECT_EQ(Second.VRegsAfter, First.VRegsAfter)
       << "a second renumbering must not split further";
+  EXPECT_EQ(printFunction(M, F), Once)
+      << "a second renumbering must not rename or reorder anything";
 }
 
 TEST(RenumberTest, PreservesSemanticsOnWorkloads) {
