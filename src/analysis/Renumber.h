@@ -10,7 +10,20 @@
 /// register) and rewrites the function over a fresh, dense register id
 /// space in which one vreg == one live range. The paper's build phase
 /// begins with "finding and renumbering distinct live ranges"; this pass
-/// is that step, implemented with reaching definitions and union-find.
+/// is that step.
+///
+/// Webs come from a liveness-pruned worklist: beyond the liveness solve,
+/// the work tracks the blocks where each register is live, not blocks x
+/// defs. For each vreg V, the last def of V
+/// in each reachable block that defines it is pushed into successors
+/// where V is live-in, and on through blocks that do not redefine V.
+/// Defs that arrive at the same block are united (union-find over def
+/// ids). This is exactly the partition of "defs reaching a common use":
+/// a def reaches a use only along a path on which V stays live and is
+/// not redefined, and all defs reaching a block where V is live-in reach
+/// one use beyond it. Unreachable blocks propagate nothing. The rewrite
+/// then walks each block from its arrivals; a use no def reaches gets
+/// one shared "undefined" web per original register.
 ///
 //===----------------------------------------------------------------------===//
 

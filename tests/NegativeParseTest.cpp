@@ -124,6 +124,9 @@ struct VerifyCase {
   const char *ExpectedError; ///< exact first verifier message
 };
 
+// Named by its case, like ParseCase above, so the test name is stable.
+void PrintTo(const VerifyCase &C, std::ostream *OS) { *OS << C.Name; }
+
 const VerifyCase VerifyCases[] = {
     {"UseBeforeDefiniteAssignment",
      // %x is defined only on the left arm but used at the join, so the
