@@ -20,7 +20,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchJson.h"
 #include "opt/Optimizer.h"
 #include "regalloc/Allocator.h"
 #include "support/Table.h"
@@ -69,9 +68,7 @@ SuiteTotals runSuite(Heuristic H, bool Coalesce, bool Optimize,
 
 } // namespace
 
-int main(int Argc, char **Argv) {
-  std::string JsonPath = BenchJson::consumeFlag(Argc, Argv);
-  BenchJson J("ablation_ordering");
+int main() {
   std::printf("Ablations over the full Figure 5 suite "
               "(totals across all 28 routines)\n\n");
 
@@ -97,17 +94,9 @@ int main(int Argc, char **Argv) {
       {"Briggs, no optimizer", Heuristic::Briggs, true, false, false},
       {"Chaitin, no optimizer", Heuristic::Chaitin, true, false, false},
   };
-  unsigned RowId = 0;
   for (const Row &R : Rows) {
     SuiteTotals S =
         runSuite(R.H, R.Coalesce, R.Optimize, R.Remat, R.Policy);
-    {
-      std::string P = "config" + std::to_string(RowId++) + ".";
-      J.set(P + "name", std::string(R.Name));
-      J.set(P + "spilled", S.Spilled);
-      J.set(P + "spill_cost", S.Cost);
-      J.set(P + "spill_instrs", S.SpillOps);
-    }
     std::string Name = R.Name;
     if (S.Failures)
       Name += " [" + std::to_string(S.Failures) + " failed]";
@@ -124,7 +113,5 @@ int main(int Argc, char **Argv) {
   std::printf("\nThe cost-blind smallest-last ordering spills far more "
               "than either cost-guided method — the paper's Section 2.3 "
               "argument.\n");
-  if (!JsonPath.empty() && !J.writeMerged(JsonPath))
-    std::fprintf(stderr, "cannot write %s\n", JsonPath.c_str());
   return 0;
 }

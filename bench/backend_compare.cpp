@@ -5,18 +5,15 @@
 //===----------------------------------------------------------------------===//
 //
 // Cross-backend comparison over the workload suite: the Briggs coloring
-// backend against the linear-scan backend with interval splitting on
-// (its default) and off (the whole-lifetime-spill baseline), one row
-// per routine, with first-pass spills, estimated spill cost, simulated
-// dynamic cycles and allocation wall time per configuration. Every
-// allocation is audited, and all three runs must produce identical
-// memory images — the bench doubles as a differential check. Feeds the
-// "Allocation backends" comparison table in EXPERIMENTS.md and merges
-// per-configuration telemetry into BENCH_allocator.json.
+// backend against the linear-scan backend, one row per routine, with
+// first-pass spills, estimated spill cost, simulated dynamic cycles and
+// allocation wall time per backend. Every allocation is audited, and
+// both runs must produce identical memory images — the bench doubles as
+// a differential check. Feeds the "Allocation backends" comparison
+// table in EXPERIMENTS.md.
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchJson.h"
 #include "opt/Optimizer.h"
 #include "regalloc/Allocator.h"
 #include "sim/Simulator.h"
@@ -48,8 +45,7 @@ double allocSeconds(const AllocationStats &S) {
   return T;
 }
 
-BackendRun runBackend(const Workload &W, Backend B, bool Split,
-                      const char *Label,
+BackendRun runBackend(const Workload &W, Backend B, const char *Label,
                       std::optional<MemoryImage> &MemOut) {
   Module M;
   Function &F = W.Build(M);
@@ -57,7 +53,6 @@ BackendRun runBackend(const Workload &W, Backend B, bool Split,
   AllocatorConfig C;
   C.B = B;
   C.H = Heuristic::Briggs;
-  C.SplitIntervals = Split;
   C.Audit = true; // published numbers come from proven allocations only
   AllocationResult A = allocateRegisters(F, C);
   if (!A.Success || A.Outcome != AllocOutcome::Converged) {
@@ -87,44 +82,34 @@ BackendRun runBackend(const Workload &W, Backend B, bool Split,
 
 } // namespace
 
-int main(int Argc, char **Argv) {
-  std::string JsonPath = BenchJson::consumeFlag(Argc, Argv);
+int main() {
   std::printf("Allocation backends — Briggs coloring vs linear scan\n");
   std::printf("(16 integer + 8 floating-point registers, RT/PC model;\n"
-              " LS = linear scan with interval splitting, LS-ns = "
-              "linear scan --no-split)\n\n");
+              " LS = linear scan with interval splitting)\n\n");
 
-  Table T({"Routine", "Spilled GC", "LS", "LS-ns", "Cost GC", "LS",
-           "LS-ns", "Cycles GC", "LS", "LS-ns", "Cycle Pct.",
-           "Alloc s GC", "LS", "LS-ns"});
+  Table T({"Routine", "Spilled GC", "LS", "Cost GC", "LS", "Cycles GC",
+           "LS", "Cycle Pct.", "Alloc s GC", "LS"});
 
-  BackendRun TotalGC, TotalLS, TotalNS;
-  unsigned Routines = 0;
+  BackendRun TotalGC, TotalLS;
   for (const Workload &W : allWorkloads()) {
-    std::optional<MemoryImage> MemGC, MemLS, MemNS;
-    BackendRun GC = runBackend(W, Backend::GraphColoring, /*Split=*/true,
-                               "graph-coloring", MemGC);
-    BackendRun LS = runBackend(W, Backend::LinearScan, /*Split=*/true,
-                               "linear-scan", MemLS);
-    BackendRun NS = runBackend(W, Backend::LinearScan, /*Split=*/false,
-                               "linear-scan-nosplit", MemNS);
-    if (!(*MemGC == *MemLS) || !(*MemGC == *MemNS)) {
+    std::optional<MemoryImage> MemGC, MemLS;
+    BackendRun GC =
+        runBackend(W, Backend::GraphColoring, "graph-coloring", MemGC);
+    BackendRun LS = runBackend(W, Backend::LinearScan, "linear-scan", MemLS);
+    if (!(*MemGC == *MemLS)) {
       std::fprintf(stderr, "%s: backends produced different memory "
                            "images\n", W.Routine.c_str());
       std::exit(1);
     }
 
     T.addRow({W.Routine, Table::withCommas(GC.Spills),
-              Table::withCommas(LS.Spills), Table::withCommas(NS.Spills),
+              Table::withCommas(LS.Spills),
               Table::withCommas(int64_t(GC.SpillCost)),
               Table::withCommas(int64_t(LS.SpillCost)),
-              Table::withCommas(int64_t(NS.SpillCost)),
               Table::withCommas(GC.Cycles), Table::withCommas(LS.Cycles),
-              Table::withCommas(NS.Cycles),
               Table::pctImprovement(double(LS.Cycles), double(GC.Cycles)),
               Table::fixed(GC.AllocSeconds, 4),
-              Table::fixed(LS.AllocSeconds, 4),
-              Table::fixed(NS.AllocSeconds, 4)});
+              Table::fixed(LS.AllocSeconds, 4)});
 
     auto Accumulate = [](BackendRun &Total, const BackendRun &R) {
       Total.Spills += R.Spills;
@@ -134,50 +119,23 @@ int main(int Argc, char **Argv) {
     };
     Accumulate(TotalGC, GC);
     Accumulate(TotalLS, LS);
-    Accumulate(TotalNS, NS);
-    ++Routines;
   }
 
   T.addSeparator();
   T.addRow({"Total", Table::withCommas(TotalGC.Spills),
             Table::withCommas(TotalLS.Spills),
-            Table::withCommas(TotalNS.Spills),
             Table::withCommas(int64_t(TotalGC.SpillCost)),
             Table::withCommas(int64_t(TotalLS.SpillCost)),
-            Table::withCommas(int64_t(TotalNS.SpillCost)),
             Table::withCommas(TotalGC.Cycles),
             Table::withCommas(TotalLS.Cycles),
-            Table::withCommas(TotalNS.Cycles),
             Table::pctImprovement(double(TotalLS.Cycles),
                                   double(TotalGC.Cycles)),
             Table::fixed(TotalGC.AllocSeconds, 4),
-            Table::fixed(TotalLS.AllocSeconds, 4),
-            Table::fixed(TotalNS.AllocSeconds, 4)});
+            Table::fixed(TotalLS.AllocSeconds, 4)});
   T.print();
 
   std::printf("\n'Cycle Pct.' is positive when graph coloring beats "
-              "linear scan (with splitting) on dynamic cycles; the "
-              "LS-ns columns show what second-chance splitting buys "
-              "over whole-lifetime spilling, and the Alloc columns "
-              "show linear scan's compile-time edge.\n");
-
-  if (!JsonPath.empty()) {
-    BenchJson J("backend_compare");
-    J.set("routines", uint64_t(Routines));
-    J.set("graph-coloring.spills", uint64_t(TotalGC.Spills));
-    J.set("graph-coloring.spill_cost", TotalGC.SpillCost);
-    J.set("graph-coloring.cycles", TotalGC.Cycles);
-    J.set("graph-coloring.alloc_seconds", TotalGC.AllocSeconds);
-    J.set("linear-scan.spills", uint64_t(TotalLS.Spills));
-    J.set("linear-scan.spill_cost", TotalLS.SpillCost);
-    J.set("linear-scan.cycles", TotalLS.Cycles);
-    J.set("linear-scan.alloc_seconds", TotalLS.AllocSeconds);
-    J.set("linear-scan-nosplit.spills", uint64_t(TotalNS.Spills));
-    J.set("linear-scan-nosplit.spill_cost", TotalNS.SpillCost);
-    J.set("linear-scan-nosplit.cycles", TotalNS.Cycles);
-    J.set("linear-scan-nosplit.alloc_seconds", TotalNS.AllocSeconds);
-    if (!J.writeMerged(JsonPath))
-      std::fprintf(stderr, "cannot write %s\n", JsonPath.c_str());
-  }
+              "linear scan on dynamic cycles; the Alloc columns show "
+              "linear scan's compile-time edge.\n");
   return 0;
 }

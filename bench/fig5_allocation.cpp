@@ -14,7 +14,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchJson.h"
 #include "ir/Verifier.h"
 #include "opt/Optimizer.h"
 #include "regalloc/Allocator.h"
@@ -30,27 +29,6 @@ using namespace ra;
 
 namespace {
 
-/// Per-heuristic allocator phase seconds summed over the whole suite.
-struct PhaseSeconds {
-  double Build = 0, Simplify = 0, Select = 0, Spill = 0;
-
-  void add(const AllocationStats &S) {
-    for (const PassRecord &P : S.Passes) {
-      Build += P.BuildSeconds;
-      Simplify += P.SimplifySeconds;
-      Select += P.SelectSeconds;
-      Spill += P.SpillSeconds;
-    }
-  }
-
-  void emit(BenchJson &J, const std::string &Prefix) const {
-    J.set(Prefix + ".build_seconds", Build);
-    J.set(Prefix + ".simplify_seconds", Simplify);
-    J.set(Prefix + ".select_seconds", Select);
-    J.set(Prefix + ".spill_seconds", Spill);
-  }
-};
-
 struct RoutineResult {
   unsigned ObjectBytes = 0;
   unsigned LiveRanges = 0;
@@ -60,8 +38,7 @@ struct RoutineResult {
   bool Timed = true;
 };
 
-RoutineResult measure(const Workload &W, PhaseSeconds &OldPhases,
-                      PhaseSeconds &NewPhases) {
+RoutineResult measure(const Workload &W) {
   RoutineResult R;
   R.Timed = W.Timed;
   CostModel CM = CostModel::rtpc();
@@ -89,7 +66,6 @@ RoutineResult measure(const Workload &W, PhaseSeconds &OldPhases,
       std::fprintf(stderr, "simulation trapped for %s: %s\n",
                    W.Routine.c_str(), Run.Error.c_str());
 
-    (H == Heuristic::Chaitin ? OldPhases : NewPhases).add(A.Stats);
     if (H == Heuristic::Chaitin) {
       R.SpilledOld = A.Stats.firstPassSpills();
       R.CostOld = A.Stats.firstPassSpillCost();
@@ -108,8 +84,7 @@ RoutineResult measure(const Workload &W, PhaseSeconds &OldPhases,
 
 } // namespace
 
-int main(int Argc, char **Argv) {
-  std::string JsonPath = BenchJson::consumeFlag(Argc, Argv);
+int main() {
   std::printf("Figure 5 — register allocation improvements\n");
   std::printf("(16 integer + 8 floating-point registers, RT/PC model)\n\n");
 
@@ -121,10 +96,9 @@ int main(int Argc, char **Argv) {
   std::string LastProgram;
 
   // First pass over routines to collect per-program dynamic totals.
-  PhaseSeconds OldPhases, NewPhases;
   std::vector<std::pair<const Workload *, RoutineResult>> Rows;
   for (const Workload &W : allWorkloads()) {
-    RoutineResult R = measure(W, OldPhases, NewPhases);
+    RoutineResult R = measure(W);
     if (R.Timed) {
       ProgramCycles[W.Program].first += R.CyclesOld;
       ProgramCycles[W.Program].second += R.CyclesNew;
@@ -166,13 +140,5 @@ int main(int Argc, char **Argv) {
   std::printf("Dynamic Pct. is the whole-program cycle reduction; the "
               "paper reports CEDETA as n/a.\n");
 
-  if (!JsonPath.empty()) {
-    BenchJson J("fig5_allocation");
-    J.set("routines", uint64_t(Rows.size()));
-    OldPhases.emit(J, "phases.chaitin");
-    NewPhases.emit(J, "phases.briggs");
-    if (!J.writeMerged(JsonPath))
-      std::fprintf(stderr, "cannot write %s\n", JsonPath.c_str());
-  }
   return 0;
 }

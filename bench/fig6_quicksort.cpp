@@ -15,7 +15,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchJson.h"
 #include "opt/Optimizer.h"
 #include "regalloc/Allocator.h"
 #include "sim/Simulator.h"
@@ -39,8 +38,6 @@ struct Config {
   double SpillCost = 0;
   unsigned ObjectBytes = 0;
   double Seconds = 0;
-  double BuildSeconds = 0, SimplifySeconds = 0, SelectSeconds = 0,
-         SpillSeconds = 0;
 };
 
 Config measure(unsigned K, Heuristic H) {
@@ -60,14 +57,8 @@ Config measure(unsigned K, Heuristic H) {
     std::exit(1);
   }
   R.Spilled = A.Stats.totalSpills();
-  R.SpillCost = 0;
-  for (const PassRecord &P : A.Stats.Passes) {
+  for (const PassRecord &P : A.Stats.Passes)
     R.SpillCost += P.SpilledCost;
-    R.BuildSeconds += P.BuildSeconds;
-    R.SimplifySeconds += P.SimplifySeconds;
-    R.SelectSeconds += P.SelectSeconds;
-    R.SpillSeconds += P.SpillSeconds;
-  }
   R.ObjectBytes = F.numInstructions() * CostModel::rtpc().bytesPerInstruction();
 
   MemoryImage Mem(M);
@@ -83,9 +74,7 @@ Config measure(unsigned K, Heuristic H) {
 
 } // namespace
 
-int main(int Argc, char **Argv) {
-  std::string JsonPath = BenchJson::consumeFlag(Argc, Argv);
-  BenchJson J("fig6_quicksort");
+int main() {
   std::printf("Figure 6 — quicksort study (Wirth's non-recursive "
               "algorithm, %u integers)\n\n",
               SortN);
@@ -97,20 +86,6 @@ int main(int Argc, char **Argv) {
   for (unsigned K : {16u, 14u, 12u, 10u, 8u}) {
     Config Old = measure(K, Heuristic::Chaitin);
     Config New = measure(K, Heuristic::Briggs);
-    const struct {
-      const char *Name;
-      const Config *C;
-    } Sides[] = {{"chaitin", &Old}, {"briggs", &New}};
-    for (const auto &Side : Sides) {
-      std::string P = std::string(Side.Name) + ".k" + std::to_string(K) + ".";
-      J.set(P + "spilled", Side.C->Spilled);
-      J.set(P + "spill_cost", Side.C->SpillCost);
-      J.set(P + "simulated_seconds", Side.C->Seconds);
-      J.set(P + "build_seconds", Side.C->BuildSeconds);
-      J.set(P + "simplify_seconds", Side.C->SimplifySeconds);
-      J.set(P + "select_seconds", Side.C->SelectSeconds);
-      J.set(P + "spill_seconds", Side.C->SpillSeconds);
-    }
     T.addRow({std::to_string(K), Table::withCommas(Old.Spilled),
               Table::withCommas(New.Spilled),
               Table::pctImprovement(Old.Spilled, New.Spilled),
@@ -128,7 +103,5 @@ int main(int Argc, char **Argv) {
   std::printf("\nSpill counts/costs are totals across all allocation "
               "passes; time is simulated cycles at %.0f MHz.\n",
               ClockHz / 1e6);
-  if (!JsonPath.empty() && !J.writeMerged(JsonPath))
-    std::fprintf(stderr, "cannot write %s\n", JsonPath.c_str());
   return 0;
 }

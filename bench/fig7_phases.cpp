@@ -14,7 +14,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchJson.h"
 #include "opt/Optimizer.h"
 #include "regalloc/Allocator.h"
 #include "support/Table.h"
@@ -48,8 +47,7 @@ std::string ms(double Seconds) { return Table::fixed(Seconds * 1e3, 2); }
 
 } // namespace
 
-int main(int Argc, char **Argv) {
-  std::string JsonPath = BenchJson::consumeFlag(Argc, Argv);
+int main() {
   const char *Routines[] = {"DQRDC", "SVD", "GRADNT", "HSSIAN"};
 
   std::printf("Figure 7 — CPU time for allocator phases "
@@ -127,43 +125,5 @@ int main(int Argc, char **Argv) {
                 New[R].numPasses());
   std::printf("\n");
 
-  if (!JsonPath.empty()) {
-    BenchJson J("fig7_phases");
-    const struct {
-      const char *Name;
-      const std::vector<AllocationStats> *Stats;
-    } Sides[] = {{"chaitin", &Old}, {"briggs", &New}};
-    for (const auto &Side : Sides) {
-      double Build = 0, Simplify = 0, Select = 0, Spill = 0;
-      for (unsigned R = 0; R < 4; ++R) {
-        const AllocationStats &S = (*Side.Stats)[R];
-        double RB = 0, RSi = 0, RSe = 0, RSp = 0;
-        for (const PassRecord &P : S.Passes) {
-          RB += P.BuildSeconds;
-          RSi += P.SimplifySeconds;
-          RSe += P.SelectSeconds;
-          RSp += P.SpillSeconds;
-        }
-        std::string Prefix =
-            std::string(Side.Name) + "." + Routines[R] + ".";
-        J.set(Prefix + "build_seconds", RB);
-        J.set(Prefix + "simplify_seconds", RSi);
-        J.set(Prefix + "select_seconds", RSe);
-        J.set(Prefix + "spill_seconds", RSp);
-        J.set(Prefix + "passes", S.numPasses());
-        Build += RB;
-        Simplify += RSi;
-        Select += RSe;
-        Spill += RSp;
-      }
-      std::string Prefix = std::string(Side.Name) + ".total.";
-      J.set(Prefix + "build_seconds", Build);
-      J.set(Prefix + "simplify_seconds", Simplify);
-      J.set(Prefix + "select_seconds", Select);
-      J.set(Prefix + "spill_seconds", Spill);
-    }
-    if (!J.writeMerged(JsonPath))
-      std::fprintf(stderr, "cannot write %s\n", JsonPath.c_str());
-  }
   return 0;
 }

@@ -13,12 +13,10 @@
 // ANY mismatch — colors, spill set, spill cost — is a hard error, not
 // a statistic. Per-round conflict counts demonstrate repair
 // convergence, and an audited end-to-end allocation of the 10k ramp
-// proves the engine composes with the full Figure 4 loop. Numbers land
-// in the "megakernel_scaling" section of BENCH_allocator.json.
+// proves the engine composes with the full Figure 4 loop.
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchJson.h"
 #include "regalloc/Allocator.h"
 #include "regalloc/Coloring.h"
 #include "support/Rng.h"
@@ -73,11 +71,9 @@ void requireIdentical(const std::string &Subject, unsigned Threads,
                      " threads");
 }
 
-/// One scaling study over a finalized graph. Returns the best observed
-/// parallel Select seconds (for the summary line).
+/// One scaling study over a finalized graph.
 void runSubject(const std::string &Name, const InterferenceGraph &G,
-                unsigned K, unsigned MaxJobs, unsigned Repeats,
-                BenchJson *J) {
+                unsigned K, unsigned MaxJobs, unsigned Repeats) {
   // Sequential baseline: best of Repeats to damp scheduler noise.
   ColoringResult Seq;
   double SeqBest = 0;
@@ -91,12 +87,6 @@ void runSubject(const std::string &Name, const InterferenceGraph &G,
               "%zu spilled\n",
               Name.c_str(), G.numNodes(), K, SeqBest * 1e3,
               Seq.Spilled.size());
-  if (J) {
-    J->set(Name + ".nodes", G.numNodes());
-    J->set(Name + ".k", K);
-    J->set(Name + ".spilled", uint64_t(Seq.Spilled.size()));
-    J->set(Name + ".seq_select_seconds", SeqBest);
-  }
 
   for (unsigned Threads = 1; Threads <= MaxJobs; Threads *= 2) {
     SelectOptions SO;
@@ -123,20 +113,12 @@ void runSubject(const std::string &Name, const InterferenceGraph &G,
                 "conflicts/round=[%s]\n",
                 Threads, Threads == 1 ? " " : "s", ParBest * 1e3, Speedup,
                 Par.SelectRounds.size(), Rounds.c_str());
-    if (J) {
-      std::string P = Name + ".threads_" + std::to_string(Threads) + ".";
-      J->set(P + "select_seconds", ParBest);
-      J->set(P + "speedup", Speedup);
-      J->set(P + "rounds", uint64_t(Par.SelectRounds.size()));
-      J->set(P + "conflicts_per_round", Rounds);
-    }
   }
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
-  std::string JsonPath = BenchJson::consumeFlag(Argc, Argv);
   unsigned MaxJobs = 8;
   unsigned Repeats = 3;
   uint64_t MemBudgetBytes = 0;
@@ -150,16 +132,12 @@ int main(int Argc, char **Argv) {
     else {
       std::fprintf(stderr,
                    "usage: megakernel_scaling [--jobs N] [--repeats N] "
-                   "[--mem-budget-mb N] [--bench-json FILE]\n");
+                   "[--mem-budget-mb N]\n");
       return 2;
     }
   }
   if (MaxJobs == 0 || Repeats == 0)
     die("args", "--jobs and --repeats must be >= 1");
-
-  BenchJson J("megakernel_scaling");
-  J.set("max_jobs", MaxJobs);
-  J.set("repeats", Repeats);
 
   std::printf("Parallel Select scaling on the mega-kernel family "
               "(best of %u runs; identical colorings enforced)\n\n",
@@ -174,7 +152,6 @@ int main(int Argc, char **Argv) {
     if (Status Cap = checkMegaKernelCapacity(MK, MemBudgetBytes); !Cap.ok()) {
       std::fprintf(stderr, "megakernel_scaling: skipping %s\n",
                    Cap.toString().c_str());
-      J.set(MK.Name + ".skipped", Cap.toString());
       continue;
     }
     Module M;
@@ -186,13 +163,13 @@ int main(int Argc, char **Argv) {
         Big = &CG;
     if (!Big || Big->Graph.numNodes() == 0)
       die(MK.Name, "empty interference graph");
-    runSubject(MK.Name, Big->Graph, 8, MaxJobs, Repeats, &J);
+    runSubject(MK.Name, Big->Graph, 8, MaxJobs, Repeats);
   }
 
   // Raw CSR stress: high average degree, no structure to exploit.
   {
     InterferenceGraph G = makeRandomGraph(30000, 24.0, 20260808);
-    runSubject("csr.rand.30k", G, 16, MaxJobs, Repeats, &J);
+    runSubject("csr.rand.30k", G, 16, MaxJobs, Repeats);
   }
 
   // End-to-end proof: the engine inside the full allocator, audited.
@@ -225,14 +202,7 @@ int main(int Argc, char **Argv) {
                 "%.3f s (%u passes, %u select rounds, %u conflicts "
                 "repaired)\n",
                 T.seconds(), A.Stats.numPasses(), Rounds, Conflicts);
-    J.set("end_to_end.seconds", T.seconds());
-    J.set("end_to_end.passes", A.Stats.numPasses());
-    J.set("end_to_end.select_rounds", Rounds);
-    J.set("end_to_end.select_conflicts", Conflicts);
-    J.set("end_to_end.outcome", std::string(allocOutcomeName(A.Outcome)));
   }
 
-  if (!JsonPath.empty() && !J.writeMerged(JsonPath))
-    std::fprintf(stderr, "cannot write %s\n", JsonPath.c_str());
   return 0;
 }

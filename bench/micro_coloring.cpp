@@ -12,7 +12,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchJson.h"
 #include "regalloc/Coloring.h"
 #include "regalloc/DegreeBuckets.h"
 #include "support/Rng.h"
@@ -129,7 +128,6 @@ BENCHMARK(BM_DegreeBuckets)->Arg(1024)->Arg(16384);
 struct ThroughputRun {
   double Seconds = 0;
   double GraphsPerSec = 0;
-  double SimplifySeconds = 0, SelectSeconds = 0;
   std::vector<unsigned> SpillCounts; ///< determinism fingerprint
 };
 
@@ -157,18 +155,14 @@ ThroughputRun runThroughput(std::vector<InterferenceGraph> &Graphs,
   Wall.stop();
   R.Seconds = Wall.seconds();
   R.GraphsPerSec = R.Seconds > 0 ? Graphs.size() / R.Seconds : 0;
-  for (size_t I = 0; I < Graphs.size(); ++I) {
+  for (size_t I = 0; I < Graphs.size(); ++I)
     R.SpillCounts[I] = Results[I].Spilled.size();
-    R.SimplifySeconds += Results[I].SimplifySeconds;
-    R.SelectSeconds += Results[I].SelectSeconds;
-  }
   return R;
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
-  std::string JsonPath = BenchJson::consumeFlag(Argc, Argv);
   unsigned Jobs = 4;
   unsigned NumGraphs = 48, NodesPerGraph = 3000;
   int W = 1;
@@ -191,22 +185,10 @@ int main(int Argc, char **Argv) {
     Graphs.back().finalize(); // share safely across workers
   }
 
-  BenchJson J("micro_coloring");
-  J.set("random_graph_workload.num_graphs", NumGraphs);
-  J.set("random_graph_workload.nodes_per_graph", NodesPerGraph);
-  J.set("random_graph_workload.avg_degree", 12.0);
-  J.set("random_graph_workload.colors", 8);
-
   std::printf("Random-graph throughput (%u graphs x %u nodes, k=8)\n",
               NumGraphs, NodesPerGraph);
   for (Heuristic H : {Heuristic::Chaitin, Heuristic::Briggs}) {
     ThroughputRun Serial = runThroughput(Graphs, H, 1);
-    std::string P = std::string("random_graph_workload.") +
-                    heuristicName(H) + ".";
-    J.set(P + "simplify_seconds", Serial.SimplifySeconds);
-    J.set(P + "select_seconds", Serial.SelectSeconds);
-    J.set(P + "threads.1.seconds", Serial.Seconds);
-    J.set(P + "threads.1.graphs_per_sec", Serial.GraphsPerSec);
     std::printf("  %-12s 1 thread : %8.1f graphs/sec\n",
                 heuristicName(H), Serial.GraphsPerSec);
     for (unsigned T = 2; T <= Jobs; T *= 2) {
@@ -218,18 +200,11 @@ int main(int Argc, char **Argv) {
       }
       double Speedup =
           Par.Seconds > 0 ? Serial.Seconds / Par.Seconds : 0;
-      std::string TP = P + "threads." + std::to_string(T) + ".";
-      J.set(TP + "seconds", Par.Seconds);
-      J.set(TP + "graphs_per_sec", Par.GraphsPerSec);
-      J.set(TP + "speedup_vs_1thread", Speedup);
       std::printf("  %-12s %u threads: %8.1f graphs/sec (%.2fx, "
                   "results identical)\n",
                   heuristicName(H), T, Par.GraphsPerSec, Speedup);
     }
   }
-
-  if (!JsonPath.empty() && !J.writeMerged(JsonPath))
-    std::fprintf(stderr, "cannot write %s\n", JsonPath.c_str());
 
   benchmark::Initialize(&Argc, Argv);
   if (benchmark::ReportUnrecognizedArguments(Argc, Argv))

@@ -10,21 +10,19 @@
 // then warm (every function served from the cache).
 //
 //   service_throughput [--clients N] [--modules M] [--seed S]
-//                      [--min-speedup X] [--bench-json FILE]
+//                      [--min-speedup X]
 //
 // The cold phase shards the corpus across the clients so each module is
 // allocated exactly once; the warm phase has every client replay the
 // whole corpus. Every warm reply is byte-compared against the cold
 // rewritten module — ANY divergence is a hard error, not a statistic —
 // and every warm function must actually hit the cache. Modules/sec for
-// both phases and the warm/cold speedup land in the
-// "service_throughput" section of the bench JSON. --min-speedup makes
+// both phases and the warm/cold speedup are printed. --min-speedup makes
 // the speedup an exit-code assertion (used by the acceptance run; 0
 // disables for noisy CI boxes).
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchJson.h"
 #include "ir/IRPrinter.h"
 #include "service/AllocationService.h"
 #include "support/Timer.h"
@@ -75,7 +73,6 @@ int main(int Argc, char **Argv) {
   unsigned Modules = 32;
   uint64_t Seed = 1;
   double MinSpeedup = 0;
-  std::string JsonPath = BenchJson::consumeFlag(Argc, Argv);
 
   for (int I = 1; I < Argc; ++I) {
     if (!std::strcmp(Argv[I], "--clients") && I + 1 < Argc)
@@ -175,19 +172,5 @@ int main(int Argc, char **Argv) {
     die("warm/cold speedup " + std::to_string(Speedup) +
         "x below required " + std::to_string(MinSpeedup) + "x");
 
-  if (!JsonPath.empty()) {
-    BenchJson J("service_throughput");
-    J.set("clients", Clients);
-    J.set("modules", Modules);
-    J.set("cold_modules_per_sec", ColdRate);
-    J.set("warm_modules_per_sec", WarmRate);
-    J.set("warm_cold_speedup", Speedup);
-    J.set("cache.hits", CS.Hits);
-    J.set("cache.misses", CS.Misses);
-    J.set("cache.evictions", CS.Evictions);
-    J.set("cache.peak_bytes", CS.PeakBytes);
-    if (!J.writeMerged(JsonPath))
-      die("cannot write " + JsonPath);
-  }
   return 0;
 }

@@ -1,9 +1,9 @@
 #!/bin/sh
-# Regenerates every reproduced table/figure (see EXPERIMENTS.md) and the
-# BENCH_allocator.json perf telemetry each binary merges its section into.
-# That includes backend_compare's per-backend entries (graph-coloring.*
-# and linear-scan.* under the backend_compare section), which double as
-# a coloring-vs-linear-scan differential check.
+# Regenerates every reproduced table/figure (see EXPERIMENTS.md): each
+# bench binary prints its table on stdout. backend_compare doubles as a
+# coloring-vs-linear-scan differential check and fails the run if the
+# backends' memory images differ. The repository benchmark with its
+# end-to-end and per-layer metrics is perfbench/ (BENCHMARK.json).
 #
 #   usage: run_benches.sh [BUILD_DIR] [--jobs N]    (default: build)
 #
@@ -11,7 +11,7 @@
 # (micro_coloring's pool sweep and megakernel_scaling's in-graph Select
 # sweep); default 8.
 #
-# Set BENCH_JSON to redirect the telemetry file. Set RA_TRACE to a path
+# Set RA_TRACE to a path
 # to additionally capture a Chrome/Perfetto trace of rac over the sample
 # programs; an unwritable trace path is a hard error (structured
 # diagnostic on stderr, non-zero exit), never a silent drop.
@@ -30,7 +30,6 @@ while [ $# -gt 0 ]; do
       BUILD_DIR="$1"; shift ;;
   esac
 done
-BENCH_JSON="${BENCH_JSON:-BENCH_allocator.json}"
 
 # Every allocation behind a published number must pass the independent
 # post-allocation audit (the bench binaries also force C.Audit on).
@@ -55,14 +54,13 @@ if [ -n "${RA_TRACE:-}" ]; then
 fi
 
 # The expected binary set is derived from the bench sources themselves
-# (every bench/*.cpp except the shared BenchJson library), so adding a
-# bench without building it — or a build that silently dropped one — is
-# a hard error here, never a silently thinner telemetry file.
+# (every bench/*.cpp), so adding a bench without building it — or a
+# build that silently dropped one — is a hard error here, never a
+# silently shorter run.
 script_dir=$(dirname -- "$0")
 found=0
 for src in "$script_dir"/bench/*.cpp; do
   name=$(basename "$src" .cpp)
-  [ "$name" = "BenchJson" ] && continue
   b="$BUILD_DIR/bench/$name"
   if [ ! -x "$b" ] || [ ! -f "$b" ]; then
     echo "error: bench binary '$b' is missing — rebuild" \
@@ -75,9 +73,9 @@ for src in "$script_dir"/bench/*.cpp; do
   # are single-threaded by design.
   case "$name" in
     micro_coloring|megakernel_scaling)
-      "$b" --jobs "$JOBS" --bench-json "$BENCH_JSON" ;;
+      "$b" --jobs "$JOBS" ;;
     *)
-      "$b" --bench-json "$BENCH_JSON" ;;
+      "$b" ;;
   esac
 done
 
@@ -94,5 +92,3 @@ if [ -n "${RA_TRACE:-}" ]; then
     exit 1
   }
 fi
-
-echo "==== telemetry merged into $BENCH_JSON ===="

@@ -198,8 +198,7 @@ private:
   /// (ties toward the lowest index), splits Cur there, and re-enqueues
   /// the tail. Returns the register for the (shrunk) head, or -1.
   int32_t trySecondChance(uint32_t Cur) {
-    if (!Opts.SplitIntervals ||
-        SplitCount[Pieces[Cur].Parent] >= Opts.MaxSplitsPerRange)
+    if (SplitCount[Pieces[Cur].Parent] >= Opts.MaxSplitsPerRange)
       return -1;
     const SlotIndex Pos = li(Cur).start();
     constexpr SlotIndex NoHolder = ~SlotIndex(0);
@@ -252,39 +251,28 @@ private:
 
   /// No register is free for \p Cur even with a second chance: either
   /// spill \p Cur, or take the register whose conflicting holders are
-  /// cheapest — with splitting, truncating them at the conflict instead
-  /// of spilling their whole lifetimes. Returns the register granted to
-  /// \p Cur, or -1 when \p Cur spills.
+  /// cheapest, truncating them at the conflict instead of spilling their
+  /// whole lifetimes. Returns the register granted to \p Cur, or -1 when
+  /// \p Cur spills.
   ///
-  /// The comparison metric differs by mode. Without splitting, eviction
-  /// destroys every conflicting holder outright, so the price of a
-  /// register is the *sum* of its holders' whole-range costs (the
-  /// original allocator's rule, preserved as the regression oracle).
-  /// With splitting, eviction only truncates, so the comparison is the
-  /// spill-cost *density* of the most valuable conflicting holder: the
+  /// Because eviction only truncates, the price of a register is the
+  /// spill-cost *density* of its most valuable conflicting holder: the
   /// current piece wins the register iff its range generates more spill
   /// cost per slot than anything it displaces.
   int32_t evictOrSpill(uint32_t Cur) {
-    const bool Split = Opts.SplitIntervals;
     Weight.assign(K, 0);
-    auto Price = [&](uint32_t P) {
-      return Split ? density(P) : li(P).Cost;
-    };
-    auto Add = [&](double &Slot, double V) {
-      Slot = Split ? std::max(Slot, V) : Slot + V;
-    };
     for (const Assigned &A : Active)
-      Add(Weight[A.Reg], Price(A.PieceIdx));
+      Weight[A.Reg] = std::max(Weight[A.Reg], density(A.PieceIdx));
     for (const Assigned &A : Inactive)
       if (li(A.PieceIdx).overlaps(li(Cur)))
-        Add(Weight[A.Reg], Price(A.PieceIdx));
+        Weight[A.Reg] = std::max(Weight[A.Reg], density(A.PieceIdx));
 
     unsigned Best = 0;
     for (unsigned R = 1; R < K; ++R)
       if (Weight[R] < Weight[Best])
         Best = R;
 
-    if (Price(Cur) <= Weight[Best]) {
+    if (density(Cur) <= Weight[Best]) {
       if (li(Cur).Cost >= InterferenceGraph::InfiniteCost)
         return breakProtectedDeadlock(Cur);
       spillCurPiece(Cur);
@@ -295,10 +283,10 @@ private:
   }
 
   /// Displaces every holder of \p Reg that conflicts with \p Cur. With
-  /// \p AllowSplit (and splitting on), a holder is truncated at its
-  /// first conflict with Cur — the head keeps the register over the
-  /// slots it already won — and the tail re-enqueued; otherwise (or at
-  /// the split bound) the holder's piece spills outright.
+  /// \p AllowSplit, a holder is truncated at its first conflict with Cur
+  /// — the head keeps the register over the slots it already won — and
+  /// the tail re-enqueued; otherwise (or at the split bound) the
+  /// holder's piece spills outright.
   void evictRegister(unsigned Reg, uint32_t Cur, bool AllowSplit) {
     auto EvictFrom = [&](std::vector<Assigned> &Set) {
       for (size_t I = 0; I < Set.size();) {
@@ -308,8 +296,7 @@ private:
           continue;
         }
         bool KeepInSet = false;
-        if (AllowSplit && Opts.SplitIntervals &&
-            SpillIdxOf[Pieces[H].Parent] < 0 &&
+        if (AllowSplit && SpillIdxOf[Pieces[H].Parent] < 0 &&
             SplitCount[Pieces[H].Parent] < Opts.MaxSplitsPerRange)
           KeepInSet = truncateHolder(H, Cur);
         else

@@ -27,9 +27,6 @@
 /// Re-enqueued tails (stage >= 1) may take free registers or split
 /// further but never evict — each requeue strictly advances the start
 /// position and per-range splits are bounded, so the walk terminates.
-/// With ScanOptions::SplitIntervals off every escape degenerates to
-/// whole-lifetime spilling and the walk reproduces the original
-/// spill-everywhere behavior decision for decision.
 ///
 /// Intervals with holes are tracked through an *inactive* set: a piece
 /// whose lifetime has started but that does not cover the current
@@ -57,9 +54,6 @@ class Budget;
 
 /// Walk policy knobs.
 struct ScanOptions {
-  /// Second-chance binpacking (see file comment). Off restores the
-  /// original whole-lifetime spilling — rac's --no-split oracle.
-  bool SplitIntervals = true;
   /// Safety bound on split decisions per live range; a range at the
   /// bound falls back to suffix spilling. Keeps the piece count — and
   /// with it termination — trivially bounded.
@@ -87,9 +81,9 @@ struct ScanResult {
   std::vector<VRegId> Spilled;
 
   /// Parallel to Spilled: first InstrNumbering slot of the spilled
-  /// region. 0 means the whole lifetime (the pre-splitting behavior);
-  /// a nonzero slot spills only accesses from that slot on — the head
-  /// already holds registers and keeps them.
+  /// region. 0 means the whole lifetime; a nonzero slot spills only
+  /// accesses from that slot on — the head already holds registers and
+  /// keeps them.
   std::vector<SlotIndex> SpillFromSlot;
 
   /// Sum of LiveInterval::Cost over Spilled.

@@ -79,7 +79,6 @@ bool ra::decideLinearScan(const Function &F, const AllocatorConfig &C,
   // phase); linear scan has no simplify analogue.
   LI.setCosts(In.Costs);
   ScanOptions SO;
-  SO.SplitIntervals = C.SplitIntervals;
   SO.Governor = In.Gov;
   ScanResult Scan = scanIntervals(LI, C.Machine, SO);
   if (In.Gov && In.Gov->expired())

@@ -281,6 +281,10 @@ unsigned ra::reduceStrength(Function &F) {
 
         VRegId Fresh =
             F.newVReg(RegClass::Int, F.vreg(X).Name + ".iv");
+        // DefInfo predates the fresh IV; outer loops read its count. It
+        // has two defs: the preheader initializer and the increment.
+        DI.DefCount.resize(F.numVRegs());
+        DI.DefCount[Fresh] = 2;
         Init.setDefReg(Fresh);
         NewIVs.push_back({Fresh, Init, unsigned(IVIndex[V]), Step});
         // The original computation becomes a copy off the new IV

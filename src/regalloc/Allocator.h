@@ -116,13 +116,6 @@ struct AllocatorConfig {
   /// reloading them (off by default: the paper's allocator predates
   /// rematerialization; turn on to measure the refinement).
   bool Rematerialize = false;
-  /// Linear-scan only: second-chance binpacking. When an interval finds
-  /// no free register and eviction loses the cost comparison, split it
-  /// (or the evictee) at the conflict point and re-enqueue the tail
-  /// instead of spilling the whole lifetime. Off reproduces the
-  /// original spill-everywhere walk — the regression oracle behind
-  /// rac's --no-split.
-  bool SplitIntervals = true;
   /// Worker threads for \c allocateModule (functions are independent
   /// allocation units). 1 = serial; 0 = one per hardware thread. Output
   /// is bit-identical at any setting.

@@ -38,7 +38,6 @@ std::string ra::service::canonicalConfigText(const AllocatorConfig &C,
   Out += " aggressive=";
   Out += C.Coalescing == CoalescePolicy::Aggressive ? "1" : "0";
   Out += " remat=" + std::to_string(C.Rematerialize ? 1 : 0);
-  Out += " split=" + std::to_string(C.SplitIntervals ? 1 : 0);
   Out += " audit=" + std::to_string(C.Audit ? 1 : 0);
   Out += " metrics=" + std::to_string(C.CollectMetrics ? 1 : 0);
   Out += " opt=" + std::to_string(Optimize ? 1 : 0);

@@ -160,7 +160,6 @@ std::string WireConfig::render() const {
   Out += " flt=" + std::to_string(FltK);
   Out += " opt=" + std::to_string(Optimize ? 1 : 0);
   Out += " remat=" + std::to_string(Remat ? 1 : 0);
-  Out += " split=" + std::to_string(Split ? 1 : 0);
   Out += " audit=" + std::to_string(Audit ? 1 : 0);
   Out += " cache=" + std::to_string(UseCache ? 1 : 0);
   Out += " print=" + std::to_string(Print ? 1 : 0);
@@ -219,8 +218,6 @@ Status WireConfig::parse(const std::string &Text) {
       S = AsBool(Optimize);
     else if (Key == "remat")
       S = AsBool(Remat);
-    else if (Key == "split")
-      S = AsBool(Split);
     else if (Key == "audit")
       S = AsBool(Audit);
     else if (Key == "cache")
@@ -248,6 +245,17 @@ Status WireConfig::parse(const std::string &Text) {
   return Status();
 }
 
+Status WireConfig::parseFlag(const std::string &Flag, const std::string &Key,
+                             const std::string &Val) {
+  Status S = Val.find(' ') == std::string::npos
+                 ? parse(Key + "=" + Val)
+                 : Status::error(StatusCode::InvalidInput,
+                                 "config key '" + Key +
+                                     "' expects one value, got '" + Val +
+                                     "'");
+  return S.addContext(Flag);
+}
+
 Status WireConfig::apply(AllocatorConfig &C) const {
   if (!parseAllocatorName(Allocator, C.B, C.H))
     return Status::error(StatusCode::InvalidInput,
@@ -256,7 +264,6 @@ Status WireConfig::apply(AllocatorConfig &C) const {
                              "or linear-scan)");
   C.Machine = MachineInfo(IntK, FltK);
   C.Rematerialize = Remat;
-  C.SplitIntervals = Split;
   C.Audit = Audit;
   C.DeadlineSeconds = DeadlineMs / 1e3;
   C.MemoryBudgetBytes = MemBudgetMb << 20;

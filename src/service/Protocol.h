@@ -99,7 +99,6 @@ struct WireConfig {
   unsigned IntK = 16, FltK = 8;
   bool Optimize = true;
   bool Remat = false;
-  bool Split = true;
   bool Audit = true;
   bool UseCache = true;
   bool Print = false; ///< Return printed allocated functions.
@@ -110,6 +109,13 @@ struct WireConfig {
 
   std::string render() const;
   Status parse(const std::string &Text);
+
+  /// Parses one command-line flag's value \p Val as wire key \p Key,
+  /// under parse()'s rules; a value holding a space is rejected rather
+  /// than read as several tokens. A bad value is an invalid-input
+  /// Status naming \p Flag.
+  Status parseFlag(const std::string &Flag, const std::string &Key,
+                   const std::string &Val);
 
   /// Resolves into the allocator configuration (validating Allocator).
   /// \p C starts from defaults; only wire-carried fields are set.

@@ -322,58 +322,30 @@ TEST(LinearScanAllocTest, DeterministicAcrossRuns) {
 }
 
 //===--------------------------------------------------------------------===//
-// Second-chance splitting: spill reduction, the no-split oracle, and
-// the structure of the published piece table.
+// Second-chance splitting: spill reduction and the structure of the
+// published piece table.
 //===--------------------------------------------------------------------===//
 
 TEST(LinearScanAllocTest, SplittingNeverSpillsMoreThanNoSplit) {
-  // Splitting exists to spill less; on every workload the split walk's
-  // first pass must spill at most as many ranges as the whole-lifetime
-  // baseline, and substantially fewer over the suite (the PR's
-  // acceptance bar is a >=50% drop; assert a conservative 40% so the
-  // test tracks the property, not the exact corpus).
-  unsigned SplitTotal = 0, NoSplitTotal = 0;
-  for (const Workload &W : allWorkloads()) {
-    Module M1, M2;
-    Function &F1 = W.Build(M1);
-    Function &F2 = W.Build(M2);
-    optimizeFunction(F1);
-    optimizeFunction(F2);
-    AllocatorConfig CS = linearScanConfig();
-    AllocatorConfig CN = linearScanConfig();
-    CN.SplitIntervals = false;
-    AllocationResult AS = allocateRegisters(F1, CS);
-    AllocationResult AN = allocateRegisters(F2, CN);
-    ASSERT_TRUE(AS.Success && AN.Success) << W.Routine;
-    EXPECT_LE(AS.Stats.firstPassSpills(), AN.Stats.firstPassSpills())
-        << W.Routine;
-    SplitTotal += AS.Stats.firstPassSpills();
-    NoSplitTotal += AN.Stats.firstPassSpills();
-  }
-  EXPECT_LE(SplitTotal * 10, NoSplitTotal * 6)
-      << "second-chance splitting should cut first-pass spills by well "
-         "over 40% across the suite";
-}
-
-TEST(LinearScanAllocTest, NoSplitModeNeverPublishesPieces) {
-  // --no-split is the regression oracle for the original walker: no
-  // split decisions, no piece table, every allocated range on exactly
-  // one register.
+  // Splitting exists to spill less. The whole-lifetime walker it
+  // replaced spilled 3,681 ranges in the first pass over the suite
+  // (EXPERIMENTS.md, "Allocation backends"); the split walk must cut
+  // that substantially (the acceptance bar was a >=50% drop; assert a
+  // conservative 40% so the test tracks the property, not the exact
+  // corpus).
+  constexpr unsigned WholeLifetimeFirstPassSpills = 3681;
+  unsigned SplitTotal = 0;
   for (const Workload &W : allWorkloads()) {
     Module M;
     Function &F = W.Build(M);
     optimizeFunction(F);
-    AllocatorConfig C = linearScanConfig();
-    C.SplitIntervals = false;
-    AllocationResult A = allocateRegisters(F, C);
+    AllocationResult A = allocateRegisters(F, linearScanConfig());
     ASSERT_TRUE(A.Success) << W.Routine;
-    EXPECT_TRUE(A.Pieces.empty()) << W.Routine;
-    for (const PassRecord &P : A.Stats.Passes) {
-      EXPECT_EQ(P.SplitLiveRanges, 0u) << W.Routine;
-      EXPECT_EQ(P.SplitDecisions, 0u) << W.Routine;
-    }
-    EXPECT_TRUE(auditAllocation(F, A).empty()) << W.Routine;
+    SplitTotal += A.Stats.firstPassSpills();
   }
+  EXPECT_LE(SplitTotal * 10, WholeLifetimeFirstPassSpills * 6)
+      << "second-chance splitting should cut first-pass spills by well "
+         "over 40% across the suite";
 }
 
 TEST(LinearScanWalkerTest, SecondChancePlacesHeadAndTailOnTwoRegisters) {

@@ -185,7 +185,7 @@ TEST(ProtocolTest, WireConfigRoundTripsAndRejectsUnknownKeys) {
   C.IntK = 4;
   C.FltK = 2;
   C.Optimize = false;
-  C.Split = false;
+  C.Remat = true;
   C.UseCache = false;
   C.MemBudgetMb = 64;
 
@@ -195,6 +195,7 @@ TEST(ProtocolTest, WireConfigRoundTripsAndRejectsUnknownKeys) {
   EXPECT_EQ(Back.Allocator, "linear-scan");
   EXPECT_EQ(Back.IntK, 4u);
   EXPECT_FALSE(Back.Optimize);
+  EXPECT_TRUE(Back.Remat);
   EXPECT_FALSE(Back.UseCache);
   EXPECT_EQ(Back.MemBudgetMb, 64u);
 
@@ -203,6 +204,12 @@ TEST(ProtocolTest, WireConfigRoundTripsAndRejectsUnknownKeys) {
   EXPECT_FALSE(Bad.parse(C.render() + " shiny_new_knob=1").ok());
   EXPECT_FALSE(Bad.parse("not-a-kv-token").ok());
   EXPECT_FALSE(Bad.parse("int=0").ok()) << "zero registers is invalid";
+  // The whole-lifetime linear-scan knob is retired; an old client that
+  // still sends it is told so instead of being silently ignored.
+  Status Retired = Bad.parse("split=1");
+  EXPECT_NE(Retired.toString().find("unknown config key 'split'"),
+            std::string::npos)
+      << Retired.toString();
 
   // apply() validates the allocator spelling against rac's parser.
   WireConfig Bogus;
@@ -226,14 +233,48 @@ void expectRejected(const std::string &Text, const std::string &Key) {
 }
 
 TEST(ProtocolTest, WireConfigFlagsAcceptOnlyZeroOrOne) {
-  expectRejected("split=false", "split");
+  expectRejected("remat=false", "remat");
   expectRejected("opt=yes", "opt");
   expectRejected("audit=2", "audit");
   expectRejected("cache=", "cache");
   WireConfig C;
-  ASSERT_TRUE(C.parse("split=0 print=1").ok());
-  EXPECT_FALSE(C.Split);
+  ASSERT_TRUE(C.parse("remat=1 audit=0 print=1").ok());
+  EXPECT_TRUE(C.Remat);
+  EXPECT_FALSE(C.Audit);
   EXPECT_TRUE(C.Print);
+}
+
+TEST(ProtocolTest, FlagValuesParseStrictlyAndNameTheFlag) {
+  // rac and racc read --int/--flt/--deadline-ms/--mem-budget-mb through
+  // parseFlag, so a bad command-line value gets the wire's diagnostic
+  // with the flag in front of it.
+  WireConfig C;
+  ASSERT_TRUE(C.parseFlag("--int", "int", "4").ok());
+  EXPECT_EQ(C.IntK, 4u);
+  ASSERT_TRUE(C.parseFlag("--deadline-ms", "deadline_ms", "2.5").ok());
+  EXPECT_EQ(C.DeadlineMs, 2.5);
+  const struct {
+    const char *Flag, *Key, *Val;
+  } Bad[] = {{"--int", "int", "abc"},
+             {"--int", "int", "0"},
+             {"--int", "int", "4x"},
+             {"--flt", "flt", "-1"},
+             {"--deadline-ms", "deadline_ms", "-5"},
+             {"--mem-budget-mb", "mem_mb", "1 int=2"}};
+  for (const auto &B : Bad) {
+    WireConfig W;
+    Status S = W.parseFlag(B.Flag, B.Key, B.Val);
+    ASSERT_FALSE(S.ok()) << B.Flag << " " << B.Val << " was accepted";
+    EXPECT_EQ(S.code(), StatusCode::InvalidInput);
+    EXPECT_EQ(S.toString().rfind(std::string("invalid-input: ") + B.Flag +
+                                     ": ",
+                                 0),
+              0u)
+        << S.toString();
+  }
+  WireConfig W;
+  EXPECT_FALSE(W.parseFlag("--mem-budget-mb", "mem_mb", "1 int=2").ok());
+  EXPECT_EQ(W.IntK, 16u) << "a value must not smuggle in another key";
 }
 
 TEST(ProtocolTest, WireConfigCountsMustBeWholeDecimals) {

@@ -26,9 +26,6 @@
 //                        parallel engine (default 2048)
 //   --no-opt             skip LICM/strength reduction/value numbering
 //   --remat              rematerialize constant spills
-//   --split / --no-split interval splitting in the linear-scan backend
-//                        (default on; --no-split restores whole-lifetime
-//                        spilling — the regression oracle)
 //   --deadline-ms N      per-function wall-clock budget; over-budget
 //                        functions degrade down the ladder (linear-scan
 //                        retry, then audited spill-everything) instead
@@ -45,14 +42,15 @@
 //   --print              print the allocated function(s)
 //   --run                execute each function on zero-filled memory
 //   --quiet              suppress the statistics table
-//   --bench-json FILE    merge allocation telemetry into FILE
 //   --trace[=]FILE       write a Chrome/Perfetto trace of the run
 //   --metrics[=]FILE     write the per-live-range metrics table (CSV)
 //
 // Every input file is processed even after an earlier one fails, so a
 // batch run reports one structured diagnostic per broken input instead
 // of dying at the first. Exit status: 0 only when every file parsed,
-// verified and allocated; 1 otherwise.
+// verified and allocated; 1 otherwise. A numeric flag whose value is not
+// a whole number in range (or, for --deadline-ms, a finite number >= 0)
+// is an invalid-input diagnostic naming the flag, and exits 1.
 //
 // The driver itself is a thin shell: reading files, rendering tables
 // and diagnostics. Parse -> verify -> optimize -> allocate lives in
@@ -61,7 +59,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchJson.h"
 #include "ir/IRPrinter.h"
 #include "regalloc/Allocator.h"
 #include "service/AllocationService.h"
@@ -71,9 +68,8 @@
 #include "support/Table.h"
 #include "support/Trace.h"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -93,11 +89,10 @@ void usage(const char *Prog) {
       "[--allocator chaitin|briggs|matula-beck|linear-scan]\n"
       "       [--int K] [--flt K] [--jobs N] [--no-opt] [--remat]\n"
       "       [--parallel-graph[=N]] [--parallel-graph-min N]\n"
-      "       [--split] [--no-split]\n"
       "       [--deadline-ms N] [--mem-budget-mb N]\n"
       "       [--audit] [--no-audit] [--cache] [--no-cache]\n"
       "       [--print] [--run] [--quiet]\n"
-      "       [--bench-json FILE] [--trace FILE] [--metrics FILE]\n"
+      "       [--trace FILE] [--metrics FILE]\n"
       "\n"
       "  --allocator picks the allocation backend: one of the paper's\n"
       "  coloring heuristics (chaitin, briggs, matula-beck) or the\n"
@@ -111,6 +106,32 @@ void report(const std::string &Path, const Status &S) {
   std::fprintf(stderr, "rac: %s: %s\n", Path.c_str(), S.toString().c_str());
 }
 
+/// Reads \p Val into \p Out as a whole decimal number in range (no
+/// sign, no trailing text). Otherwise prints an invalid-input diagnostic
+/// naming \p Flag and returns false.
+bool parseCount(const std::string &Flag, const std::string &Val,
+                unsigned &Out) {
+  auto [Ptr, Err] = std::from_chars(Val.data(), Val.data() + Val.size(), Out);
+  if (Err == std::errc() && Ptr == Val.data() + Val.size())
+    return true;
+  Status S = Status::error(StatusCode::InvalidInput,
+                           "expects a decimal unsigned integer, got '" + Val +
+                               "'")
+                 .addContext(Flag);
+  std::fprintf(stderr, "rac: %s\n", S.toString().c_str());
+  return false;
+}
+
+/// Reads \p Val as wire key \p Key into \p W (WireConfig::parseFlag).
+/// Otherwise prints the diagnostic and returns false.
+bool parseWire(service::WireConfig &W, const std::string &Flag,
+               const char *Key, const std::string &Val) {
+  Status S = W.parseFlag(Flag, Key, Val);
+  if (!S.ok())
+    std::fprintf(stderr, "rac: %s\n", S.toString().c_str());
+  return S.ok();
+}
+
 struct Options {
   Backend B = Backend::GraphColoring;
   Heuristic H = Heuristic::Briggs;
@@ -118,7 +139,7 @@ struct Options {
   bool ParallelGraph = false;          ///< --parallel-graph
   unsigned ParallelGraphJobs = 0;      ///< thread count (0 = hardware)
   unsigned ParallelGraphMinNodes = 2048; ///< --parallel-graph-min
-  bool Optimize = true, Remat = false, Audit = true, Split = true;
+  bool Optimize = true, Remat = false, Audit = true;
   bool Cache = true;       ///< --cache / --no-cache
   bool Print = false, Run = false, Quiet = false;
   double DeadlineMs = 0;       ///< --deadline-ms (0 = unbounded)
@@ -133,7 +154,6 @@ struct Options {
     C.H = H;
     C.Machine = MachineInfo(IntK, FltK);
     C.Rematerialize = Remat;
-    C.SplitIntervals = Split;
     C.Jobs = Jobs;
     C.ParallelGraph = ParallelGraph;
     C.ParallelGraphJobs = ParallelGraphJobs;
@@ -146,18 +166,11 @@ struct Options {
   }
 };
 
-/// Aggregated telemetry across all input files for --bench-json.
-struct Telemetry {
-  double Build = 0, Simplify = 0, Select = 0, Spill = 0, Wall = 0;
-  uint64_t Graphs = 0, Functions = 0;
-};
-
 /// Processes one input file end to end. Returns Ok only when the file
 /// parsed, verified, and every function allocated (Degraded counts as
 /// usable but is reported on stderr).
 Status processFile(AllocationService &Svc, const std::string &Path,
-                   const Options &Opt, Telemetry &T,
-                   std::string &MetricsCsv) {
+                   const Options &Opt, std::string &MetricsCsv) {
   std::ifstream In(Path);
   if (!In)
     return Status::error(StatusCode::IoError, "cannot open file");
@@ -246,17 +259,6 @@ Status processFile(AllocationService &Svc, const std::string &Path,
     Stats.print();
   }
 
-  for (const AllocationResult &A : MA.Functions)
-    for (const PassRecord &P : A.Stats.Passes) {
-      T.Build += P.BuildSeconds;
-      T.Simplify += P.SimplifySeconds;
-      T.Select += P.SelectSeconds;
-      T.Spill += P.SpillSeconds;
-      T.Graphs += NumRegClasses; // one colored graph per class per pass
-    }
-  T.Wall += MA.WallSeconds;
-  T.Functions += M.numFunctions();
-
   return FileStatus;
 }
 
@@ -264,8 +266,9 @@ Status processFile(AllocationService &Svc, const std::string &Path,
 
 int main(int Argc, char **Argv) {
   std::vector<std::string> Paths;
-  std::string JsonPath = BenchJson::consumeFlag(Argc, Argv);
   Options Opt;
+  // Scratch for the numeric flags that share the wire's strict rules.
+  service::WireConfig W;
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
@@ -285,38 +288,39 @@ int main(int Argc, char **Argv) {
         return 1;
       }
     } else if (Arg == "--int" && I + 1 < Argc) {
-      Opt.IntK = unsigned(std::atoi(Argv[++I]));
+      if (!parseWire(W, Arg, "int", Argv[++I]))
+        return 1;
+      Opt.IntK = W.IntK;
     } else if (Arg == "--flt" && I + 1 < Argc) {
-      Opt.FltK = unsigned(std::atoi(Argv[++I]));
+      if (!parseWire(W, Arg, "flt", Argv[++I]))
+        return 1;
+      Opt.FltK = W.FltK;
     } else if (Arg == "--jobs" && I + 1 < Argc) {
-      Opt.Jobs = unsigned(std::atoi(Argv[++I]));
+      if (!parseCount(Arg, Argv[++I], Opt.Jobs))
+        return 1;
     } else if (Arg == "--parallel-graph") {
       Opt.ParallelGraph = true;
     } else if (Arg.rfind("--parallel-graph=", 0) == 0) {
       Opt.ParallelGraph = true;
-      Opt.ParallelGraphJobs = unsigned(std::atoi(Arg.c_str() + 17));
-    } else if (Arg == "--parallel-graph-min" && I + 1 < Argc) {
-      Opt.ParallelGraphMinNodes = unsigned(std::atoi(Argv[++I]));
-    } else if (Arg == "--deadline-ms" && I + 1 < Argc) {
-      Opt.DeadlineMs = std::atof(Argv[++I]);
-    } else if (Arg == "--mem-budget-mb" && I + 1 < Argc) {
-      // The wire's strict mem_mb rule: a whole decimal whose byte count
-      // fits in 64 bits.
-      service::WireConfig W;
-      if (Status S = W.parse(std::string("mem_mb=") + Argv[++I]); !S.ok()) {
-        S.addContext(Arg);
-        std::fprintf(stderr, "rac: %s\n", S.toString().c_str());
+      if (!parseCount("--parallel-graph", Arg.substr(17),
+                      Opt.ParallelGraphJobs))
         return 1;
-      }
+    } else if (Arg == "--parallel-graph-min" && I + 1 < Argc) {
+      if (!parseCount(Arg, Argv[++I], Opt.ParallelGraphMinNodes))
+        return 1;
+    } else if (Arg == "--deadline-ms" && I + 1 < Argc) {
+      if (!parseWire(W, Arg, "deadline_ms", Argv[++I]))
+        return 1;
+      Opt.DeadlineMs = W.DeadlineMs;
+    } else if (Arg == "--mem-budget-mb" && I + 1 < Argc) {
+      // A whole decimal whose byte count fits in 64 bits.
+      if (!parseWire(W, Arg, "mem_mb", Argv[++I]))
+        return 1;
       Opt.MemBudgetMb = W.MemBudgetMb;
     } else if (Arg == "--no-opt") {
       Opt.Optimize = false;
     } else if (Arg == "--remat") {
       Opt.Remat = true;
-    } else if (Arg == "--split") {
-      Opt.Split = true;
-    } else if (Arg == "--no-split") {
-      Opt.Split = false;
     } else if (Arg == "--audit") {
       Opt.Audit = true;
     } else if (Arg == "--no-audit") {
@@ -363,13 +367,12 @@ int main(int Argc, char **Argv) {
   SC.Workers = Opt.Jobs;
   AllocationService Svc(SC);
 
-  Telemetry T;
   std::string MetricsCsv;
   bool Failed = false;
   if (!Opt.TracePath.empty())
     trace::beginSession();
   for (const std::string &Path : Paths) {
-    Status S = processFile(Svc, Path, Opt, T, MetricsCsv);
+    Status S = processFile(Svc, Path, Opt, MetricsCsv);
     if (!S.ok()) {
       // Parse/verify/open failures were not yet printed by processFile;
       // allocation failures were. Printing the headline status twice is
@@ -404,32 +407,5 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  if (!JsonPath.empty()) {
-    service::CacheStats CS = Svc.cacheStats();
-    BenchJson J("rac");
-    J.set("allocator", std::string(allocatorName(Opt.B, Opt.H)));
-    J.set("backend", std::string(backendName(Opt.B)));
-    J.set("heuristic", std::string(heuristicName(Opt.H)));
-    J.set("jobs", Opt.Jobs);
-    J.set("parallel_graph", Opt.ParallelGraph ? 1 : 0);
-    J.set("parallel_graph_jobs", Opt.ParallelGraphJobs);
-    J.set("functions", T.Functions);
-    J.set("wall_seconds", T.Wall);
-    J.set("graphs_colored", T.Graphs);
-    J.set("graphs_per_sec", T.Wall > 0 ? double(T.Graphs) / T.Wall : 0.0);
-    J.set("phases.build_seconds", T.Build);
-    J.set("phases.simplify_seconds", T.Simplify);
-    J.set("phases.select_seconds", T.Select);
-    J.set("phases.spill_seconds", T.Spill);
-    J.set("cache.enabled", Opt.Cache ? 1 : 0);
-    J.set("cache.hits", CS.Hits);
-    J.set("cache.misses", CS.Misses);
-    J.set("cache.insertions", CS.Insertions);
-    J.set("cache.evictions", CS.Evictions);
-    J.set("cache.bytes_in_use", CS.BytesInUse);
-    J.set("cache.peak_bytes", CS.PeakBytes);
-    if (!J.writeMerged(JsonPath))
-      std::fprintf(stderr, "cannot write %s\n", JsonPath.c_str());
-  }
   return Failed ? 1 : 0;
 }

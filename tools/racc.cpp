@@ -12,11 +12,14 @@
 //
 //   --allocator NAME     chaitin|briggs|matula-beck|linear-scan (briggs)
 //   --int K / --flt K    register file sizes (16 / 8)
-//   --no-opt / --remat / --split / --no-split / --audit / --no-audit
+//   --no-opt / --remat / --audit / --no-audit
 //                        mirror the rac flags of the same names
 //   --no-cache           ask the daemon to bypass its allocation cache
 //   --deadline-ms N / --mem-budget-mb N
 //                        per-function resource governance
+//                        (--int, --flt, --deadline-ms and --mem-budget-mb
+//                        take the wire config's strict values; a bad one
+//                        is an invalid-input diagnostic naming the flag)
 //   --print              print each allocated function exactly as
 //                        `rac --print --quiet` would — `diff` against a
 //                        local rac run is the service's equivalence
@@ -32,7 +35,6 @@
 #include "service/Server.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -50,7 +52,7 @@ void usage(const char *Prog) {
       "usage: %s --socket PATH FILE.ral...\n"
       "       [--allocator chaitin|briggs|matula-beck|linear-scan]\n"
       "       [--int K] [--flt K] [--no-opt] [--remat]\n"
-      "       [--split] [--no-split] [--audit] [--no-audit] [--no-cache]\n"
+      "       [--audit] [--no-audit] [--no-cache]\n"
       "       [--deadline-ms N] [--mem-budget-mb N] [--print] [--quiet]\n"
       "   or: %s --socket PATH --stats\n"
       "   or: %s --socket PATH --shutdown\n",
@@ -92,28 +94,27 @@ int main(int Argc, char **Argv) {
       Shutdown = true;
     } else if (Arg == "--allocator" && I + 1 < Argc) {
       Cfg.Allocator = Argv[++I];
-    } else if (Arg == "--int" && I + 1 < Argc) {
-      Cfg.IntK = unsigned(std::atoi(Argv[++I]));
-    } else if (Arg == "--flt" && I + 1 < Argc) {
-      Cfg.FltK = unsigned(std::atoi(Argv[++I]));
+    } else if ((Arg == "--int" || Arg == "--flt" || Arg == "--deadline-ms" ||
+                Arg == "--mem-budget-mb") &&
+               I + 1 < Argc) {
+      const char *Key = Arg == "--int"           ? "int"
+                        : Arg == "--flt"         ? "flt"
+                        : Arg == "--deadline-ms" ? "deadline_ms"
+                                                 : "mem_mb";
+      if (Status S = Cfg.parseFlag(Arg, Key, Argv[++I]); !S.ok()) {
+        std::fprintf(stderr, "racc: %s\n", S.toString().c_str());
+        return 1;
+      }
     } else if (Arg == "--no-opt") {
       Cfg.Optimize = false;
     } else if (Arg == "--remat") {
       Cfg.Remat = true;
-    } else if (Arg == "--split") {
-      Cfg.Split = true;
-    } else if (Arg == "--no-split") {
-      Cfg.Split = false;
     } else if (Arg == "--audit") {
       Cfg.Audit = true;
     } else if (Arg == "--no-audit") {
       Cfg.Audit = false;
     } else if (Arg == "--no-cache") {
       Cfg.UseCache = false;
-    } else if (Arg == "--deadline-ms" && I + 1 < Argc) {
-      Cfg.DeadlineMs = std::atof(Argv[++I]);
-    } else if (Arg == "--mem-budget-mb" && I + 1 < Argc) {
-      Cfg.MemBudgetMb = uint64_t(std::atoll(Argv[++I]));
     } else if (Arg == "--print") {
       Cfg.Print = true;
     } else if (Arg == "--quiet") {

@@ -34,10 +34,8 @@
 //   --seeds N       number of seeds to run (default 1000)
 //   --start S       first seed (default 0)
 //   --allocators L  comma-separated allocator list (chaitin, briggs,
-//                   briggs-parallel, matula-beck, linear-scan,
-//                   linear-scan-nosplit);
-//                   default chaitin,briggs,briggs-parallel,
-//                   linear-scan,linear-scan-nosplit
+//                   briggs-parallel, matula-beck, linear-scan);
+//                   default chaitin,briggs,briggs-parallel,linear-scan
 //   --audit         run the in-allocator audit too (default on)
 //   --no-audit      rely on this tool's external checks only
 //   --fault-inject  deliberately miscolor / fail convergence and demand
@@ -102,20 +100,16 @@ struct FuzzCase {
 };
 
 /// One allocator under test: a backend plus (for graph coloring) its
-/// simplify/select heuristic, and (for linear scan) whether interval
-/// splitting is on.
+/// simplify/select heuristic.
 struct AllocatorChoice {
   Backend B = Backend::GraphColoring;
   Heuristic H = Heuristic::Briggs;
-  bool Split = true;
   /// Graph coloring only: run the speculate-and-repair parallel Select
   /// (gate forced to 0 so even fuzz-sized graphs exercise it). Must be
   /// indistinguishable from plain briggs in every observable.
   bool ParallelGraph = false;
 
   const char *name() const {
-    if (B == Backend::LinearScan && !Split)
-      return "linear-scan-nosplit";
     if (B == Backend::GraphColoring && ParallelGraph)
       return "briggs-parallel";
     return allocatorName(B, H);
@@ -123,16 +117,14 @@ struct AllocatorChoice {
 };
 
 /// The allocators every seed runs by default: both of the paper's
-/// heuristics plus the linear-scan backend with and without interval
-/// splitting, so coloring-vs-coloring, coloring-vs-linear-scan, and
-/// split-vs-nosplit differentials are all always live.
+/// heuristics, parallel Select, and the linear-scan backend, so
+/// coloring-vs-coloring and coloring-vs-linear-scan differentials are
+/// both always live.
 std::vector<AllocatorChoice> defaultAllocators() {
   return {{Backend::GraphColoring, Heuristic::Chaitin},
           {Backend::GraphColoring, Heuristic::Briggs},
-          {Backend::GraphColoring, Heuristic::Briggs, /*Split=*/true,
-           /*ParallelGraph=*/true},
-          {Backend::LinearScan, Heuristic::Briggs},
-          {Backend::LinearScan, Heuristic::Briggs, /*Split=*/false}};
+          {Backend::GraphColoring, Heuristic::Briggs, /*ParallelGraph=*/true},
+          {Backend::LinearScan, Heuristic::Briggs}};
 }
 
 /// The observable outcome of one allocated run, kept for cross-allocator
@@ -241,7 +233,6 @@ bool runOne(const FuzzCase &FC, AllocatorChoice AC, const RunPolicy &P,
   C.B = AC.B;
   C.H = AC.H;
   C.Machine = MachineInfo(FC.IntK, FC.FltK);
-  C.SplitIntervals = AC.Split;
   if (AC.ParallelGraph) {
     C.ParallelGraph = true;
     C.ParallelGraphMinNodes = 0; // fuzz graphs are small; force the engine
@@ -394,7 +385,6 @@ bool runSeedService(ra::service::AllocationService &Svc, const FuzzCase &FC,
     Req.Alloc.B = AC.B;
     Req.Alloc.H = AC.H;
     Req.Alloc.Machine = MachineInfo(FC.IntK, FC.FltK);
-    Req.Alloc.SplitIntervals = AC.Split;
     if (AC.ParallelGraph) {
       Req.Alloc.ParallelGraph = true;
       Req.Alloc.ParallelGraphMinNodes = 0;
@@ -527,7 +517,7 @@ bool dumpReproducer(const std::string &Path, const FuzzCase &FC,
       << " trip=" << FC.Shape.LoopTrip << "\n";
   for (const AllocatorChoice &AC : Allocs)
     Out << "; replay: rac " << Path << " --allocator "
-        << allocatorName(AC.B, AC.H) << (AC.Split ? "" : " --no-split")
+        << allocatorName(AC.B, AC.H)
         << (AC.ParallelGraph ? " --parallel-graph=3 --parallel-graph-min 0"
                              : "")
         << " --int " << FC.IntK << " --flt " << FC.FltK << " --run"
@@ -569,9 +559,8 @@ void usage(const char *Prog) {
                "       [--max-instructions N]\n"
                "       [--out FILE] [--emit-corpus DIR] [--quiet]\n"
                "allocators: chaitin, briggs, briggs-parallel, matula-beck,\n"
-               "            linear-scan, linear-scan-nosplit (default\n"
-               "            chaitin,briggs,briggs-parallel,linear-scan,\n"
-               "            linear-scan-nosplit)\n",
+               "            linear-scan (default chaitin,briggs,\n"
+               "            briggs-parallel,linear-scan)\n",
                Prog);
 }
 
@@ -587,16 +576,13 @@ bool parseAllocatorList(const std::string &List,
       Comma = List.size();
     std::string Name = List.substr(Pos, Comma - Pos);
     AllocatorChoice AC;
-    if (Name == "linear-scan-nosplit") {
-      AC.B = Backend::LinearScan;
-      AC.Split = false;
-    } else if (Name == "briggs-parallel") {
+    if (Name == "briggs-parallel") {
       AC.ParallelGraph = true;
     } else if (!parseAllocatorName(Name, AC.B, AC.H)) {
       std::fprintf(stderr,
                    "ralfuzz: unknown allocator '%s' (expected chaitin, "
-                   "briggs, briggs-parallel, matula-beck, linear-scan, "
-                   "or linear-scan-nosplit)\n",
+                   "briggs, briggs-parallel, matula-beck, or "
+                   "linear-scan)\n",
                    Name.c_str());
       return false;
     }
