@@ -7,7 +7,10 @@
 /// \file
 /// Classic backward live-variable dataflow over virtual registers. The
 /// interference-graph builder walks each block backward from LiveOut,
-/// so only the block-boundary sets are stored here.
+/// so only the block-boundary sets are stored here. A client that edits
+/// the occurrences of a few registers (the coalescer's operand rewrite)
+/// can re-solve just those registers with \c update instead of solving
+/// the whole function again.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +27,16 @@ class Liveness {
 public:
   /// Solves liveness for \p F using \p G.
   static Liveness compute(const Function &F, const CFG &G);
+
+  /// Re-solves the bits of \p Regs after their occurrences in \p F
+  /// changed. Each register is searched backward over \p G's
+  /// predecessor edges from the blocks where it has an upward-exposed
+  /// use, stopping at blocks that define it. Provided no register
+  /// outside \p Regs gained or lost an occurrence, the sets equal a
+  /// fresh \c compute on \p F. A register that no longer occurs at all
+  /// ends up with no bits set.
+  void update(const Function &F, const CFG &G,
+              const std::vector<VRegId> &Regs);
 
   const BitVector &liveIn(uint32_t B) const { return LiveIn[B]; }
   const BitVector &liveOut(uint32_t B) const { return LiveOut[B]; }

@@ -54,7 +54,8 @@ void setNodeCosts(const Function &F, const std::vector<double> &Costs,
                   ClassGraph &CG);
 
 /// Builds a whole-function interference matrix over *all* vregs (both
-/// classes), used by the coalescer for O(1) interference tests.
+/// classes), used by conservative coalescing for O(1) interference
+/// tests and neighbor counts.
 TriangularBitMatrix buildInterferenceMatrix(const Function &F,
                                             const Liveness &LV);
 

@@ -9,7 +9,17 @@
 /// not interfere is eliminated by merging the two live ranges. The
 /// paper's build phase runs "repeatedly building the graph and
 /// coalescing registers" until no copy can be merged; \c coalesceAll
-/// drives that loop.
+/// drives that loop in rounds. A round merges each copy whose operands
+/// no earlier merge of the round touched, then rewrites the function.
+///
+/// Liveness is solved once per \c coalesceAll. After each rewrite only
+/// the registers whose occurrences changed are re-solved: the merged
+/// registers and those of deleted self-copies. The aggressive test reads
+/// interference only between copy operands, so a round tests each def
+/// against its register's copy partners and builds no interference
+/// matrix. The conservative test also counts significant-degree
+/// neighbors; it builds the all-vreg matrix each round from the same
+/// maintained liveness.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,21 +62,13 @@ struct CoalesceStats {
   std::vector<CoalescedCopy> Merges;
 };
 
-/// Runs one build+merge round: builds the interference matrix, merges
-/// every coalescable copy whose operands were not already touched by a
-/// merge this round, rewrites operands, and deletes the dead copies.
-/// Returns the number of copies removed; when \p Merges is non-null,
-/// appends one CoalescedCopy per merge. For the Conservative policy,
-/// \p Machine supplies the per-class k.
-unsigned coalesceOnePass(Function &F, const CFG &G,
-                         CoalescePolicy Policy = CoalescePolicy::Aggressive,
-                         const std::optional<MachineInfo> &Machine = {},
-                         std::vector<CoalescedCopy> *Merges = nullptr);
-
-/// Repeats \c coalesceOnePass until no copy can be merged. \p Gov, when
-/// non-null, is polled once per round; a tripped budget stops early —
-/// safe at any round boundary, since coalescing is an optimization and
-/// the IR is valid between rounds.
+/// Merges copies in rounds until a round merges none. Each round
+/// emits a \c CoalesceRound span and appends one CoalescedCopy per
+/// merge to the result. For the Conservative policy, \p Machine
+/// supplies the per-class k. \p Gov, when non-null, is polled once per
+/// round; a tripped budget stops early — safe at any round boundary,
+/// since coalescing is an optimization and the IR is valid between
+/// rounds.
 CoalesceStats coalesceAll(Function &F, const CFG &G,
                           CoalescePolicy Policy = CoalescePolicy::Aggressive,
                           const std::optional<MachineInfo> &Machine = {},

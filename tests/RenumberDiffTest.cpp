@@ -82,9 +82,7 @@ bool sameRenumbering(const Module &M, const Function &F,
 
 /// Coalesces \p F to a fixpoint, as the allocator's build phase does.
 void coalesce(Function &F) {
-  CFG G = CFG::compute(F);
-  while (coalesceOnePass(F, G) != 0) {
-  }
+  coalesceAll(F, CFG::compute(F));
 }
 
 /// Checks \p F as given, after renumbering plus spill code on a subset
