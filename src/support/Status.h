@@ -16,6 +16,8 @@
 #ifndef RA_SUPPORT_STATUS_H
 #define RA_SUPPORT_STATUS_H
 
+#include <charconv>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -100,6 +102,28 @@ private:
   std::string Message;
   std::vector<std::string> Context; ///< Innermost frame first.
 };
+
+/// Reads a command-line flag's value \p Val into \p Out as a whole
+/// decimal number no greater than \p Max: no sign, whitespace or
+/// trailing bytes. Otherwise leaves \p Out alone and returns an
+/// invalid-input status naming \p Flag.
+template <typename T>
+Status parseDecimalFlag(const std::string &Flag, const std::string &Val,
+                        T &Out, T Max = std::numeric_limits<T>::max()) {
+  T V{};
+  auto [Ptr, Err] = std::from_chars(Val.data(), Val.data() + Val.size(), V);
+  if (Err == std::errc() && Ptr == Val.data() + Val.size() && V <= Max) {
+    Out = V;
+    return Status();
+  }
+  std::string Expected = "a decimal unsigned integer";
+  if (Max != std::numeric_limits<T>::max())
+    Expected += " <= " + std::to_string(Max);
+  Status S = Status::error(StatusCode::InvalidInput,
+                           "expects " + Expected + ", got '" + Val + "'");
+  S.addContext(Flag);
+  return S;
+}
 
 } // namespace ra
 

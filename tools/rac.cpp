@@ -68,7 +68,6 @@
 #include "support/Table.h"
 #include "support/Trace.h"
 
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -111,15 +110,10 @@ void report(const std::string &Path, const Status &S) {
 /// naming \p Flag and returns false.
 bool parseCount(const std::string &Flag, const std::string &Val,
                 unsigned &Out) {
-  auto [Ptr, Err] = std::from_chars(Val.data(), Val.data() + Val.size(), Out);
-  if (Err == std::errc() && Ptr == Val.data() + Val.size())
-    return true;
-  Status S = Status::error(StatusCode::InvalidInput,
-                           "expects a decimal unsigned integer, got '" + Val +
-                               "'")
-                 .addContext(Flag);
-  std::fprintf(stderr, "rac: %s\n", S.toString().c_str());
-  return false;
+  Status S = parseDecimalFlag(Flag, Val, Out);
+  if (!S.ok())
+    std::fprintf(stderr, "rac: %s\n", S.toString().c_str());
+  return S.ok();
 }
 
 /// Reads \p Val as wire key \p Key into \p W (WireConfig::parseFlag).

@@ -14,10 +14,11 @@
 //                                    stdin/stdout (inetd-style; handy
 //                                    for tests and pipes)
 //
-//   --workers N          miss-allocation pool width (0 = one per
-//                        hardware thread, the default)
+//   --workers N          miss-allocation pool width, at most 256 (0 =
+//                        one per hardware thread, the default)
 //   --cache-entries N    cache entry bound (default 65536; 0 = unbounded)
-//   --cache-mb N         cache byte ceiling (default 256; 0 = unbounded)
+//   --cache-mb N         cache byte ceiling in MB (default 256; 0 =
+//                        unbounded; at most the wire key mem_mb's bound)
 //   --no-cache           disable the allocation cache entirely
 //   --stats-csv FILE     append one cache-counter CSV sample at shutdown
 //
@@ -27,13 +28,17 @@
 // A Shutdown frame stops the daemon cleanly: the listener wakes, every
 // connection thread is joined, and the socket file is unlinked.
 //
+// A numeric flag whose value is not a whole decimal number in range is
+// an invalid-input diagnostic naming the flag, and exits 1 before any
+// worker thread is started.
+//
 //===----------------------------------------------------------------------===//
 
 #include "service/AllocationService.h"
+#include "service/Protocol.h"
 #include "service/Server.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -43,10 +48,13 @@ using namespace ra::service;
 
 namespace {
 
+/// Ceiling on --workers: a wider pool is a typo, not a request.
+constexpr unsigned MaxWorkers = 256;
+
 void usage(const char *Prog) {
   std::fprintf(stderr,
                "usage: %s (--socket PATH | --stdio)\n"
-               "       [--workers N] [--cache-entries N] [--cache-mb N]\n"
+               "       [--workers N<=256] [--cache-entries N] [--cache-mb N]\n"
                "       [--no-cache] [--stats-csv FILE]\n",
                Prog);
 }
@@ -60,16 +68,19 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
+    Status Bad;
     if (Arg == "--socket" && I + 1 < Argc) {
       SocketPath = Argv[++I];
     } else if (Arg == "--stdio") {
       Stdio = true;
     } else if (Arg == "--workers" && I + 1 < Argc) {
-      SC.Workers = unsigned(std::atoi(Argv[++I]));
+      Bad = parseDecimalFlag(Arg, Argv[++I], SC.Workers, MaxWorkers);
     } else if (Arg == "--cache-entries" && I + 1 < Argc) {
-      SC.CacheMaxEntries = uint64_t(std::atoll(Argv[++I]));
+      Bad = parseDecimalFlag(Arg, Argv[++I], SC.CacheMaxEntries);
     } else if (Arg == "--cache-mb" && I + 1 < Argc) {
-      SC.CacheMaxBytes = uint64_t(std::atoll(Argv[++I])) << 20;
+      uint64_t Mb = 0;
+      Bad = parseDecimalFlag(Arg, Argv[++I], Mb, WireConfig::MaxMemBudgetMb);
+      SC.CacheMaxBytes = Mb << 20;
     } else if (Arg == "--no-cache") {
       SC.CacheEnabled = false;
     } else if (Arg == "--stats-csv" && I + 1 < Argc) {
@@ -80,6 +91,10 @@ int main(int Argc, char **Argv) {
     } else {
       std::fprintf(stderr, "racd: unknown option '%s'\n", Arg.c_str());
       usage(Argv[0]);
+      return 1;
+    }
+    if (!Bad.ok()) {
+      std::fprintf(stderr, "racd: %s\n", Bad.toString().c_str());
       return 1;
     }
   }

@@ -63,6 +63,9 @@
 //                   tests/corpus/ regression corpus) and exit
 //   --quiet         no progress lines
 //
+// A numeric flag whose value is not a whole decimal number in range is
+// an invalid-input diagnostic naming the flag, and exits 1.
+//
 //===----------------------------------------------------------------------===//
 
 #include "ir/IRPrinter.h"
@@ -73,6 +76,7 @@
 #include "service/AllocationService.h"
 #include "sim/Simulator.h"
 #include "support/Rng.h"
+#include "support/Status.h"
 #include "workloads/RandomProgram.h"
 
 #include <chrono>
@@ -605,10 +609,11 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
+    Status Bad;
     if (Arg == "--seeds" && I + 1 < Argc) {
-      Seeds = std::strtoull(Argv[++I], nullptr, 10);
+      Bad = parseDecimalFlag(Arg, Argv[++I], Seeds);
     } else if (Arg == "--start" && I + 1 < Argc) {
-      Start = std::strtoull(Argv[++I], nullptr, 10);
+      Bad = parseDecimalFlag(Arg, Argv[++I], Start);
     } else if (Arg == "--allocators" && I + 1 < Argc) {
       if (!parseAllocatorList(Argv[++I], Allocs)) {
         usage(Argv[0]);
@@ -625,9 +630,9 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--service") {
       Service = true;
     } else if (Arg == "--seed-timeout-ms" && I + 1 < Argc) {
-      SeedTimeoutMs = std::strtoull(Argv[++I], nullptr, 10);
+      Bad = parseDecimalFlag(Arg, Argv[++I], SeedTimeoutMs);
     } else if (Arg == "--max-instructions" && I + 1 < Argc) {
-      MaxInstructions = std::strtoull(Argv[++I], nullptr, 10);
+      Bad = parseDecimalFlag(Arg, Argv[++I], MaxInstructions);
     } else if (Arg == "--out" && I + 1 < Argc) {
       OutPath = Argv[++I];
     } else if (Arg == "--emit-corpus" && I + 1 < Argc) {
@@ -640,6 +645,10 @@ int main(int Argc, char **Argv) {
     } else {
       std::fprintf(stderr, "unknown option '%s'\n", Arg.c_str());
       usage(Argv[0]);
+      return 1;
+    }
+    if (!Bad.ok()) {
+      std::fprintf(stderr, "ralfuzz: %s\n", Bad.toString().c_str());
       return 1;
     }
   }
