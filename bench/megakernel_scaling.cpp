@@ -19,13 +19,14 @@
 
 #include "regalloc/Allocator.h"
 #include "regalloc/Coloring.h"
+#include "service/Protocol.h"
 #include "support/Rng.h"
+#include "support/Status.h"
 #include "support/Timer.h"
 #include "workloads/MegaKernel.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,9 @@ void die(const std::string &Subject, const std::string &What) {
                What.c_str());
   std::exit(1);
 }
+
+/// Ceiling on --jobs, like racd --workers: a wider value is a typo.
+constexpr unsigned MaxJobsCap = 256;
 
 /// Requires byte-identical colorings — the whole point of the engine.
 void requireIdentical(const std::string &Subject, unsigned Threads,
@@ -123,17 +127,27 @@ int main(int Argc, char **Argv) {
   unsigned Repeats = 3;
   uint64_t MemBudgetBytes = 0;
   for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--jobs") == 0 && I + 1 < Argc)
-      MaxJobs = unsigned(std::atoi(Argv[++I]));
-    else if (std::strcmp(Argv[I], "--repeats") == 0 && I + 1 < Argc)
-      Repeats = unsigned(std::atoi(Argv[++I]));
-    else if (std::strcmp(Argv[I], "--mem-budget-mb") == 0 && I + 1 < Argc)
-      MemBudgetBytes = uint64_t(std::atoll(Argv[++I])) << 20;
-    else {
+    std::string Arg = Argv[I];
+    Status Bad;
+    if (Arg == "--jobs" && I + 1 < Argc) {
+      Bad = parseDecimalFlag(Arg, Argv[++I], MaxJobs, MaxJobsCap);
+    } else if (Arg == "--repeats" && I + 1 < Argc) {
+      Bad = parseDecimalFlag(Arg, Argv[++I], Repeats);
+    } else if (Arg == "--mem-budget-mb" && I + 1 < Argc) {
+      uint64_t Mb = 0;
+      Bad = parseDecimalFlag(Arg, Argv[++I], Mb,
+                             service::WireConfig::MaxMemBudgetMb);
+      MemBudgetBytes = Mb << 20;
+    } else {
       std::fprintf(stderr,
-                   "usage: megakernel_scaling [--jobs N] [--repeats N] "
+                   "usage: megakernel_scaling [--jobs N<=256] [--repeats N] "
                    "[--mem-budget-mb N]\n");
       return 2;
+    }
+    if (!Bad.ok()) {
+      std::fprintf(stderr, "megakernel_scaling: %s\n",
+                   Bad.toString().c_str());
+      return 1;
     }
   }
   if (MaxJobs == 0 || Repeats == 0)

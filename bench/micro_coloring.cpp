@@ -4,17 +4,19 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// google-benchmark microbenchmarks backing the paper's complexity
-// claims (Section 3.3): simplify+select run in time linear in the size
-// of the interference graph for all three heuristics (watch the
-// per-item time stay flat as the graph grows at constant average
-// degree), and the degree-bucket worklist's operations are O(1).
+// google-benchmark microbenchmarks for the paper's complexity claims
+// (Section 3.3): simplify+select for all three heuristics on random
+// graphs of growing size at constant average degree, and the
+// degree-bucket worklist's remove/decrement sweep. The per-item rate
+// is not flat: it falls as the graph outgrows the caches, for every
+// heuristic alike (EXPERIMENTS.md, Section 3.3).
 //
 //===----------------------------------------------------------------------===//
 
 #include "regalloc/Coloring.h"
 #include "regalloc/DegreeBuckets.h"
 #include "support/Rng.h"
+#include "support/Status.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 
@@ -22,8 +24,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <future>
+#include <string>
 
 using namespace ra;
 
@@ -160,6 +162,10 @@ ThroughputRun runThroughput(std::vector<InterferenceGraph> &Graphs,
   return R;
 }
 
+/// Ceiling on --jobs: the sweep doubles up to it, building one pool per
+/// step, so a wider value is a typo, not a request.
+constexpr unsigned MaxJobs = 256;
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -167,12 +173,18 @@ int main(int Argc, char **Argv) {
   unsigned NumGraphs = 48, NodesPerGraph = 3000;
   int W = 1;
   for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--jobs") == 0 && I + 1 < Argc)
-      Jobs = unsigned(std::atoi(Argv[++I]));
-    else if (std::strcmp(Argv[I], "--graphs") == 0 && I + 1 < Argc)
-      NumGraphs = unsigned(std::atoi(Argv[++I]));
+    std::string Arg = Argv[I];
+    Status Bad;
+    if (Arg == "--jobs" && I + 1 < Argc)
+      Bad = parseDecimalFlag(Arg, Argv[++I], Jobs, MaxJobs);
+    else if (Arg == "--graphs" && I + 1 < Argc)
+      Bad = parseDecimalFlag(Arg, Argv[++I], NumGraphs);
     else
       Argv[W++] = Argv[I];
+    if (!Bad.ok()) {
+      std::fprintf(stderr, "micro_coloring: %s\n", Bad.toString().c_str());
+      return 1;
+    }
   }
   Argc = W;
   if (Jobs == 0)

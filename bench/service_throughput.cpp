@@ -25,12 +25,14 @@
 
 #include "ir/IRPrinter.h"
 #include "service/AllocationService.h"
+#include "support/Status.h"
 #include "support/Timer.h"
 #include "workloads/RandomProgram.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,6 +45,27 @@ namespace {
 void die(const std::string &What) {
   std::fprintf(stderr, "service_throughput: %s\n", What.c_str());
   std::exit(1);
+}
+
+/// Ceiling on --clients, one thread each: a wider value is a typo.
+constexpr unsigned MaxClients = 256;
+
+/// Reads --min-speedup: a finite decimal >= 0 with no trailing bytes.
+/// A value that read as 0 would silently turn the gate off.
+Status parseSpeedupFlag(const std::string &Flag, const std::string &Val,
+                        double &Out) {
+  double V = 0;
+  auto [Ptr, Err] = std::from_chars(Val.data(), Val.data() + Val.size(), V);
+  if (Err == std::errc() && Ptr == Val.data() + Val.size() &&
+      std::isfinite(V) && V >= 0) {
+    Out = V;
+    return Status();
+  }
+  Status S = Status::error(StatusCode::InvalidInput,
+                           "expects a finite decimal >= 0, got '" + Val +
+                               "'");
+  S.addContext(Flag);
+  return S;
 }
 
 /// One generated module's source text (what a client would send).
@@ -75,16 +98,20 @@ int main(int Argc, char **Argv) {
   double MinSpeedup = 0;
 
   for (int I = 1; I < Argc; ++I) {
-    if (!std::strcmp(Argv[I], "--clients") && I + 1 < Argc)
-      Clients = unsigned(std::atoi(Argv[++I]));
-    else if (!std::strcmp(Argv[I], "--modules") && I + 1 < Argc)
-      Modules = unsigned(std::atoi(Argv[++I]));
-    else if (!std::strcmp(Argv[I], "--seed") && I + 1 < Argc)
-      Seed = std::strtoull(Argv[++I], nullptr, 10);
-    else if (!std::strcmp(Argv[I], "--min-speedup") && I + 1 < Argc)
-      MinSpeedup = std::atof(Argv[++I]);
+    std::string Arg = Argv[I];
+    Status Bad;
+    if (Arg == "--clients" && I + 1 < Argc)
+      Bad = parseDecimalFlag(Arg, Argv[++I], Clients, MaxClients);
+    else if (Arg == "--modules" && I + 1 < Argc)
+      Bad = parseDecimalFlag(Arg, Argv[++I], Modules);
+    else if (Arg == "--seed" && I + 1 < Argc)
+      Bad = parseDecimalFlag(Arg, Argv[++I], Seed);
+    else if (Arg == "--min-speedup" && I + 1 < Argc)
+      Bad = parseSpeedupFlag(Arg, Argv[++I], MinSpeedup);
     else
-      die(std::string("unknown option '") + Argv[I] + "'");
+      die("unknown option '" + Arg + "'");
+    if (!Bad.ok())
+      die(Bad.toString());
   }
   if (Clients == 0 || Modules == 0)
     die("--clients and --modules must be positive");

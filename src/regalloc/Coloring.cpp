@@ -28,18 +28,15 @@ const char *ra::heuristicName(Heuristic H) {
 
 namespace {
 
-/// Removes \p N from the working graph, decrementing live neighbors and
-/// pushing their refreshed cost/degree entries (once \p Spill is active).
+/// Removes \p N from the working graph, decrementing live neighbors.
+/// Pure bucket operations: the spill heap re-keys a node only when it
+/// pops a stale entry, so decrements cost it nothing.
 void removeNode(const InterferenceGraph &G, DegreeBuckets &Buckets,
-                SpillCandidateHeap &Spill, uint32_t N) {
+                uint32_t N) {
   Buckets.remove(N);
   for (uint32_t M : G.neighbors(N))
-    if (!Buckets.isRemoved(M)) {
+    if (!Buckets.isRemoved(M))
       Buckets.decrementDegree(M);
-      uint32_t D = Buckets.degree(M);
-      if (D > 0) // isolated nodes are never spill candidates
-        Spill.update(G, M, D);
-    }
 }
 
 } // namespace
@@ -111,12 +108,13 @@ ColoringResult ra::colorGraph(const InterferenceGraph &G, unsigned K,
       // Stuck: every remaining node has K or more neighbors. Fall back
       // on Chaitin's estimator (Section 2.3) to choose the node, then
       // either mark it spilled (Chaitin) or push it optimistically
-      // (Briggs). The lazy heap makes selection O(log n) instead of a
-      // rescan of every live node; until the first stuck step it costs
-      // nothing at all.
+      // (Briggs). The heap keeps one entry per live node and re-keys
+      // an entry only when it pops with a stale degree; keys only get
+      // worse, so an entry that pops current is the exact minimum
+      // (SpillHeap.h). Until the first stuck step it costs nothing.
       if (!SpillHeap.active())
         SpillHeap.build(G, Buckets);
-      Chosen = SpillHeap.pick(Buckets);
+      Chosen = SpillHeap.pick(G, Buckets);
       if (!StuckPushed.empty())
         StuckPushed[Chosen] = true; // Briggs: optimistic push, tracked
       if (H == Heuristic::Chaitin) {
@@ -127,7 +125,7 @@ ColoringResult ra::colorGraph(const InterferenceGraph &G, unsigned K,
       }
     }
 
-    removeNode(G, Buckets, SpillHeap, Chosen);
+    removeNode(G, Buckets, Chosen);
     if (Push)
       R.RemovalOrder.push_back(Chosen);
     // Matula-Beck's search refinement: removing a node from bucket D

@@ -5,22 +5,31 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// O(log n) selection of Chaitin's spill candidate — the live node
-/// minimizing SpillCost / current degree (Section 2.3) — replacing the
-/// O(n) rescan of every live node on every stuck step.
+/// Selection of Chaitin's spill candidate — the live node minimizing
+/// SpillCost / current degree (Section 2.3) — without rescanning every
+/// live node on every stuck step.
 ///
-/// The heap is *lazy*: entries are never updated in place. The first
-/// stuck step heapifies all live nodes; afterwards every degree
-/// decrement pushes a fresh entry, and selection pops and discards
-/// entries that no longer match the node's current state (removed, or a
-/// stale degree). Degrees only decrease during simplify, so the entry
-/// carrying a node's current degree is always present and any entry
-/// with a mismatched degree is stale by construction.
+/// The heap holds one entry per live node and re-keys it lazily on pop.
+/// The first stuck step heapifies all live nodes; simplify's degree
+/// decrements never touch the heap. When \c pick pops the top entry:
+///   - a removed node's entry is discarded;
+///   - an entry whose stored degree differs from the node's current
+///     degree is pushed back with the current key;
+///   - an entry whose degree still matches is the answer.
 ///
-/// Ordering is identical to the linear scan it replaces: spillable
-/// nodes beat NoSpill nodes, then lowest cost/degree ratio, then lowest
-/// node id (the paper's footnote 4 tie-break) — so Chaitin and Briggs
-/// still make exactly the same choices.
+/// Why that is exact: during simplify degrees only fall and costs are
+/// >= 0 (asserted in \c build), and correctly rounded division is
+/// monotone, so a node's true key only ever gets worse. A stored entry
+/// is therefore never worse than its node's true key. An entry whose
+/// degree matches carries its node's true key, which is <= every other
+/// entry's stored key and so <= every other node's true key.
+///
+/// The key is (spillable first, cost/degree, node id): the node-id
+/// tie-break (the paper's footnote 4) is part of it, so the pick equals
+/// the linear scan's and Chaitin and Briggs still make exactly the same
+/// choices. A re-key replaces its entry, so the heap never holds more
+/// entries than there were live nodes at build time, and each re-key is
+/// paid for by at least one degree decrement since the node was keyed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,11 +47,11 @@
 namespace ra {
 
 /// Min-heap of (spillability, cost/degree, node id) over live nodes,
-/// with lazy invalidation against a DegreeBuckets worklist.
+/// re-keyed on pop against a DegreeBuckets worklist.
 class SpillCandidateHeap {
 public:
   /// True once \c build has run; until then the owner pays nothing for
-  /// maintaining the heap (the common no-spill allocation never builds).
+  /// the heap (the common no-spill allocation never builds).
   bool active() const { return Active; }
 
   /// Heapifies every live node at its current degree. O(live nodes).
@@ -51,33 +60,40 @@ public:
     Entries.clear();
     Entries.reserve(Buckets.numLive());
     for (uint32_t N = 0, E = G.numNodes(); N != E; ++N)
-      if (!Buckets.isRemoved(N))
-        Entries.push_back(makeEntry(G.node(N), N, Buckets.degree(N)));
+      if (!Buckets.isRemoved(N)) {
+        const IGNode &Node = G.node(N);
+        // Exactness rests on keys that only get worse; this also
+        // rejects NaN.
+        assert((Node.NoSpill || Node.SpillCost >= 0) &&
+               "negative or NaN spill cost");
+        Entries.push_back(makeEntry(Node, N, Buckets.degree(N)));
+      }
     std::make_heap(Entries.begin(), Entries.end(), HeapLess);
+    BuiltSize = Entries.size();
     Active = true;
   }
 
-  /// Records that live node \p N now has degree \p Degree. O(log n).
-  /// No-op until \c build has run.
-  void update(const InterferenceGraph &G, uint32_t N, uint32_t Degree) {
-    if (!Active)
-      return;
-    Entries.push_back(makeEntry(G.node(N), N, Degree));
-    std::push_heap(Entries.begin(), Entries.end(), HeapLess);
-  }
-
-  /// Pops the best current spill candidate, discarding stale entries.
+  /// Pops the best current spill candidate, re-keying stale entries.
   /// The caller must remove the returned node from the graph (its
   /// entry has been consumed).
-  uint32_t pick(const DegreeBuckets &Buckets) {
+  uint32_t pick(const InterferenceGraph &G, const DegreeBuckets &Buckets) {
     assert(Active && "pick before build");
     while (!Entries.empty()) {
       std::pop_heap(Entries.begin(), Entries.end(), HeapLess);
-      Entry Top = Entries.back();
-      Entries.pop_back();
-      if (!Buckets.isRemoved(Top.Node) &&
-          Buckets.degree(Top.Node) == Top.Degree)
-        return Top.Node;
+      Entry &Top = Entries.back();
+      if (Buckets.isRemoved(Top.Node)) {
+        Entries.pop_back();
+        continue;
+      }
+      uint32_t Degree = Buckets.degree(Top.Node);
+      if (Degree == Top.Degree) {
+        uint32_t N = Top.Node;
+        Entries.pop_back();
+        return N;
+      }
+      Top = makeEntry(G.node(Top.Node), Top.Node, Degree);
+      std::push_heap(Entries.begin(), Entries.end(), HeapLess);
+      assert(Entries.size() <= BuiltSize && "heap outgrew its live nodes");
     }
     assert(false && "no live node to spill");
     return DegreeBuckets::None;
@@ -85,9 +101,9 @@ public:
 
 private:
   struct Entry {
-    double Ratio;    ///< SpillCost / degree-at-push (NoSpill: infinite).
+    double Ratio;    ///< SpillCost / degree-at-key (NoSpill: infinite).
     uint32_t Node;
-    uint32_t Degree; ///< Degree at push time; stale when it disagrees.
+    uint32_t Degree; ///< Degree when keyed; stale when it disagrees.
     bool NoSpill;
   };
 
@@ -115,6 +131,7 @@ private:
   }
 
   std::vector<Entry> Entries;
+  size_t BuiltSize = 0; ///< Live nodes when built; the size never exceeds it.
   bool Active = false;
 };
 

@@ -11,13 +11,23 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/CFG.h"
+#include "analysis/Dominators.h"
+#include "analysis/Liveness.h"
+#include "analysis/LoopInfo.h"
+#include "analysis/Renumber.h"
 #include "ir/IRPrinter.h"
+#include "opt/Optimizer.h"
 #include "regalloc/Allocator.h"
+#include "regalloc/BuildGraph.h"
+#include "regalloc/Coalesce.h"
 #include "regalloc/Coloring.h"
 #include "regalloc/DegreeBuckets.h"
+#include "regalloc/SpillCost.h"
 #include "regalloc/SpillHeap.h"
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
+#include "workloads/MegaKernel.h"
 #include "workloads/RandomProgram.h"
 #include "workloads/Workloads.h"
 
@@ -188,7 +198,7 @@ std::vector<uint32_t> runLockstep(const InterferenceGraph &G, unsigned K) {
     } else {
       if (!Heap.active())
         Heap.build(G, Buckets);
-      uint32_t FromHeap = Heap.pick(Buckets);
+      uint32_t FromHeap = Heap.pick(G, Buckets);
       uint32_t FromScan = pickSpillCandidateLinear(G, Buckets);
       EXPECT_EQ(FromHeap, FromScan)
           << "divergence after " << Picks.size() << " stuck steps";
@@ -197,11 +207,8 @@ std::vector<uint32_t> runLockstep(const InterferenceGraph &G, unsigned K) {
     }
     Buckets.remove(Chosen);
     for (uint32_t M : G.neighbors(Chosen))
-      if (!Buckets.isRemoved(M)) {
+      if (!Buckets.isRemoved(M))
         Buckets.decrementDegree(M);
-        if (Buckets.degree(M) > 0)
-          Heap.update(G, M, Buckets.degree(M));
-      }
     Hint = D == 0 ? 0 : D - 1;
   }
   return Picks;
@@ -224,6 +231,113 @@ TEST(SpillHeapTest, MatchesLinearScanWithNoSpillNodes) {
         makeRandomGraph(300, 12.0, 700 + Seed, /*NoSpillP=*/0.3);
     runLockstep(G, 3);
   }
+}
+
+/// Pass 1's class graphs for \p F, built the way runPasses builds them:
+/// renumber, coalesce, renumber again when a copy merged, liveness,
+/// Build, loop-weighted spill costs.
+std::array<ClassGraph, NumRegClasses> passOneGraphs(Function &F) {
+  CFG G = CFG::compute(F);
+  renumberLiveRanges(F, G);
+  if (coalesceAll(F, G).CopiesRemoved != 0)
+    renumberLiveRanges(F, G);
+  Liveness LV = Liveness::compute(F, G);
+  auto Graphs = buildInterferenceGraphs(F, LV);
+  Dominators Doms = Dominators::compute(F, G);
+  LoopInfo Loops = LoopInfo::compute(F, G, Doms);
+  std::vector<double> Costs = computeSpillCosts(F, Loops, CostModel::rtpc());
+  for (ClassGraph &CG : Graphs) {
+    setNodeCosts(F, Costs, CG);
+    CG.Graph.finalize();
+  }
+  return Graphs;
+}
+
+TEST(SpillHeapTest, MatchesLinearScanOnFig5Graphs) {
+  // Pass-1 graphs of real routines, with loop-weighted costs.
+  size_t StuckPicks = 0;
+  for (const Workload &W : allWorkloads())
+    for (unsigned K : {6u, 4u}) {
+      Module M;
+      Function &F = W.Build(M);
+      optimizeFunction(F);
+      for (const ClassGraph &CG : passOneGraphs(F)) {
+        SCOPED_TRACE(W.Routine + " k=" + std::to_string(K));
+        StuckPicks += runLockstep(CG.Graph, K).size();
+      }
+    }
+  EXPECT_GT(StuckPicks, 100u) << "fig5 barely got stuck; weak test";
+}
+
+TEST(SpillHeapTest, MatchesLinearScanOnMegaWide) {
+  // The largest stuck region of the mega family.
+  const MegaKernel *Wide = nullptr;
+  for (const MegaKernel &MK : megaKernelFamily())
+    if (MK.Name == "mega.wide.12k")
+      Wide = &MK;
+  ASSERT_NE(Wide, nullptr);
+  Module M;
+  Function &F = Wide->Build(M);
+  optimizeFunction(F);
+  size_t StuckPicks = 0;
+  for (const ClassGraph &CG : passOneGraphs(F))
+    StuckPicks += runLockstep(CG.Graph, 16).size();
+  EXPECT_GT(StuckPicks, 100u) << "mega.wide.12k barely got stuck";
+}
+
+/// A graph from an explicit edge list; node I costs \p Costs[I], and a
+/// negative cost marks it NoSpill.
+InterferenceGraph makeGraph(const std::vector<double> &Costs,
+                            const std::vector<std::pair<int, int>> &Edges) {
+  InterferenceGraph G(Costs.size());
+  for (auto [A, B] : Edges)
+    G.addEdge(A, B);
+  for (size_t N = 0; N < Costs.size(); ++N) {
+    G.node(N).NoSpill = Costs[N] < 0;
+    G.node(N).SpillCost = Costs[N] < 0 ? 0 : Costs[N];
+  }
+  G.finalize();
+  return G;
+}
+
+TEST(SpillHeapTest, KeysTieAcrossDegrees) {
+  // X costs 2 at build degree 5, Y costs 1 at degree 2, Z costs 0; two
+  // NoSpill nodes close a triangle with X and Z, and fillers cost 100.
+  // At k=2 every node is stuck from the start. Z goes first (ratio 0).
+  // That leaves X at degree 4, so X's true key 2/4 ties Y's 1/2 and the
+  // lower id must win; a heap that kept X's stale 2/5 would pick X
+  // regardless of the ids.
+  enum { Z = 2, N1, N2, F5, F6, F7, F8, F9 };
+  for (bool XFirst : {true, false}) {
+    const int X = XFirst ? 0 : 1, Y = XFirst ? 1 : 0;
+    std::vector<double> Costs(10, 100);
+    Costs[X] = 2;
+    Costs[Y] = 1;
+    Costs[Z] = 0;
+    Costs[N1] = Costs[N2] = -1; // NoSpill
+    InterferenceGraph G = makeGraph(
+        Costs, {{X, Z}, {X, N1}, {X, N2}, {X, F5}, {X, F8}, {Z, N1},
+                {Z, N2}, {N1, N2}, {F5, F6}, {F5, F9}, {Y, F6}, {Y, F7},
+                {F6, F7}, {F8, F9}});
+    std::vector<uint32_t> Picks = runLockstep(G, 2);
+    std::vector<uint32_t> Expected =
+        XFirst ? std::vector<uint32_t>{Z, uint32_t(X), uint32_t(Y)}
+               : std::vector<uint32_t>{Z, uint32_t(Y), uint32_t(X)};
+    EXPECT_EQ(Picks, Expected) << (XFirst ? "X" : "Y") << " has id 0";
+  }
+}
+
+TEST(SpillHeapTest, StaleTopIsNotTheMinimum) {
+  // X (id 0) costs 2 at build degree 4 and Y (id 1) costs 1 at degree
+  // 2: their build keys tie at 1/2 and X wins on id. Removing the
+  // zero-cost Z first leaves X at degree 3, so Y is the true minimum;
+  // returning X's stale entry would pick X.
+  enum { X, Y, Z, N1, N2, F5, F6, F7 };
+  std::vector<double> Costs = {2, 1, 0, -1, -1, 100, 100, 100};
+  InterferenceGraph G = makeGraph(
+      Costs, {{X, Z}, {X, N1}, {X, N2}, {X, F5}, {Z, N1}, {Z, N2},
+              {N1, N2}, {F5, F6}, {Y, F6}, {Y, F7}, {F6, F7}});
+  EXPECT_EQ(runLockstep(G, 2), (std::vector<uint32_t>{Z, Y, X}));
 }
 
 TEST(SpillHeapTest, ColorGraphUnchangedByHeapPicker) {

@@ -20,7 +20,10 @@
 // On top of the per-allocator checks, the allocators are differential
 // oracles for *each other*: every pair of allocated runs must agree on
 // memory image and return values. A divergence names the disagreeing
-// pair in the failure line and the reproducer.
+// pair in the failure line and the reproducer. When the list holds both
+// chaitin and briggs, each seed also checks the paper's two guarantees:
+// Briggs's pass-1 spills are a subset of Chaitin's, and when Chaitin's
+// pass 1 spills nothing both print the same function and coloring.
 //
 // On the first failure the program shape is shrunk while the failure
 // still reproduces, a parseable .ral reproducer (with the seed and
@@ -79,6 +82,7 @@
 #include "support/Status.h"
 #include "workloads/RandomProgram.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -136,6 +140,11 @@ std::vector<AllocatorChoice> defaultAllocators() {
 struct CapturedRun {
   std::optional<MemoryImage> Mem;
   ExecutionResult R;
+  // For the paper-guarantee check between chaitin and briggs.
+  std::vector<std::string> Pass1Spills;
+  std::string Printed;
+  std::vector<int32_t> ColorOf;
+  std::vector<std::string> RangeNames; ///< vreg id -> name
 };
 
 /// Per-seed resource-chaos plan: budgets and injected stalls drawn from
@@ -307,6 +316,70 @@ bool runOne(const FuzzCase &FC, AllocatorChoice AC, const RunPolicy &P,
   if (Cap) {
     Cap->Mem = std::move(Mem);
     Cap->R = R;
+    if (!A.Stats.Passes.empty())
+      Cap->Pass1Spills = A.Stats.Passes.front().SpilledNames;
+    Cap->Printed = printFunction(M, F);
+    Cap->ColorOf = A.ColorOf;
+    for (VRegId V = 0; V < F.numVRegs(); ++V)
+      Cap->RangeNames.push_back(F.vreg(V).Name);
+  }
+  return true;
+}
+
+/// The paper's two guarantees between the plain chaitin and briggs runs
+/// of one seed (a no-op unless \p Allocs holds both): Briggs's pass-1
+/// spills are a subset of Chaitin's, and when Chaitin's pass 1 spills
+/// nothing the two print the same function with the same coloring.
+/// A failure names the seed, the register files and the offending range.
+bool checkPaperGuarantees(const FuzzCase &FC,
+                          const std::vector<AllocatorChoice> &Allocs,
+                          const std::vector<CapturedRun> &Runs,
+                          std::string &Failure) {
+  const CapturedRun *Chaitin = nullptr, *Briggs = nullptr;
+  for (size_t I = 0; I < Allocs.size(); ++I) {
+    const AllocatorChoice &AC = Allocs[I];
+    if (AC.B != Backend::GraphColoring || AC.ParallelGraph)
+      continue;
+    if (AC.H == Heuristic::Chaitin)
+      Chaitin = &Runs[I];
+    else if (AC.H == Heuristic::Briggs)
+      Briggs = &Runs[I];
+  }
+  if (!Chaitin || !Briggs)
+    return true;
+  auto Fail = [&](std::string Msg) {
+    Failure = "seed " + std::to_string(FC.Seed) +
+              " chaitin vs briggs int=" + std::to_string(FC.IntK) +
+              " flt=" + std::to_string(FC.FltK) + ": " + std::move(Msg);
+    return false;
+  };
+  for (const std::string &Name : Briggs->Pass1Spills)
+    if (std::find(Chaitin->Pass1Spills.begin(), Chaitin->Pass1Spills.end(),
+                  Name) == Chaitin->Pass1Spills.end())
+      return Fail("briggs spilled '" + Name +
+                  "' in pass 1 but chaitin did not");
+  if (!Chaitin->Pass1Spills.empty())
+    return true;
+  if (Chaitin->ColorOf.size() != Briggs->ColorOf.size())
+    return Fail("chaitin spilled nothing in pass 1, but the colorings "
+                "cover different ranges");
+  for (size_t V = 0; V < Chaitin->ColorOf.size(); ++V)
+    if (Chaitin->ColorOf[V] != Briggs->ColorOf[V])
+      return Fail("chaitin spilled nothing in pass 1, but range '" +
+                  Chaitin->RangeNames[V] + "' got color " +
+                  std::to_string(Chaitin->ColorOf[V]) + " from chaitin and " +
+                  std::to_string(Briggs->ColorOf[V]) + " from briggs");
+  if (Chaitin->Printed != Briggs->Printed) {
+    const std::string &Text = Chaitin->Printed;
+    auto Diff = std::mismatch(Text.begin(), Text.end(),
+                              Briggs->Printed.begin(), Briggs->Printed.end())
+                    .first;
+    size_t Pos = Diff - Text.begin();
+    size_t At = Pos ? Text.rfind('\n', Pos - 1) : std::string::npos;
+    At = At == std::string::npos ? 0 : At + 1; // start of the first bad line
+    return Fail("chaitin spilled nothing in pass 1, but the printed "
+                "functions differ at '" +
+                Text.substr(At, Text.find('\n', At) - At) + "'");
   }
   return true;
 }
@@ -358,7 +431,11 @@ bool runSeed(const FuzzCase &FC, const std::vector<AllocatorChoice> &Allocs,
         return false;
       }
     }
-  return true;
+  // Chaos and fault injection may leave runs Degraded, outside the
+  // guarantees' premise.
+  if (P.Chaos || P.FaultInject)
+    return true;
+  return checkPaperGuarantees(FC, Allocs, Runs, Failure);
 }
 
 /// Service-mode oracle: replays one seed twice per allocator through a
