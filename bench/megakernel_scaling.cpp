@@ -22,6 +22,7 @@
 #include "service/Protocol.h"
 #include "support/Rng.h"
 #include "support/Status.h"
+#include "support/ThreadPool.h"
 #include "support/Timer.h"
 #include "workloads/MegaKernel.h"
 
@@ -54,9 +55,6 @@ void die(const std::string &Subject, const std::string &What) {
                What.c_str());
   std::exit(1);
 }
-
-/// Ceiling on --jobs, like racd --workers: a wider value is a typo.
-constexpr unsigned MaxJobsCap = 256;
 
 /// Requires byte-identical colorings — the whole point of the engine.
 void requireIdentical(const std::string &Subject, unsigned Threads,
@@ -130,7 +128,8 @@ int main(int Argc, char **Argv) {
     std::string Arg = Argv[I];
     Status Bad;
     if (Arg == "--jobs" && I + 1 < Argc) {
-      Bad = parseDecimalFlag(Arg, Argv[++I], MaxJobs, MaxJobsCap);
+      Bad = parseDecimalFlag(Arg, Argv[++I], MaxJobs,
+                             ThreadPool::MaxThreads);
     } else if (Arg == "--repeats" && I + 1 < Argc) {
       Bad = parseDecimalFlag(Arg, Argv[++I], Repeats);
     } else if (Arg == "--mem-budget-mb" && I + 1 < Argc) {
@@ -140,8 +139,9 @@ int main(int Argc, char **Argv) {
       MemBudgetBytes = Mb << 20;
     } else {
       std::fprintf(stderr,
-                   "usage: megakernel_scaling [--jobs N<=256] [--repeats N] "
-                   "[--mem-budget-mb N]\n");
+                   "usage: megakernel_scaling [--jobs N<=%u] [--repeats N] "
+                   "[--mem-budget-mb N]\n",
+                   ThreadPool::MaxThreads);
       return 2;
     }
     if (!Bad.ok()) {

@@ -162,10 +162,6 @@ ThroughputRun runThroughput(std::vector<InterferenceGraph> &Graphs,
   return R;
 }
 
-/// Ceiling on --jobs: the sweep doubles up to it, building one pool per
-/// step, so a wider value is a typo, not a request.
-constexpr unsigned MaxJobs = 256;
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -176,7 +172,7 @@ int main(int Argc, char **Argv) {
     std::string Arg = Argv[I];
     Status Bad;
     if (Arg == "--jobs" && I + 1 < Argc)
-      Bad = parseDecimalFlag(Arg, Argv[++I], Jobs, MaxJobs);
+      Bad = parseDecimalFlag(Arg, Argv[++I], Jobs, ThreadPool::MaxThreads);
     else if (Arg == "--graphs" && I + 1 < Argc)
       Bad = parseDecimalFlag(Arg, Argv[++I], NumGraphs);
     else

@@ -26,6 +26,7 @@
 #include "ir/IRPrinter.h"
 #include "service/AllocationService.h"
 #include "support/Status.h"
+#include "support/ThreadPool.h"
 #include "support/Timer.h"
 #include "workloads/RandomProgram.h"
 
@@ -46,9 +47,6 @@ void die(const std::string &What) {
   std::fprintf(stderr, "service_throughput: %s\n", What.c_str());
   std::exit(1);
 }
-
-/// Ceiling on --clients, one thread each: a wider value is a typo.
-constexpr unsigned MaxClients = 256;
 
 /// Reads --min-speedup: a finite decimal >= 0 with no trailing bytes.
 /// A value that read as 0 would silently turn the gate off.
@@ -101,7 +99,8 @@ int main(int Argc, char **Argv) {
     std::string Arg = Argv[I];
     Status Bad;
     if (Arg == "--clients" && I + 1 < Argc)
-      Bad = parseDecimalFlag(Arg, Argv[++I], Clients, MaxClients);
+      Bad = parseDecimalFlag(Arg, Argv[++I], Clients,
+                             ThreadPool::MaxThreads);
     else if (Arg == "--modules" && I + 1 < Argc)
       Bad = parseDecimalFlag(Arg, Argv[++I], Modules);
     else if (Arg == "--seed" && I + 1 < Argc)

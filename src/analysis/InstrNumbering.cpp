@@ -18,6 +18,5 @@ InstrNumbering InstrNumbering::compute(const Function &F) {
     N.InstCount[B.Id] = B.Insts.size();
     Next += B.Insts.size();
   }
-  N.Slots = Next * 2;
   return N;
 }

@@ -60,15 +60,11 @@ public:
     return (FirstInst[B] + InstCount[B]) * 2;
   }
 
-  /// Total number of slots (2x the instruction count).
-  SlotIndex numSlots() const { return Slots; }
-
   unsigned numBlocks() const { return FirstInst.size(); }
 
 private:
   std::vector<uint32_t> FirstInst; ///< global index of block's first inst
   std::vector<uint32_t> InstCount; ///< instructions per block
-  SlotIndex Slots = 0;
 };
 
 } // namespace ra

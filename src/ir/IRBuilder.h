@@ -33,8 +33,6 @@ public:
   /// Subsequent emissions append to block \p B.
   void setInsertPoint(uint32_t B) { Cur = B; }
 
-  uint32_t insertPoint() const { return Cur; }
-
   /// Fresh named integer register.
   VRegId iReg(const std::string &Name = "") {
     return F.newVReg(RegClass::Int, Name);

@@ -87,7 +87,6 @@ bool ra::decideLinearScan(const Function &F, const AllocatorConfig &C,
   Rec.SelectSeconds = Scan.WalkSeconds;
   Rec.SpilledCost = Scan.SpilledCost;
   Rec.SplitLiveRanges = Scan.SplitRanges;
-  Rec.SplitDecisions = Scan.Splits;
   // Suffix-aware spills: a range whose head already won registers only
   // spills the losing tail.
   for (size_t I = 0; I < Scan.Spilled.size(); ++I) {

@@ -277,11 +277,9 @@ bool colorClasses(const Function &F, const AllocatorConfig &C,
     const ColoringResult &Col = Colorings[Cls];
     Rec.SimplifySeconds += Col.SimplifySeconds;
     Rec.SelectSeconds += Col.SelectSeconds;
-    for (size_t I = 0; I != Col.SelectRounds.size(); ++I) {
+    for (const SelectRound &Round : Col.SelectRounds) {
       ++Rec.SelectRounds;
-      Rec.SelectConflicts += Col.SelectRounds[I].Conflicts;
-      if (I > 0) // entry 0 is speculation, not repair
-        Rec.SelectRecolored += Col.SelectRounds[I].Colored;
+      Rec.SelectConflicts += Round.Conflicts;
     }
     for (uint32_t Node : Col.Spilled) {
       VRegId R = CG.NodeToVReg[Node];

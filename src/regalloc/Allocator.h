@@ -186,18 +186,14 @@ struct PassRecord {
   /// Linear scan with splitting: ranges this pass assigned to more than
   /// one register over disjoint slot ranges (graph coloring: always 0).
   unsigned SplitLiveRanges = 0;
-  /// Split decisions taken during the walk (second-chance splits plus
-  /// eviction truncations), whether or not the pass converged.
-  unsigned SplitDecisions = 0;
   /// Parallel Select (AllocatorConfig::ParallelGraph) telemetry, summed
-  /// over both class graphs: speculate/repair rounds run, conflicts
-  /// detected, and nodes re-colored by repair. All zero when the
+  /// over both class graphs: speculate/repair rounds run and conflicts
+  /// detected. All zero when the
   /// sequential phase ran. Scheduling-dependent (vary with thread count
   /// and interleaving, like the timing fields) — the resulting coloring
   /// is identical regardless.
   unsigned SelectRounds = 0;
   unsigned SelectConflicts = 0;
-  unsigned SelectRecolored = 0;
 };
 
 /// Aggregate statistics for a full allocation.
@@ -342,14 +338,6 @@ struct AllocationResult {
   /// cumulative across every ladder rung this function ran.
   uint64_t BudgetCheckpoints = 0;
   uint64_t BudgetPeakBytes = 0;
-
-  /// Physical register assigned to \p R (requires Success). For split
-  /// vregs this is the first piece's register; slot-aware consumers
-  /// (simulator, audit) resolve through Pieces instead.
-  unsigned physReg(VRegId R) const {
-    assert(R < ColorOf.size() && ColorOf[R] >= 0 && "unallocated register");
-    return unsigned(ColorOf[R]);
-  }
 };
 
 /// Allocates registers for \p F (mutating it) with configuration \p C.
@@ -370,9 +358,6 @@ struct ModuleAllocationResult {
   /// Per-function results, in module function order regardless of the
   /// order worker threads finished in.
   std::vector<AllocationResult> Functions;
-  /// Wall-clock seconds for the whole module (all functions, all
-  /// workers) — the denominator of the bench JSON's graphs/sec.
-  double WallSeconds = 0;
 
   bool allSucceeded() const {
     for (const AllocationResult &R : Functions)

@@ -56,9 +56,6 @@ public:
 
   unsigned numLive() const { return Live; }
 
-  /// Total buckets (max possible degree + 1).
-  unsigned numBuckets() const { return Heads.size(); }
-
   /// Sentinel id for "no node".
   static constexpr uint32_t None = ~uint32_t(0);
 

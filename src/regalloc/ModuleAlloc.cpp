@@ -19,7 +19,6 @@
 
 #include "ir/Module.h"
 #include "support/ThreadPool.h"
-#include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -64,8 +63,6 @@ ra::allocateModule(Module &M, const AllocatorConfig &C, ThreadPool *Pool,
                    const std::function<void(Function &)> &PreStep) {
   ModuleAllocationResult Result;
   Result.Functions.resize(M.numFunctions());
-  Timer Wall;
-  Wall.start();
 
   std::vector<unsigned> All;
   if (!Only) {
@@ -125,8 +122,5 @@ ra::allocateModule(Module &M, const AllocatorConfig &C, ThreadPool *Pool,
           collectOne(F, C, [&] { return Pending[J].get(); });
     }
   }
-
-  Wall.stop();
-  Result.WallSeconds = Wall.seconds();
   return Result;
 }

@@ -10,7 +10,6 @@
 #include "ir/Verifier.h"
 #include "opt/Optimizer.h"
 #include "service/ContentHash.h"
-#include "support/Timer.h"
 #include "support/Trace.h"
 
 using namespace ra;
@@ -49,8 +48,6 @@ ServiceReply AllocationService::run(const ServiceRequest &R) {
   const unsigned N = M.numFunctions();
   Reply.CacheHit.assign(N, 0);
 
-  Timer Wall;
-  Wall.start();
   RA_TRACE_SPAN("ServiceRequest", "service", [&] {
     return "functions=" + std::to_string(N);
   });
@@ -99,8 +96,5 @@ ServiceReply AllocationService::run(const ServiceRequest &R) {
         V.A = Reply.MA.Functions[I];
         Cache.insert(Keys[I], V);
       }
-
-  Wall.stop();
-  Reply.MA.WallSeconds = Wall.seconds();
   return Reply;
 }

@@ -97,7 +97,6 @@ public:
   ServiceReply run(const ServiceRequest &R);
 
   CacheStats cacheStats() const { return Cache.stats(); }
-  void clearCache() { Cache.clear(); }
   uint64_t requestsServed() const {
     return Requests.load(std::memory_order_relaxed);
   }

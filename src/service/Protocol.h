@@ -41,6 +41,7 @@
 #include "support/Status.h"
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -89,11 +90,11 @@ private:
 };
 
 /// The per-request allocation configuration, rendered as one
-/// space-separated "k=v" text line. Unknown keys are a parse error —
-/// a client speaking a newer dialect must fail loudly, not silently
-/// lose a knob — and so is any value that is not exactly 0/1 (flags),
-/// a whole decimal number in range (int, flt, mem_mb), or a finite
-/// decimal >= 0 (deadline_ms).
+/// space-separated "k=v" text line. The option table in Protocol.cpp
+/// gives each wire key its rac/racc spellings, value kind and member.
+/// Unknown keys are a parse error — a client speaking a newer dialect
+/// must fail loudly, not silently lose a knob — and so is any value
+/// outside its kind (Protocol.cpp lists the kinds' rules).
 struct WireConfig {
   std::string Allocator = "briggs"; ///< rac --allocator spellings.
   unsigned IntK = 16, FltK = 8;
@@ -117,8 +118,17 @@ struct WireConfig {
   Status parseFlag(const std::string &Flag, const std::string &Key,
                    const std::string &Val);
 
+  /// Reads Argv[I] when it spells a table option, advancing \p I past
+  /// its value, and returns parseFlag's Status. Returns nullopt, leaving
+  /// \p I alone, for any other argument or a value flag at the end.
+  std::optional<Status> parseArg(int Argc, const char *const *Argv, int &I);
+
+  /// The usage lines of the shared flags.
+  static std::string flagUsage();
+
   /// Resolves into the allocator configuration (validating Allocator).
-  /// \p C starts from defaults; only wire-carried fields are set.
+  /// Only wire-carried fields are set. rac and racd both build their
+  /// AllocatorConfig through this call.
   Status apply(AllocatorConfig &C) const;
 };
 

@@ -45,8 +45,9 @@ bool RacdServer::handleFrame(MsgType T, const std::string &Payload,
     R.Source = std::move(Req.Source);
     R.Optimize = Req.Config.Optimize;
     R.UseCache = Req.Config.UseCache;
-    // Each connection allocates serially within its request; concurrency
-    // comes from concurrent connections sharing the service pool.
+    // Jobs=0 fans the request's functions out over the shared service
+    // pool, up to the pool's width; concurrent connections share that
+    // pool too. Output is identical at any width.
     R.Alloc.Jobs = 0;
 
     ServiceReply Reply = Svc.run(R);

@@ -141,8 +141,6 @@ public:
   uint64_t currentBytes() const {
     return Current.load(std::memory_order_relaxed);
   }
-  double deadlineSeconds() const { return DeadlineLimit; }
-  uint64_t byteLimit() const { return ByteLimit; }
 
   /// Renders the latched trip as a Status naming the exhausted resource
   /// and both limit and actual, e.g.

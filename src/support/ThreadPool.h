@@ -36,6 +36,12 @@ namespace ra {
 /// the destructor; queued tasks all run before shutdown completes.
 class ThreadPool {
 public:
+  /// The most threads a command-line flag may ask for: rac --jobs and
+  /// --parallel-graph, racd --workers, and the bench binaries' thread
+  /// counts. Each is started up front, so the cap is checked when the
+  /// flag is parsed, before any thread exists.
+  static constexpr unsigned MaxThreads = 256;
+
   /// Starts \p NumThreads workers; 0 means one per hardware thread.
   explicit ThreadPool(unsigned NumThreads = 0);
 

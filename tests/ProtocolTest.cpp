@@ -303,6 +303,74 @@ TEST(ProtocolTest, WireConfigDeadlineMustBeFiniteAndNonNegative) {
   EXPECT_EQ(Back.DeadlineMs, 2.5);
 }
 
+TEST(ProtocolTest, WireDeadlineRoundTripsExactly) {
+  // Six fixed decimals once sent 4e-7 ms as 0 (no deadline at all) and
+  // 1.5e-6 ms as 2e-6; the shortest exact form keeps every value.
+  for (double Ms : {4e-7, 1.5e-6, 2.5}) {
+    AllocRequestMsg Req;
+    Req.Config.DeadlineMs = Ms;
+    AllocRequestMsg Back;
+    ASSERT_TRUE(Back.decode(Req.encode()).ok()) << Req.Config.render();
+    EXPECT_EQ(Back.Config.DeadlineMs, Ms) << Req.Config.render();
+    AllocatorConfig Sent, Got;
+    ASSERT_TRUE(Req.Config.apply(Sent).ok());
+    ASSERT_TRUE(Back.Config.apply(Got).ok());
+    EXPECT_EQ(Got.DeadlineSeconds, Sent.DeadlineSeconds);
+    EXPECT_TRUE(Got.governed()) << Req.Config.render();
+  }
+}
+
+TEST(ProtocolTest, ParseArgReadsEverySharedSpelling) {
+  const char *Argv[] = {"rac",      "--allocator", "chaitin", "--int",
+                        "5",        "--flt",       "3",       "--no-opt",
+                        "--remat",  "--no-audit",  "--no-cache",
+                        "--print",  "--deadline-ms", "1.5",
+                        "--mem-budget-mb", "7",    "--heuristic",
+                        "matula-beck", "--quiet"};
+  const int Argc = int(sizeof(Argv) / sizeof(Argv[0]));
+  WireConfig W;
+  int I = 1;
+  for (; I < Argc; ++I) {
+    std::optional<Status> S = W.parseArg(Argc, Argv, I);
+    if (!S)
+      break;
+    ASSERT_TRUE(S->ok()) << Argv[I] << ": " << S->toString();
+  }
+  EXPECT_EQ(std::string(Argv[I]), "--quiet") << "not a shared flag";
+  EXPECT_EQ(W.render(), "allocator=matula-beck int=5 flt=3 opt=0 remat=1 "
+                        "audit=0 cache=0 print=1 deadline_ms=1.5 mem_mb=7");
+
+  // The on spellings of the two-way switches, and a value flag with no
+  // value after it, which is left for the caller to report.
+  const char *On[] = {"racc", "--audit", "--cache", "--int"};
+  W.Audit = W.UseCache = false;
+  for (int J = 1; J < 3; ++J)
+    ASSERT_TRUE(W.parseArg(4, On, J).has_value());
+  EXPECT_TRUE(W.Audit && W.UseCache);
+  int Last = 3;
+  EXPECT_FALSE(W.parseArg(4, On, Last).has_value());
+  EXPECT_EQ(Last, 3);
+
+  const char *Bad[] = {"racc", "--allocator", "bogus"};
+  int J = 1;
+  std::optional<Status> S = W.parseArg(3, Bad, J);
+  ASSERT_TRUE(S && !S->ok());
+  EXPECT_EQ(S->toString(),
+            "invalid-input: --allocator: unknown allocator 'bogus' "
+            "(expected chaitin, briggs, matula-beck, or linear-scan)");
+}
+
+TEST(ProtocolTest, FlagUsageListsEverySpelling) {
+  const std::string Usage = WireConfig::flagUsage();
+  for (const char *Spelling :
+       {"--allocator NAME", "--heuristic NAME", "--int K", "--flt K",
+        "--no-opt", "--remat", "--audit, --no-audit", "--cache, --no-cache",
+        "--print", "--deadline-ms MS", "--mem-budget-mb MB"})
+    EXPECT_NE(Usage.find(std::string("  ") + Spelling + " "),
+              std::string::npos)
+        << Spelling;
+}
+
 TEST(ProtocolTest, WireConfigMemoryBudgetMustNotWrap) {
   // 2^44 + 1 MB is 2^64 + 2^20 bytes: shifted into bytes it would wrap
   // to a 1 MB budget.

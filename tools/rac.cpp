@@ -6,51 +6,18 @@
 //
 // Command-line driver over the textual IR:
 //
-//   rac FILE.ral... [options]
+//   rac FILE.ral... [options]      (rac --help lists the options)
 //
-//   --allocator chaitin|briggs|matula-beck|linear-scan
-//                        allocation backend (briggs): the three coloring
-//                        heuristics, or the linear-scan interval walker
-//   --heuristic NAME     deprecated alias for --allocator (coloring
-//                        spellings only)
-//   --int K / --flt K    register file sizes (16 / 8)
-//   --jobs N             allocate functions on N pool workers
-//                        (0 = one per hardware thread; output is
-//                        bit-identical at any setting)
-//   --parallel-graph[=N] speculate-and-repair parallel Select inside
-//                        each interference graph on N threads (0 = one
-//                        per hardware thread); byte-identical to the
-//                        sequential phase at any N
-//   --parallel-graph-min N
-//                        smallest select stack that engages the
-//                        parallel engine (default 2048)
-//   --no-opt             skip LICM/strength reduction/value numbering
-//   --remat              rematerialize constant spills
-//   --deadline-ms N      per-function wall-clock budget; over-budget
-//                        functions degrade down the ladder (linear-scan
-//                        retry, then audited spill-everything) instead
-//                        of failing (0 = unbounded, the default)
-//   --mem-budget-mb N    per-function interference-matrix memory budget;
-//                        a would-be over-budget graph is refused before
-//                        allocation and the function degrades (0 =
-//                        unbounded, the default)
-//   --audit / --no-audit run the post-allocation audit (default on)
-//   --cache / --no-cache memoize per-function allocations in the
-//                        content-addressed AllocCache (default on);
-//                        repeated functions across a batch are served
-//                        from the cache, byte-identical to a cold run
-//   --print              print the allocated function(s)
-//   --run                execute each function on zero-filled memory
-//   --quiet              suppress the statistics table
-//   --trace[=]FILE       write a Chrome/Perfetto trace of the run
-//   --metrics[=]FILE     write the per-live-range metrics table (CSV)
+// The allocation options (allocator, register files, optimizer,
+// rematerialization, audit, cache, printing, deadline and memory budget)
+// come from the option table in service/Protocol.cpp that racc and the
+// racd wire share; rac adds its own scheduling and output flags.
 //
 // Every input file is processed even after an earlier one fails, so a
 // batch run reports one structured diagnostic per broken input instead
 // of dying at the first. Exit status: 0 only when every file parsed,
-// verified and allocated; 1 otherwise. A numeric flag whose value is not
-// a whole number in range (or, for --deadline-ms, a finite number >= 0)
-// is an invalid-input diagnostic naming the flag, and exits 1.
+// verified and allocated; 1 otherwise. A flag value outside its kind is
+// an invalid-input diagnostic naming the flag, and exits 1.
 //
 // The driver itself is a thin shell: reading files, rendering tables
 // and diagnostics. Parse -> verify -> optimize -> allocate lives in
@@ -66,10 +33,12 @@
 #include "sim/Simulator.h"
 #include "support/Status.h"
 #include "support/Table.h"
+#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -84,20 +53,21 @@ namespace {
 void usage(const char *Prog) {
   std::fprintf(
       stderr,
-      "usage: %s FILE.ral... "
-      "[--allocator chaitin|briggs|matula-beck|linear-scan]\n"
-      "       [--int K] [--flt K] [--jobs N] [--no-opt] [--remat]\n"
-      "       [--parallel-graph[=N]] [--parallel-graph-min N]\n"
-      "       [--deadline-ms N] [--mem-budget-mb N]\n"
-      "       [--audit] [--no-audit] [--cache] [--no-cache]\n"
-      "       [--print] [--run] [--quiet]\n"
-      "       [--trace FILE] [--metrics FILE]\n"
+      "usage: %s FILE.ral... [options]\n"
       "\n"
-      "  --allocator picks the allocation backend: one of the paper's\n"
-      "  coloring heuristics (chaitin, briggs, matula-beck) or the\n"
-      "  linear-scan interval allocator (linear-scan).\n"
-      "  --heuristic NAME is a deprecated alias for --allocator.\n",
-      Prog);
+      "allocation options (shared with racc):\n"
+      "%s"
+      "\n"
+      "rac options (the output is identical at any thread count):\n"
+      "  --jobs N             functions on N pool workers, <= %u (0 = all)\n"
+      "  --parallel-graph[=N] parallel Select on N threads, <= %u (0 = all)\n"
+      "  --parallel-graph-min N  smallest select stack it engages on (2048)\n"
+      "  --run                execute each function on zero-filled memory\n"
+      "  --quiet              suppress the statistics table\n"
+      "  --trace[=]FILE       write a Chrome/Perfetto trace of the run\n"
+      "  --metrics[=]FILE     write the per-live-range metrics table (CSV)\n",
+      Prog, service::WireConfig::flagUsage().c_str(), ThreadPool::MaxThreads,
+      ThreadPool::MaxThreads);
 }
 
 /// Prints a failure as "rac: <file>: <status rendering>".
@@ -105,59 +75,14 @@ void report(const std::string &Path, const Status &S) {
   std::fprintf(stderr, "rac: %s: %s\n", Path.c_str(), S.toString().c_str());
 }
 
-/// Reads \p Val into \p Out as a whole decimal number in range (no
-/// sign, no trailing text). Otherwise prints an invalid-input diagnostic
-/// naming \p Flag and returns false.
-bool parseCount(const std::string &Flag, const std::string &Val,
-                unsigned &Out) {
-  Status S = parseDecimalFlag(Flag, Val, Out);
-  if (!S.ok())
-    std::fprintf(stderr, "rac: %s\n", S.toString().c_str());
-  return S.ok();
-}
-
-/// Reads \p Val as wire key \p Key into \p W (WireConfig::parseFlag).
-/// Otherwise prints the diagnostic and returns false.
-bool parseWire(service::WireConfig &W, const std::string &Flag,
-               const char *Key, const std::string &Val) {
-  Status S = W.parseFlag(Flag, Key, Val);
-  if (!S.ok())
-    std::fprintf(stderr, "rac: %s\n", S.toString().c_str());
-  return S.ok();
-}
-
+/// rac's options: the shared ones in W, its own allocation fields
+/// (Jobs, ParallelGraph*) in C, and its output flags.
 struct Options {
-  Backend B = Backend::GraphColoring;
-  Heuristic H = Heuristic::Briggs;
-  unsigned IntK = 16, FltK = 8, Jobs = 1;
-  bool ParallelGraph = false;          ///< --parallel-graph
-  unsigned ParallelGraphJobs = 0;      ///< thread count (0 = hardware)
-  unsigned ParallelGraphMinNodes = 2048; ///< --parallel-graph-min
-  bool Optimize = true, Remat = false, Audit = true;
-  bool Cache = true;       ///< --cache / --no-cache
-  bool Print = false, Run = false, Quiet = false;
-  double DeadlineMs = 0;       ///< --deadline-ms (0 = unbounded)
-  uint64_t MemBudgetMb = 0;    ///< --mem-budget-mb (0 = unbounded)
+  service::WireConfig W;
+  AllocatorConfig C;
+  bool Run = false, Quiet = false;
   std::string TracePath;   ///< --trace: Chrome trace JSON output.
   std::string MetricsPath; ///< --metrics: per-range CSV output.
-
-  /// The allocator configuration these options describe.
-  AllocatorConfig alloc() const {
-    AllocatorConfig C;
-    C.B = B;
-    C.H = H;
-    C.Machine = MachineInfo(IntK, FltK);
-    C.Rematerialize = Remat;
-    C.Jobs = Jobs;
-    C.ParallelGraph = ParallelGraph;
-    C.ParallelGraphJobs = ParallelGraphJobs;
-    C.ParallelGraphMinNodes = ParallelGraphMinNodes;
-    C.Audit = Audit;
-    C.DeadlineSeconds = DeadlineMs / 1e3;
-    C.MemoryBudgetBytes = MemBudgetMb << 20;
-    C.CollectMetrics = !MetricsPath.empty();
-    return C;
-  }
 };
 
 /// Processes one input file end to end. Returns Ok only when the file
@@ -173,9 +98,9 @@ Status processFile(AllocationService &Svc, const std::string &Path,
 
   ServiceRequest Req;
   Req.Source = Buffer.str();
-  Req.Alloc = Opt.alloc();
-  Req.Optimize = Opt.Optimize;
-  Req.UseCache = Opt.Cache;
+  Req.Alloc = Opt.C;
+  Req.Optimize = Opt.W.Optimize;
+  Req.UseCache = Opt.W.UseCache;
   ServiceReply Reply = Svc.run(Req);
   if (!Reply.S.ok())
     return Reply.S;
@@ -183,7 +108,7 @@ Status processFile(AllocationService &Svc, const std::string &Path,
   Module &M = *Reply.M;
   ModuleAllocationResult &MA = Reply.MA;
 
-  if (Req.Alloc.CollectMetrics)
+  if (Opt.C.CollectMetrics)
     for (unsigned FI = 0; FI < M.numFunctions(); ++FI)
       appendMetricsCsv(MetricsCsv, M.function(FI).name(),
                        MA.Functions[FI].Metrics);
@@ -217,7 +142,7 @@ Status processFile(AllocationService &Svc, const std::string &Path,
                   Table::withCommas(A.Stats.SpillCode.Remats),
                   Table::withCommas(F.numInstructions() * 4)});
 
-    if (Opt.Print)
+    if (Opt.W.Print)
       std::printf("%s", printFunction(M, F).c_str());
 
     if (Opt.Run) {
@@ -245,11 +170,11 @@ Status processFile(AllocationService &Svc, const std::string &Path,
 
   if (!Opt.Quiet) {
     std::printf("%s: %s allocator, %u int / %u flt registers%s%s%s\n",
-                Path.c_str(), allocatorName(Opt.B, Opt.H), Opt.IntK,
-                Opt.FltK,
-                Opt.Optimize ? ", optimized" : "",
-                Opt.Remat ? ", rematerialization" : "",
-                Opt.Audit ? ", audited" : "");
+                Path.c_str(), allocatorName(Opt.C.B, Opt.C.H),
+                Opt.W.IntK, Opt.W.FltK,
+                Opt.W.Optimize ? ", optimized" : "",
+                Opt.W.Remat ? ", rematerialization" : "",
+                Opt.W.Audit ? ", audited" : "");
     Stats.print();
   }
 
@@ -261,70 +186,23 @@ Status processFile(AllocationService &Svc, const std::string &Path,
 int main(int Argc, char **Argv) {
   std::vector<std::string> Paths;
   Options Opt;
-  // Scratch for the numeric flags that share the wire's strict rules.
-  service::WireConfig W;
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    if ((Arg == "--allocator" || Arg == "--heuristic") && I + 1 < Argc) {
-      // --heuristic predates the backend split and stays as an alias so
-      // existing scripts keep working; --allocator is the spelling the
-      // help text advertises.
-      std::string Name = Argv[++I];
-      if (!parseAllocatorName(Name, Opt.B, Opt.H)) {
-        Status S =
-            Status::error(StatusCode::InvalidInput,
-                          "unknown allocator '" + Name +
-                              "' (expected chaitin, briggs, "
-                              "matula-beck, or linear-scan)")
-                .addContext(Arg);
-        std::fprintf(stderr, "rac: %s\n", S.toString().c_str());
-        return 1;
-      }
-    } else if (Arg == "--int" && I + 1 < Argc) {
-      if (!parseWire(W, Arg, "int", Argv[++I]))
-        return 1;
-      Opt.IntK = W.IntK;
-    } else if (Arg == "--flt" && I + 1 < Argc) {
-      if (!parseWire(W, Arg, "flt", Argv[++I]))
-        return 1;
-      Opt.FltK = W.FltK;
+    Status Bad;
+    if (std::optional<Status> S = Opt.W.parseArg(Argc, Argv, I)) {
+      Bad = *S;
     } else if (Arg == "--jobs" && I + 1 < Argc) {
-      if (!parseCount(Arg, Argv[++I], Opt.Jobs))
-        return 1;
+      Bad = parseDecimalFlag(Arg, Argv[++I], Opt.C.Jobs,
+                             ThreadPool::MaxThreads);
     } else if (Arg == "--parallel-graph") {
-      Opt.ParallelGraph = true;
+      Opt.C.ParallelGraph = true;
     } else if (Arg.rfind("--parallel-graph=", 0) == 0) {
-      Opt.ParallelGraph = true;
-      if (!parseCount("--parallel-graph", Arg.substr(17),
-                      Opt.ParallelGraphJobs))
-        return 1;
+      Opt.C.ParallelGraph = true;
+      Bad = parseDecimalFlag("--parallel-graph", Arg.substr(17),
+                             Opt.C.ParallelGraphJobs, ThreadPool::MaxThreads);
     } else if (Arg == "--parallel-graph-min" && I + 1 < Argc) {
-      if (!parseCount(Arg, Argv[++I], Opt.ParallelGraphMinNodes))
-        return 1;
-    } else if (Arg == "--deadline-ms" && I + 1 < Argc) {
-      if (!parseWire(W, Arg, "deadline_ms", Argv[++I]))
-        return 1;
-      Opt.DeadlineMs = W.DeadlineMs;
-    } else if (Arg == "--mem-budget-mb" && I + 1 < Argc) {
-      // A whole decimal whose byte count fits in 64 bits.
-      if (!parseWire(W, Arg, "mem_mb", Argv[++I]))
-        return 1;
-      Opt.MemBudgetMb = W.MemBudgetMb;
-    } else if (Arg == "--no-opt") {
-      Opt.Optimize = false;
-    } else if (Arg == "--remat") {
-      Opt.Remat = true;
-    } else if (Arg == "--audit") {
-      Opt.Audit = true;
-    } else if (Arg == "--no-audit") {
-      Opt.Audit = false;
-    } else if (Arg == "--cache") {
-      Opt.Cache = true;
-    } else if (Arg == "--no-cache") {
-      Opt.Cache = false;
-    } else if (Arg == "--print") {
-      Opt.Print = true;
+      Bad = parseDecimalFlag(Arg, Argv[++I], Opt.C.ParallelGraphMinNodes);
     } else if (Arg == "--run") {
       Opt.Run = true;
     } else if (Arg == "--quiet") {
@@ -347,18 +225,30 @@ int main(int Argc, char **Argv) {
     } else {
       Paths.push_back(Arg);
     }
+    if (!Bad.ok()) {
+      std::fprintf(stderr, "rac: %s\n", Bad.toString().c_str());
+      return 1;
+    }
   }
   if (Paths.empty()) {
     usage(Argv[0]);
     return 1;
   }
 
+  // The shared fields go through WireConfig::apply, as racd builds its
+  // config; apply leaves rac's own fields alone.
+  if (Status S = Opt.W.apply(Opt.C); !S.ok()) {
+    std::fprintf(stderr, "rac: %s\n", S.toString().c_str());
+    return 1;
+  }
+  Opt.C.CollectMetrics = !Opt.MetricsPath.empty();
+
   // One service instance spans the whole batch, so a function repeated
   // across input files (or files repeated on the command line) is
   // allocated once and served from the cache after that.
   ServiceConfig SC;
-  SC.CacheEnabled = Opt.Cache;
-  SC.Workers = Opt.Jobs;
+  SC.CacheEnabled = Opt.W.UseCache;
+  SC.Workers = Opt.C.Jobs;
   AllocationService Svc(SC);
 
   std::string MetricsCsv;

@@ -10,21 +10,12 @@
 //   racc --socket PATH --stats                 print daemon cache stats
 //   racc --socket PATH --shutdown              stop the daemon cleanly
 //
-//   --allocator NAME     chaitin|briggs|matula-beck|linear-scan (briggs)
-//   --int K / --flt K    register file sizes (16 / 8)
-//   --no-opt / --remat / --audit / --no-audit
-//                        mirror the rac flags of the same names
-//   --no-cache           ask the daemon to bypass its allocation cache
-//   --deadline-ms N / --mem-budget-mb N
-//                        per-function resource governance
-//                        (--int, --flt, --deadline-ms and --mem-budget-mb
-//                        take the wire config's strict values; a bad one
-//                        is an invalid-input diagnostic naming the flag)
-//   --print              print each allocated function exactly as
-//                        `rac --print --quiet` would — `diff` against a
-//                        local rac run is the service's equivalence
-//                        check (CI does exactly that)
-//   --quiet              suppress the per-function summary lines
+// The allocation flags are rac's, read through the option table in
+// service/Protocol.cpp that also renders the wire config; racc --help
+// lists them. A bad value is an invalid-input diagnostic naming the flag,
+// reported before racc connects. `racc --print --quiet` prints each
+// allocated function exactly as `rac --print --quiet` would — `diff`
+// against a local rac run is the service's equivalence check.
 //
 // Exit status: 0 only when every request succeeded and every function
 // allocated (Degraded counts as usable, like rac).
@@ -36,6 +27,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <unistd.h>
@@ -47,16 +39,18 @@ using namespace ra::service;
 namespace {
 
 void usage(const char *Prog) {
-  std::fprintf(
-      stderr,
-      "usage: %s --socket PATH FILE.ral...\n"
-      "       [--allocator chaitin|briggs|matula-beck|linear-scan]\n"
-      "       [--int K] [--flt K] [--no-opt] [--remat]\n"
-      "       [--audit] [--no-audit] [--no-cache]\n"
-      "       [--deadline-ms N] [--mem-budget-mb N] [--print] [--quiet]\n"
-      "   or: %s --socket PATH --stats\n"
-      "   or: %s --socket PATH --shutdown\n",
-      Prog, Prog, Prog);
+  std::fprintf(stderr,
+               "usage: %s --socket PATH FILE.ral... [options]\n"
+               "   or: %s --socket PATH --stats\n"
+               "   or: %s --socket PATH --shutdown\n"
+               "\n"
+               "allocation options (shared with rac):\n"
+               "%s"
+               "\n"
+               "racc options:\n"
+               "  --quiet              suppress the per-function summary "
+               "lines\n",
+               Prog, Prog, Prog, WireConfig::flagUsage().c_str());
 }
 
 /// One request/reply over the connected socket; protocol-level Error
@@ -85,6 +79,13 @@ int main(int Argc, char **Argv) {
   bool Stats = false, Shutdown = false, Quiet = false;
 
   for (int I = 1; I < Argc; ++I) {
+    if (std::optional<Status> S = Cfg.parseArg(Argc, Argv, I)) {
+      if (!S->ok()) {
+        std::fprintf(stderr, "racc: %s\n", S->toString().c_str());
+        return 1;
+      }
+      continue;
+    }
     std::string Arg = Argv[I];
     if (Arg == "--socket" && I + 1 < Argc) {
       SocketPath = Argv[++I];
@@ -92,31 +93,6 @@ int main(int Argc, char **Argv) {
       Stats = true;
     } else if (Arg == "--shutdown") {
       Shutdown = true;
-    } else if (Arg == "--allocator" && I + 1 < Argc) {
-      Cfg.Allocator = Argv[++I];
-    } else if ((Arg == "--int" || Arg == "--flt" || Arg == "--deadline-ms" ||
-                Arg == "--mem-budget-mb") &&
-               I + 1 < Argc) {
-      const char *Key = Arg == "--int"           ? "int"
-                        : Arg == "--flt"         ? "flt"
-                        : Arg == "--deadline-ms" ? "deadline_ms"
-                                                 : "mem_mb";
-      if (Status S = Cfg.parseFlag(Arg, Key, Argv[++I]); !S.ok()) {
-        std::fprintf(stderr, "racc: %s\n", S.toString().c_str());
-        return 1;
-      }
-    } else if (Arg == "--no-opt") {
-      Cfg.Optimize = false;
-    } else if (Arg == "--remat") {
-      Cfg.Remat = true;
-    } else if (Arg == "--audit") {
-      Cfg.Audit = true;
-    } else if (Arg == "--no-audit") {
-      Cfg.Audit = false;
-    } else if (Arg == "--no-cache") {
-      Cfg.UseCache = false;
-    } else if (Arg == "--print") {
-      Cfg.Print = true;
     } else if (Arg == "--quiet") {
       Quiet = true;
     } else if (Arg == "--help" || Arg == "-h") {

@@ -37,6 +37,7 @@
 #include "service/AllocationService.h"
 #include "service/Protocol.h"
 #include "service/Server.h"
+#include "support/ThreadPool.h"
 
 #include <cstdio>
 #include <cstring>
@@ -48,15 +49,12 @@ using namespace ra::service;
 
 namespace {
 
-/// Ceiling on --workers: a wider pool is a typo, not a request.
-constexpr unsigned MaxWorkers = 256;
-
 void usage(const char *Prog) {
   std::fprintf(stderr,
                "usage: %s (--socket PATH | --stdio)\n"
-               "       [--workers N<=256] [--cache-entries N] [--cache-mb N]\n"
+               "       [--workers N<=%u] [--cache-entries N] [--cache-mb N]\n"
                "       [--no-cache] [--stats-csv FILE]\n",
-               Prog);
+               Prog, ThreadPool::MaxThreads);
 }
 
 } // namespace
@@ -74,7 +72,8 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--stdio") {
       Stdio = true;
     } else if (Arg == "--workers" && I + 1 < Argc) {
-      Bad = parseDecimalFlag(Arg, Argv[++I], SC.Workers, MaxWorkers);
+      Bad = parseDecimalFlag(Arg, Argv[++I], SC.Workers,
+                             ThreadPool::MaxThreads);
     } else if (Arg == "--cache-entries" && I + 1 < Argc) {
       Bad = parseDecimalFlag(Arg, Argv[++I], SC.CacheMaxEntries);
     } else if (Arg == "--cache-mb" && I + 1 < Argc) {
