@@ -32,6 +32,11 @@
 /// that converges is byte-identical to the ungoverned run by
 /// construction — budget polling can abort work, never steer it.
 ///
+/// ContentHashTest.EveryConfigFieldIsClassified guards this split: it
+/// lists every AllocatorConfig field as keyed, neutral or cache-bypass
+/// and flips each one, and a new field does not compile until it is
+/// listed there.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RA_SERVICE_CONTENTHASH_H
