@@ -6,9 +6,27 @@
 
 #include "analysis/Liveness.h"
 
-#include <utility>
-
 using namespace ra;
+
+namespace {
+
+/// Adds \p B's occurrences of the registers \p Tracked accepts to its
+/// local sets, noting each newly upward-exposed use in \p Exposed.
+template <typename TrackedT>
+void scanLocal(const BasicBlock &B, BitVector &UE, BitVector &Kill,
+               TrackedT Tracked,
+               std::vector<Liveness::RegBlock> &Exposed) {
+  for (const Instruction &I : B.Insts) {
+    I.forEachUse([&](VRegId R) {
+      if (Tracked(R) && !Kill.test(R) && UE.testAndSet(R))
+        Exposed.push_back({R, B.Id});
+    });
+    if (I.hasDef() && Tracked(I.defReg()))
+      Kill.set(I.defReg());
+  }
+}
+
+} // namespace
 
 Liveness Liveness::compute(const Function &F, const CFG &G) {
   Liveness L;
@@ -18,85 +36,15 @@ Liveness Liveness::compute(const Function &F, const CFG &G) {
   L.UEVar.assign(NB, BitVector(NR));
   L.VarKill.assign(NB, BitVector(NR));
 
-  // Local sets: UEVar collects uses not preceded by a local kill.
-  for (const BasicBlock &B : F.blocks()) {
-    BitVector &UE = L.UEVar[B.Id], &Kill = L.VarKill[B.Id];
-    for (const Instruction &I : B.Insts) {
-      I.forEachUse([&](VRegId R) {
-        if (!Kill.test(R))
-          UE.set(R);
-      });
-      if (I.hasDef())
-        Kill.set(I.defReg());
-    }
-  }
-
-  // Backward fixpoint. Reverse RPO first for fast convergence on
-  // reducible graphs; unreachable blocks (never in the RPO) are
-  // appended so the equations hold on the whole graph.
-  std::vector<uint32_t> Order(G.rpo().rbegin(), G.rpo().rend());
-  for (uint32_t B = 0; B < NB; ++B)
-    if (!G.isReachable(B))
-      Order.push_back(B);
-
-  // Two sets reused across visits; a changed block swaps them with
-  // its stored sets, so the fixpoint allocates nothing per visit.
-  BitVector Out(NR), In(NR);
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (uint32_t B : Order) {
-      Out.clearAll();
-      for (uint32_t S : G.succs(B))
-        Out.unionWith(L.LiveIn[S]);
-      In = Out;
-      In.subtract(L.VarKill[B]);
-      In.unionWith(L.UEVar[B]);
-      if (!(Out == L.LiveOut[B]) || !(In == L.LiveIn[B])) {
-        std::swap(L.LiveOut[B], Out);
-        std::swap(L.LiveIn[B], In);
-        Changed = true;
-      }
-    }
-  }
+  std::vector<RegBlock> Exposed;
+  for (const BasicBlock &B : F.blocks())
+    scanLocal(B, L.UEVar[B.Id], L.VarKill[B.Id],
+              [](VRegId) { return true; }, Exposed);
+  L.search(G, Exposed);
   return L;
 }
 
-void Liveness::update(const Function &F, const CFG &G,
-                      const std::vector<VRegId> &Regs) {
-  BitVector Changed(F.numVRegs());
-  for (VRegId R : Regs)
-    Changed.set(R);
-  // Drop the old bits: bit by bit for a few registers, a word at a time
-  // once there are about as many registers as words per set.
-  bool ByWord = Regs.size() * 64 >= F.numVRegs();
-  for (std::vector<BitVector> *Sets : {&LiveIn, &LiveOut, &UEVar, &VarKill})
-    for (BitVector &Set : *Sets) {
-      if (ByWord) {
-        Set.subtract(Changed);
-        continue;
-      }
-      for (VRegId R : Regs)
-        Set.reset(R);
-    }
-
-  // Local sets of the changed registers, noting each upward-exposed use.
-  std::vector<std::pair<VRegId, uint32_t>> Exposed;
-  for (const BasicBlock &B : F.blocks()) {
-    BitVector &UE = UEVar[B.Id], &Kill = VarKill[B.Id];
-    for (const Instruction &I : B.Insts) {
-      I.forEachUse([&](VRegId R) {
-        if (Changed.test(R) && !Kill.test(R) && UE.testAndSet(R))
-          Exposed.push_back({R, B.Id});
-      });
-      if (I.hasDef() && Changed.test(I.defReg()))
-        Kill.set(I.defReg());
-    }
-  }
-
-  // A register is live into a block iff an upward-exposed use is
-  // reachable from it without passing a def: the least fixpoint that
-  // compute's iteration reaches, one register at a time.
+void Liveness::search(const CFG &G, const std::vector<RegBlock> &Exposed) {
   std::vector<uint32_t> Work;
   for (auto [R, Use] : Exposed) {
     if (!LiveIn[Use].testAndSet(R))
@@ -111,4 +59,38 @@ void Liveness::update(const Function &F, const CFG &G,
           Work.push_back(P);
     }
   }
+}
+
+void Liveness::update(const Function &F, const CFG &G,
+                      const std::vector<RegBlock> &Occurs) {
+  // Clear the old bits. Every live-in bit was set by a walk back from
+  // an upward-exposed use, which is an occurrence, through blocks where
+  // the register is live; retracing those walks from every occurrence
+  // finds each bit the register has.
+  BitVector Changed(F.numVRegs()), Blocks(F.numBlocks());
+  std::vector<uint32_t> Work;
+  for (auto [R, Occ] : Occurs) {
+    Changed.set(R);
+    Blocks.set(Occ);
+    UEVar[Occ].reset(R);
+    VarKill[Occ].reset(R);
+    if (!LiveIn[Occ].testAndReset(R))
+      continue;
+    Work.push_back(Occ);
+    while (!Work.empty()) {
+      uint32_t B = Work.back();
+      Work.pop_back();
+      for (uint32_t P : G.preds(B))
+        if (LiveOut[P].testAndReset(R) && LiveIn[P].testAndReset(R))
+          Work.push_back(P);
+    }
+  }
+
+  // Only the named blocks hold occurrences of the changed registers.
+  std::vector<RegBlock> Exposed;
+  Blocks.forEachSetBit([&](unsigned B) {
+    scanLocal(F.block(B), UEVar[B], VarKill[B],
+              [&](VRegId R) { return Changed.test(R); }, Exposed);
+  });
+  search(G, Exposed);
 }

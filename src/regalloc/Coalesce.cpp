@@ -134,7 +134,7 @@ unsigned coalesceRound(Function &F, const CFG &G, Liveness &LV,
   // Interference info goes stale for registers already merged this
   // round; copies touching them wait for the next round.
   std::vector<bool> Touched(NR, false);
-  std::vector<VRegId> Changed;
+  std::vector<VRegId> SelfCopied;
   unsigned Merged = 0;
 
   for (BasicBlock &B : F.blocks()) {
@@ -142,7 +142,11 @@ unsigned coalesceRound(Function &F, const CFG &G, Liveness &LV,
       if (!I.isCopy())
         continue;
       VRegId D = I.Ops[0].Reg, S = I.Ops[1].Reg;
-      if (D == S || Touched[D] || Touched[S])
+      if (D == S) {
+        SelfCopied.push_back(D);
+        continue;
+      }
+      if (Touched[D] || Touched[S])
         continue;
       if (F.regClass(D) != F.regClass(S))
         continue;
@@ -159,37 +163,41 @@ unsigned coalesceRound(Function &F, const CFG &G, Liveness &LV,
       F.vreg(Root).IsSpillTemp =
           F.vreg(D).IsSpillTemp || F.vreg(S).IsSpillTemp;
       Touched[D] = Touched[S] = true;
-      Changed.push_back(D);
-      Changed.push_back(S);
       ++Merged;
     }
   }
   if (Merged == 0)
     return 0;
+  // The input's self-copies are dropped below with the new ones, so
+  // their registers lose occurrences without having merged.
+  for (VRegId R : SelfCopied)
+    Touched[R] = true;
 
-  // Rewrite all operands through the union-find, then drop copies that
-  // became self-copies. Those include self-copies already in the input,
-  // whose register then loses an occurrence without having merged.
+  // Rewrite all operands through the union-find, noting each block a
+  // touched register occurs in before or after the rewrite, then drop
+  // copies that became self-copies. Only the touched registers gained
+  // or lost occurrences; every other bit of LV is still exact.
+  std::vector<Liveness::RegBlock> Occurs;
   for (BasicBlock &B : F.blocks()) {
+    auto Rename = [&](VRegId R) {
+      if (!Touched[R])
+        return R;
+      VRegId Root = UF.find(R);
+      Occurs.push_back({R, B.Id});
+      Occurs.push_back({Root, B.Id});
+      return Root;
+    };
     for (Instruction &I : B.Insts) {
       if (I.hasDef())
-        I.setDefReg(UF.find(I.defReg()));
+        I.setDefReg(Rename(I.defReg()));
       I.forEachUseOperand(
-          [&UF](Operand &O) { O = Operand::reg(UF.find(O.Reg)); });
+          [&](Operand &O) { O = Operand::reg(Rename(O.Reg)); });
     }
-    std::erase_if(B.Insts, [&](const Instruction &I) {
-      if (!I.isCopy() || I.Ops[0].Reg != I.Ops[1].Reg)
-        return false;
-      if (!Touched[I.Ops[0].Reg]) { // Touched also dedups Changed
-        Touched[I.Ops[0].Reg] = true;
-        Changed.push_back(I.Ops[0].Reg);
-      }
-      return true;
+    std::erase_if(B.Insts, [](const Instruction &I) {
+      return I.isCopy() && I.Ops[0].Reg == I.Ops[1].Reg;
     });
   }
-  // Only the merged registers and the erased self-copies' registers
-  // gained or lost occurrences; every other bit is still exact.
-  LV.update(F, G, Changed);
+  LV.update(F, G, Occurs);
   return Merged;
 }
 

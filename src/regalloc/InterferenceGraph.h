@@ -8,8 +8,10 @@
 /// The interference graph: nodes are live ranges, edges connect live
 /// ranges that are simultaneously live. Following Chaitin [CACC 81] the
 /// graph is kept in two forms at once — a triangular bit matrix for O(1)
-/// membership tests (used when adding edges and when coalescing) and
-/// adjacency for iteration (used by simplify and select).
+/// membership tests (used when adding edges, to drop duplicates) and
+/// adjacency for iteration (used by simplify and select). Coalescing
+/// does not read it: the aggressive policy tests copy pairs directly
+/// and the conservative one builds its own all-vreg matrix.
 ///
 /// Adjacency is stored in CSR (compressed sparse row) form: edges are
 /// accumulated into a flat edge list during build, then a two-pass

@@ -70,6 +70,14 @@ public:
     return true;
   }
 
+  /// Clears bit \p Idx and returns true iff it was previously set.
+  bool testAndReset(unsigned Idx) {
+    if (!test(Idx))
+      return false;
+    reset(Idx);
+    return true;
+  }
+
   /// Number of set bits.
   unsigned count() const;
 

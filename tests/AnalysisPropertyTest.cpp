@@ -190,8 +190,9 @@ TEST_P(AnalysisSeeds, LoopDepthsAreConsistentWithBackEdges) {
     EXPECT_TRUE(HasLatch) << "header " << L.Header;
     // The header dominates every block of its natural loop.
     for (uint32_t B : L.Blocks)
-      if (G.isReachable(B))
+      if (G.isReachable(B)) {
         EXPECT_TRUE(D.dominates(L.Header, B));
+      }
   }
 }
 

@@ -280,10 +280,11 @@ TEST(AllocatorBudgetTest, ModuleUnderTinyBudgetsNeverFails) {
     ASSERT_TRUE(A.Success)
         << "@" << M.function(I).name() << ": " << A.Diag.toString();
     EXPECT_NE(A.Outcome, AllocOutcome::Failed);
-    if (A.Outcome == AllocOutcome::Degraded)
+    if (A.Outcome == AllocOutcome::Degraded) {
       EXPECT_TRUE(A.Diag.code() == StatusCode::DeadlineExceeded ||
                   A.Diag.code() == StatusCode::MemoryBudgetExceeded)
           << A.Diag.toString();
+    }
     EXPECT_TRUE(auditAllocation(M.function(I), A).empty());
   }
 }

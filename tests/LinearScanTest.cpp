@@ -444,9 +444,10 @@ TEST(LinearScanAllocTest, PieceTableIsWellFormedOnRandomPrograms) {
             << "seed " << Seed
             << ": ColorOf must be the first piece's register";
       }
-      if (P > 0 && A.Pieces[P - 1].Reg != PA.Reg)
+      if (P > 0 && A.Pieces[P - 1].Reg != PA.Reg) {
         EXPECT_LT(A.Pieces[P - 1].Reg, PA.Reg)
             << "seed " << Seed << ": table must be sorted by vreg";
+      }
     }
 
     EXPECT_TRUE(auditAllocation(F, A).empty()) << "seed " << Seed;

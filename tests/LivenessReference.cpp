@@ -1,0 +1,75 @@
+//===- tests/LivenessReference.cpp - Round-robin liveness reference -------===//
+//
+// Part of briggs-regalloc. SPDX-License-Identifier: MIT
+//
+//===----------------------------------------------------------------------===//
+
+#include "LivenessReference.h"
+
+#include <utility>
+
+using namespace ra;
+
+LivenessSets ra::computeLivenessReference(const Function &F, const CFG &G) {
+  LivenessSets L;
+  unsigned NB = F.numBlocks(), NR = F.numVRegs();
+  L.LiveIn.assign(NB, BitVector(NR));
+  L.LiveOut.assign(NB, BitVector(NR));
+  L.UpwardExposed.assign(NB, BitVector(NR));
+  L.Defs.assign(NB, BitVector(NR));
+
+  // Local sets: UpwardExposed collects uses not preceded by a local def.
+  for (const BasicBlock &B : F.blocks()) {
+    BitVector &UE = L.UpwardExposed[B.Id], &Kill = L.Defs[B.Id];
+    for (const Instruction &I : B.Insts) {
+      I.forEachUse([&](VRegId R) {
+        if (!Kill.test(R))
+          UE.set(R);
+      });
+      if (I.hasDef())
+        Kill.set(I.defReg());
+    }
+  }
+
+  // Backward fixpoint. Reverse RPO first for fast convergence on
+  // reducible graphs; unreachable blocks (never in the RPO) are
+  // appended so the equations hold on the whole graph.
+  std::vector<uint32_t> Order(G.rpo().rbegin(), G.rpo().rend());
+  for (uint32_t B = 0; B < NB; ++B)
+    if (!G.isReachable(B))
+      Order.push_back(B);
+
+  BitVector Out(NR), In(NR);
+  bool Changed = true;
+  while (Changed) {
+    Changed = false;
+    for (uint32_t B : Order) {
+      Out.clearAll();
+      for (uint32_t S : G.succs(B))
+        Out.unionWith(L.LiveIn[S]);
+      In = Out;
+      In.subtract(L.Defs[B]);
+      In.unionWith(L.UpwardExposed[B]);
+      if (!(Out == L.LiveOut[B]) || !(In == L.LiveIn[B])) {
+        std::swap(L.LiveOut[B], Out);
+        std::swap(L.LiveIn[B], In);
+        Changed = true;
+      }
+    }
+  }
+  return L;
+}
+
+std::string ra::livenessMismatch(const Liveness &LV, const LivenessSets &Ref) {
+  for (uint32_t B = 0; B < Ref.LiveIn.size(); ++B) {
+    if (!(LV.liveIn(B) == Ref.LiveIn[B]))
+      return "liveIn of block " + std::to_string(B);
+    if (!(LV.liveOut(B) == Ref.LiveOut[B]))
+      return "liveOut of block " + std::to_string(B);
+    if (!(LV.upwardExposed(B) == Ref.UpwardExposed[B]))
+      return "upwardExposed of block " + std::to_string(B);
+    if (!(LV.defs(B) == Ref.Defs[B]))
+      return "defs of block " + std::to_string(B);
+  }
+  return "";
+}

@@ -421,9 +421,10 @@ TEST(AllocatorTest, AssignmentRespectsInterference) {
   for (const ClassGraph &CG : Graphs) {
     for (unsigned N = 0; N < CG.Graph.numNodes(); ++N)
       for (uint32_t Nb : CG.Graph.neighbors(N))
-        if (Nb > N)
+        if (Nb > N) {
           EXPECT_NE(A.ColorOf[CG.NodeToVReg[N]],
                     A.ColorOf[CG.NodeToVReg[Nb]]);
+        }
   }
   // Every color fits its register file.
   for (VRegId R = 0; R < F.numVRegs(); ++R) {
@@ -477,6 +478,28 @@ TEST(AllocatorTest, SmallFileStillConverges) {
   C.Machine = MachineInfo(3, 3);
   AllocationResult A = allocateRegisters(F, C);
   EXPECT_TRUE(A.Success) << "minimum legal file must still allocate";
+}
+
+// 66,001 int live ranges: the interference matrix holds more bits than
+// a 32-bit index reaches (2.2e9; the limit falls at 65,537 nodes).
+// c is live across every add; each v dies at the next one's def.
+TEST(AllocatorTest, ColorsPastSixtyFiveThousandLiveRanges) {
+  Module M;
+  Function &F = M.newFunction("big");
+  IRBuilder B(M, F);
+  B.setInsertPoint(B.newBlock("entry"));
+  VRegId C = B.movI(1), V = B.movI(0);
+  for (unsigned I = 1; I < 66000; ++I)
+    V = B.add(C, V);
+  B.ret(V);
+  ASSERT_EQ(F.numVRegs(), 66001u);
+  AllocatorConfig Cfg;
+  Cfg.Audit = true;
+  AllocationResult A = allocateRegisters(F, Cfg);
+  ASSERT_TRUE(A.Success) << A.Diag.toString();
+  EXPECT_EQ(A.Outcome, AllocOutcome::Converged);
+  EXPECT_EQ(A.Stats.initialLiveRanges(), 66001u);
+  EXPECT_EQ(A.Stats.totalSpills(), 0u);
 }
 
 } // namespace

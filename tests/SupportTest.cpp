@@ -143,6 +143,16 @@ TEST(TriangularBitMatrixTest, DenseRandomAgainstReference) {
       EXPECT_EQ(M.test(A, B), Ref.count({A, B}) != 0);
 }
 
+TEST(TriangularBitMatrixTest, IndexPastSixtyFiveThousandNodes) {
+  // Hi * (Hi - 1) / 2 leaves 32 bits from 65,537 nodes on.
+  EXPECT_EQ(TriangularBitMatrix::index(65536, 0), 2147450880u);
+  EXPECT_EQ(TriangularBitMatrix::index(0, 65536), 2147450880u);
+  EXPECT_EQ(TriangularBitMatrix::index(65536, 65535), 2147516415u);
+  // The last pair of the largest matrix unsigned node ids allow.
+  EXPECT_EQ(TriangularBitMatrix::index(~0u, ~0u - 1),
+            9223372034707292159u);
+}
+
 TEST(UnionFindTest, BasicMerging) {
   UnionFind UF(6);
   EXPECT_EQ(UF.numSets(), 6u);
@@ -217,7 +227,7 @@ TEST(TimerTest, AccumulatesTime) {
   T.start();
   volatile unsigned Sink = 0;
   for (unsigned I = 0; I < 100000; ++I)
-    Sink += I;
+    Sink = Sink + I;
   T.stop();
   EXPECT_GT(T.seconds(), 0.0);
   double First = T.seconds();
