@@ -23,7 +23,7 @@
 #include "support/Rng.h"
 #include "support/Status.h"
 #include "support/ThreadPool.h"
-#include "support/Timer.h"
+#include "support/Trace.h"
 #include "workloads/MegaKernel.h"
 
 #include <cstdio>
@@ -200,10 +200,12 @@ int main(int Argc, char **Argv) {
     C.ParallelGraph = true;
     C.ParallelGraphJobs = MaxJobs;
     C.ParallelGraphMinNodes = 0;
-    Timer T;
-    T.start();
-    AllocationResult A = allocateRegisters(F, C);
-    T.stop();
+    double Seconds = 0;
+    AllocationResult A;
+    {
+      RA_TRACE_PHASE(Seconds, "EndToEnd", "bench");
+      A = allocateRegisters(F, C);
+    }
     if (!A.Success || A.Outcome != AllocOutcome::Converged)
       die("end-to-end", "audited allocation of mega.ramp.10k failed: " +
                             A.Diag.toString());
@@ -215,7 +217,7 @@ int main(int Argc, char **Argv) {
     std::printf("\nend-to-end: mega.ramp.10k audited allocation in "
                 "%.3f s (%u passes, %u select rounds, %u conflicts "
                 "repaired)\n",
-                T.seconds(), A.Stats.numPasses(), Rounds, Conflicts);
+                Seconds, A.Stats.numPasses(), Rounds, Conflicts);
   }
 
   return 0;

@@ -18,7 +18,7 @@
 #include "support/Rng.h"
 #include "support/Status.h"
 #include "support/ThreadPool.h"
-#include "support/Timer.h"
+#include "support/Trace.h"
 
 #include <benchmark/benchmark.h>
 
@@ -139,23 +139,22 @@ ThroughputRun runThroughput(std::vector<InterferenceGraph> &Graphs,
   validateOrDie(Graphs.front(), 8, H); // sanity before the timed sweep
   R.SpillCounts.resize(Graphs.size());
   std::vector<ColoringResult> Results(Graphs.size());
-  Timer Wall;
-  Wall.start();
-  if (Threads <= 1) {
-    for (size_t I = 0; I < Graphs.size(); ++I)
-      Results[I] = colorGraph(Graphs[I], 8, H);
-  } else {
-    ThreadPool Pool(Threads);
-    std::vector<std::future<ColoringResult>> Pending;
-    Pending.reserve(Graphs.size());
-    for (InterferenceGraph &G : Graphs)
-      Pending.push_back(
-          Pool.submit([&G, H] { return colorGraph(G, 8, H); }));
-    for (size_t I = 0; I < Graphs.size(); ++I)
-      Results[I] = Pending[I].get();
+  {
+    RA_TRACE_PHASE(R.Seconds, "Throughput", "bench");
+    if (Threads <= 1) {
+      for (size_t I = 0; I < Graphs.size(); ++I)
+        Results[I] = colorGraph(Graphs[I], 8, H);
+    } else {
+      ThreadPool Pool(Threads);
+      std::vector<std::future<ColoringResult>> Pending;
+      Pending.reserve(Graphs.size());
+      for (InterferenceGraph &G : Graphs)
+        Pending.push_back(
+            Pool.submit([&G, H] { return colorGraph(G, 8, H); }));
+      for (size_t I = 0; I < Graphs.size(); ++I)
+        Results[I] = Pending[I].get();
+    }
   }
-  Wall.stop();
-  R.Seconds = Wall.seconds();
   R.GraphsPerSec = R.Seconds > 0 ? Graphs.size() / R.Seconds : 0;
   for (size_t I = 0; I < Graphs.size(); ++I)
     R.SpillCounts[I] = Results[I].Spilled.size();

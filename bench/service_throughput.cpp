@@ -27,7 +27,7 @@
 #include "service/AllocationService.h"
 #include "support/Status.h"
 #include "support/ThreadPool.h"
-#include "support/Timer.h"
+#include "support/Trace.h"
 #include "workloads/RandomProgram.h"
 
 #include <charconv>
@@ -128,9 +128,9 @@ int main(int Argc, char **Argv) {
   // exactly once, concurrently. The printed rewritten module is the
   // byte-identity reference for the warm phase.
   std::vector<std::string> ColdText(Modules);
-  Timer Cold;
-  Cold.start();
+  double ColdSeconds = 0;
   {
+    RA_TRACE_PHASE(ColdSeconds, "Cold", "bench");
     std::vector<std::thread> Threads;
     for (unsigned C = 0; C < Clients; ++C)
       Threads.emplace_back([&, C] {
@@ -147,19 +147,18 @@ int main(int Argc, char **Argv) {
     for (std::thread &T : Threads)
       T.join();
   }
-  Cold.stop();
-  const double ColdRate = Modules / Cold.seconds();
+  const double ColdRate = Modules / ColdSeconds;
 
   CacheStats AfterCold = Svc.cacheStats();
   std::printf("   cold: %7.1f modules/sec (%.3fs, %llu cache misses)\n",
-              ColdRate, Cold.seconds(),
+              ColdRate, ColdSeconds,
               (unsigned long long)AfterCold.Misses);
 
   // Warm: every client replays the full corpus; every function must be
   // served from the cache and print byte-identically to the cold run.
-  Timer Warm;
-  Warm.start();
+  double WarmSeconds = 0;
   {
+    RA_TRACE_PHASE(WarmSeconds, "Warm", "bench");
     std::vector<std::thread> Threads;
     for (unsigned C = 0; C < Clients; ++C)
       Threads.emplace_back([&] {
@@ -177,15 +176,14 @@ int main(int Argc, char **Argv) {
     for (std::thread &T : Threads)
       T.join();
   }
-  Warm.stop();
   const uint64_t WarmModules = uint64_t(Clients) * Modules;
-  const double WarmRate = WarmModules / Warm.seconds();
+  const double WarmRate = WarmModules / WarmSeconds;
   const double Speedup = WarmRate / ColdRate;
 
   CacheStats CS = Svc.cacheStats();
   std::printf("   warm: %7.1f modules/sec (%.3fs, %llu requests, all "
               "byte-identical)\n",
-              WarmRate, Warm.seconds(), (unsigned long long)WarmModules);
+              WarmRate, WarmSeconds, (unsigned long long)WarmModules);
   std::printf("   speedup: %.1fx  (cache: %llu hits, %llu misses, "
               "%llu bytes peak)\n",
               Speedup, (unsigned long long)CS.Hits,

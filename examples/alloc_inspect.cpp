@@ -58,8 +58,8 @@ void dumpGraph(const ra::Workload &W, bool Optimize, bool Dot) {
     setNodeCosts(F, Costs, CG);
     if (Dot) {
       std::string Out = dumpGraphviz(
-          CG.Graph, nullptr,
-          W.Routine + "." + regClassName(CG.Class));
+          CG.Graph, nullptr, W.Routine + "." + regClassName(CG.Class),
+          nodeLabels(F, CG));
       std::fwrite(Out.data(), 1, Out.size(), stdout);
       continue;
     }
@@ -76,7 +76,7 @@ void dumpGraph(const ra::Workload &W, bool Optimize, bool Dot) {
       const IGNode &Node = CG.Graph.node(N);
       unsigned Deg = CG.Graph.degree(N);
       std::printf("  %-16s deg %3u cost %10.0f ratio %8.1f\n",
-                  Node.Name.c_str(), Deg, Node.SpillCost,
+                  F.vreg(CG.NodeToVReg[N]).Name.c_str(), Deg, Node.SpillCost,
                   Deg ? Node.SpillCost / Deg : 0.0);
     }
   }

@@ -37,7 +37,6 @@
 
 #include "regalloc/InterferenceGraph.h"
 #include "support/Budget.h"
-#include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -508,25 +507,23 @@ ScanResult ra::scanIntervals(const LiveIntervals &LI,
                              const ScanOptions &Opts) {
   ScanResult Out;
   Out.ColorOf.assign(LI.numIntervals(), -1);
-  Timer Walk;
-  Walk.start();
-  RA_TRACE_SPAN("IntervalWalk", "linearscan", [&] {
-    return "intervals=" + std::to_string(LI.numIntervals());
-  });
-  for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls) {
-    RegClass RC = RegClass(Cls);
-    ClassWalker W(LI.intervals(), Machine.numRegs(RC), Opts, Out);
-    W.run(RC);
+  {
+    RA_TRACE_PHASE(Out.WalkSeconds, "IntervalWalk", "linearscan", [&] {
+      return "intervals=" + std::to_string(LI.numIntervals());
+    });
+    for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls) {
+      RegClass RC = RegClass(Cls);
+      ClassWalker W(LI.intervals(), Machine.numRegs(RC), Opts, Out);
+      W.run(RC);
+    }
+    // The classes interleave vreg ids; consumers (audit, simulator) want
+    // the table sorted by (Reg, From).
+    std::sort(Out.Pieces.begin(), Out.Pieces.end(),
+              [](const PieceAssignment &A, const PieceAssignment &B) {
+                if (A.Reg != B.Reg)
+                  return A.Reg < B.Reg;
+                return A.From < B.From;
+              });
   }
-  // The classes interleave vreg ids; consumers (audit, simulator) want
-  // the table sorted by (Reg, From).
-  std::sort(Out.Pieces.begin(), Out.Pieces.end(),
-            [](const PieceAssignment &A, const PieceAssignment &B) {
-              if (A.Reg != B.Reg)
-                return A.Reg < B.Reg;
-              return A.From < B.From;
-            });
-  Walk.stop();
-  Out.WalkSeconds = Walk.seconds();
   return Out;
 }

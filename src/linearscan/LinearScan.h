@@ -101,7 +101,7 @@ struct ScanResult {
   unsigned SplitRanges = 0;
 
   /// Wall-clock seconds spent walking intervals (the backend's analogue
-  /// of the coloring select phase).
+  /// of the coloring select phase), filled by the "IntervalWalk" span.
   double WalkSeconds = 0;
 
   bool success() const { return Spilled.empty(); }

@@ -27,7 +27,6 @@
 #include "regalloc/Coalesce.h"
 #include "regalloc/SpillCost.h"
 #include "support/Budget.h"
-#include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <cassert>
@@ -250,8 +249,7 @@ bool colorClasses(const Function &F, const AllocatorConfig &C,
                                 C.Machine.numRegs(Graphs[Cls].Class), C.H,
                                 SelOpts);
   };
-  if (C.ParallelClasses &&
-      Graphs[0].Graph.numNodes() >= ParallelClassThreshold &&
+  if (Graphs[0].Graph.numNodes() >= ParallelClassThreshold &&
       Graphs[1].Graph.numNodes() >= ParallelClassThreshold) {
     // The two class files are disjoint, so their colorings share no
     // state; run Float on a helper thread while Int colors here.
@@ -367,54 +365,52 @@ AllocationResult runPasses(Function &F, const AllocatorConfig &C,
     // Build: renumber, coalesce, the backend's graphs or intervals,
     // spill costs.
     //===----------------------------------------------------------===//
-    Timer BuildTimer;
-    RA_TRACE_SPAN_NAMED(BuildSpan, "Build", Cat);
-    BuildTimer.start();
-    {
-      RA_TRACE_SPAN("Renumber", Cat);
-      renumberLiveRanges(F, G);
-    }
-    if (C.Coalesce) {
-      CoalesceStats CS = coalesceAll(F, G, C.Coalescing, C.Machine, Gov);
-      Result.Stats.CopiesCoalesced += CS.CopiesRemoved;
-      if (C.CollectMetrics)
-        for (const CoalescedCopy &CC : CS.Merges) {
-          RangeMetrics RM;
-          RM.Name = CC.Merged;
-          RM.Pass = Pass;
-          RM.Class = CC.Class;
-          RM.D = RangeMetrics::Decision::Coalesced;
-          RM.CoalescedInto = CC.Into;
-          Result.Metrics.push_back(std::move(RM));
-        }
-      if (CS.CopiesRemoved != 0)
-        renumberLiveRanges(F, G); // compact ids merged away
-    }
-    // Charge the matrices *before* they exist: the triangular bit
-    // matrix is the allocation that OOMs at scale, and refusing it up
-    // front turns a would-be OOM into a clean over-budget exit. The
-    // charge is held for the pass (the graphs die with the iteration).
-    // Linear scan builds no matrix and charges nothing.
-    Budget *GraphGov = Scan ? nullptr : Gov;
-    ScopedCharge GraphCharge(GraphGov, GraphGov ? graphBytes(F, C) : 0);
-    if (!GraphCharge.granted())
-      return overBudget(std::move(Result), *Gov, Pass);
-
-    Liveness LV = Liveness::compute(F, G);
+    std::optional<ScopedCharge> GraphCharge;
     std::array<ClassGraph, NumRegClasses> Graphs;
     std::optional<LiveIntervals> Intervals;
-    if (Scan)
-      Intervals = LiveIntervals::compute(F, LV, InstrNumbering::compute(F));
-    else
-      Graphs = buildInterferenceGraphs(F, LV, Gov);
-    std::vector<double> Costs = computeSpillCosts(F, Loops, C.Costs);
-    std::vector<double> Area;
+    std::vector<double> Costs, Area;
     std::vector<unsigned> DepthOf;
-    if (C.CollectMetrics)
-      computeAreaAndDepth(F, Loops, LV, Area, DepthOf);
-    BuildTimer.stop();
-    Rec.BuildSeconds = BuildTimer.seconds();
-    BuildSpan.close();
+    {
+      RA_TRACE_PHASE(Rec.BuildSeconds, "Build", Cat);
+      {
+        RA_TRACE_SPAN("Renumber", Cat);
+        renumberLiveRanges(F, G);
+      }
+      if (C.Coalesce) {
+        CoalesceStats CS = coalesceAll(F, G, C.Coalescing, C.Machine, Gov);
+        Result.Stats.CopiesCoalesced += CS.CopiesRemoved;
+        if (C.CollectMetrics)
+          for (const CoalescedCopy &CC : CS.Merges) {
+            RangeMetrics RM;
+            RM.Name = CC.Merged;
+            RM.Pass = Pass;
+            RM.Class = CC.Class;
+            RM.D = RangeMetrics::Decision::Coalesced;
+            RM.CoalescedInto = CC.Into;
+            Result.Metrics.push_back(std::move(RM));
+          }
+        if (CS.CopiesRemoved != 0)
+          renumberLiveRanges(F, G); // compact ids merged away
+      }
+      // Charge the matrices *before* they exist: the triangular bit
+      // matrix is the allocation that OOMs at scale, and refusing it up
+      // front turns a would-be OOM into a clean over-budget exit. The
+      // charge is held for the pass (the graphs die with the iteration).
+      // Linear scan builds no matrix and charges nothing.
+      Budget *GraphGov = Scan ? nullptr : Gov;
+      GraphCharge.emplace(GraphGov, GraphGov ? graphBytes(F, C) : 0);
+      if (!GraphCharge->granted())
+        return overBudget(std::move(Result), *Gov, Pass);
+
+      Liveness LV = Liveness::compute(F, G);
+      if (Scan)
+        Intervals = LiveIntervals::compute(F, LV, InstrNumbering::compute(F));
+      else
+        Graphs = buildInterferenceGraphs(F, LV, Gov);
+      Costs = computeSpillCosts(F, Loops, C.Costs);
+      if (C.CollectMetrics)
+        computeAreaAndDepth(F, Loops, LV, Area, DepthOf);
+    }
     if (Gov && Gov->expired()) {
       Result.Stats.Passes.push_back(std::move(Rec));
       return overBudget(std::move(Result), *Gov, Pass);
@@ -445,11 +441,13 @@ AllocationResult runPasses(Function &F, const AllocatorConfig &C,
     //===----------------------------------------------------------===//
     // Spill: insert the stores and loads, then go around again.
     //===----------------------------------------------------------===//
-    Timer SpillTimer;
-    SpillTimer.start();
-    SpillCodeStats SC = insertSpillCode(F, Spills, C.Rematerialize);
-    SpillTimer.stop();
-    Rec.SpillSeconds = SpillTimer.seconds();
+    SpillCodeStats SC;
+    {
+      RA_TRACE_PHASE(Rec.SpillSeconds, "SpillInserter", "regalloc", [&] {
+        return "ranges=" + std::to_string(Spills.size());
+      });
+      SC = insertSpillCode(F, Spills, C.Rematerialize);
+    }
     Result.Stats.SpillCode.Loads += SC.Loads;
     Result.Stats.SpillCode.Stores += SC.Stores;
     Result.Stats.SpillCode.Remats += SC.Remats;
@@ -479,7 +477,11 @@ AllocationResult spillEverything(Function &F, const AllocatorConfig &C,
   std::vector<VRegId> All(F.numVRegs());
   for (VRegId R = 0; R < F.numVRegs(); ++R)
     All[R] = R;
-  insertSpillCode(F, All, /*Rematerialize=*/false);
+  {
+    RA_TRACE_SPAN("SpillInserter", "regalloc",
+                  [&] { return "ranges=" + std::to_string(All.size()); });
+    insertSpillCode(F, All, /*Rematerialize=*/false);
+  }
 
   AllocatorConfig FallbackC = C;
   // The bottom rung always colors, whatever backend just failed: the

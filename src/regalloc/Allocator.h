@@ -120,10 +120,6 @@ struct AllocatorConfig {
   /// allocation units). 1 = serial; 0 = one per hardware thread. Output
   /// is bit-identical at any setting.
   unsigned Jobs = 1;
-  /// Color the Int and Float graphs of one function on two threads when
-  /// both are large enough to pay for a thread. Never changes results:
-  /// the two class graphs share no state.
-  bool ParallelClasses = true;
   /// Parallelize the Select phase *inside* one interference graph with
   /// the speculate-and-repair engine (ParallelSelect.h). Byte-identical
   /// to the sequential phase at any thread count; engages only for
@@ -172,11 +168,14 @@ struct AllocatorConfig {
 };
 
 /// Phase timings and spill decisions of one Build-Simplify-Color pass.
+/// Each seconds field is filled by the phase scope (RA_TRACE_PHASE) that
+/// records the trace span named beside it, so a field equals the sum of
+/// its pass's spans. Linear scan reports its interval walk as select.
 struct PassRecord {
-  double BuildSeconds = 0;    ///< renumber + coalesce + graph + costs
-  double SimplifySeconds = 0; ///< both classes
-  double SelectSeconds = 0;   ///< both classes ("color" in Figure 7)
-  double SpillSeconds = 0;    ///< spill-code insertion
+  double BuildSeconds = 0;    ///< "Build": renumber + coalesce + graph + costs
+  double SimplifySeconds = 0; ///< "Simplify", both classes
+  double SelectSeconds = 0;   ///< "Select", both classes ("color" in Fig. 7)
+  double SpillSeconds = 0;    ///< "SpillInserter": spill-code insertion
 
   unsigned LiveRanges = 0;      ///< graph nodes this pass (both classes)
   unsigned Interferences = 0;   ///< graph edges this pass

@@ -67,7 +67,6 @@ ra::buildInterferenceGraphs(const Function &F, const Liveness &LV,
     for (unsigned N = 0; N < CG.NodeToVReg.size(); ++N) {
       const VRegInfo &Info = F.vreg(CG.NodeToVReg[N]);
       CG.Graph.node(N).ExternalId = CG.NodeToVReg[N];
-      CG.Graph.node(N).Name = Info.Name;
       CG.Graph.node(N).NoSpill = Info.IsSpillTemp;
     }
   }

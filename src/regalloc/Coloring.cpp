@@ -10,7 +10,6 @@
 #include "regalloc/ParallelSelect.h"
 #include "regalloc/SpillHeap.h"
 #include "support/Budget.h"
-#include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <cassert>
@@ -55,8 +54,6 @@ ColoringResult ra::colorGraph(const InterferenceGraph &G, unsigned K,
   // finalized graphs never mutate shared state.
   G.finalize();
 
-  Timer SimplifyTimer, SelectTimer;
-
   // Counter tracking is gated on an active trace session: when off, the
   // only residue is dead local integers (and no StuckPushed allocation).
   const bool Tracing = trace::enabled();
@@ -68,72 +65,69 @@ ColoringResult ra::colorGraph(const InterferenceGraph &G, unsigned K,
   //===------------------------------------------------------------===//
   // Phase 2: simplify.
   //===------------------------------------------------------------===//
-  RA_TRACE_SPAN_NAMED(SimplifySpan, "Simplify", "regalloc", [&] {
-    return "nodes=" + std::to_string(N) + ";k=" + std::to_string(K) +
-           ";heuristic=" + heuristicName(H);
-  });
-  SimplifyTimer.start();
-  DegreeBuckets Buckets;
-  {
-    std::vector<uint32_t> Degrees(N);
-    for (uint32_t I = 0; I < N; ++I)
-      Degrees[I] = G.degree(I);
-    Buckets.init(Degrees);
-  }
-
-  R.RemovalOrder.reserve(N);
-  std::vector<bool> MarkedSpilled(N, false); // Chaitin only
-  SpillCandidateHeap SpillHeap; // built on the first stuck step
-
   Budget *Gov = SO.Governor;
-  uint32_t Hint = 0;
-  bool InStuckRegion = false;
-  while (Buckets.numLive() != 0) {
-    if (Gov && !Gov->checkpoint())
-      break; // over budget: abandon simplify, skip select entirely
-    uint32_t D = Buckets.lowestNonEmpty(Hint);
-    assert(D != DegreeBuckets::None && "live nodes but empty buckets");
-
-    uint32_t Chosen;
-    bool Push = true;
-    if (D < K || H == Heuristic::MatulaBeck) {
-      // Unconstrained node (or smallest-last regardless of K): remove
-      // the head of the lowest bucket.
-      Chosen = Buckets.head(D);
-      InStuckRegion = false;
-    } else {
-      StuckEntries += !InStuckRegion;
-      InStuckRegion = true;
-      ++StuckPicks;
-      // Stuck: every remaining node has K or more neighbors. Fall back
-      // on Chaitin's estimator (Section 2.3) to choose the node, then
-      // either mark it spilled (Chaitin) or push it optimistically
-      // (Briggs). The heap keeps one entry per live node and re-keys
-      // an entry only when it pops with a stale degree; keys only get
-      // worse, so an entry that pops current is the exact minimum
-      // (SpillHeap.h). Until the first stuck step it costs nothing.
-      if (!SpillHeap.active())
-        SpillHeap.build(G, Buckets);
-      Chosen = SpillHeap.pick(G, Buckets);
-      if (!StuckPushed.empty())
-        StuckPushed[Chosen] = true; // Briggs: optimistic push, tracked
-      if (H == Heuristic::Chaitin) {
-        MarkedSpilled[Chosen] = true;
-        R.Spilled.push_back(Chosen);
-        R.SpilledCost += G.node(Chosen).SpillCost;
-        Push = false;
-      }
+  {
+    RA_TRACE_PHASE(R.SimplifySeconds, "Simplify", "regalloc", [&] {
+      return "nodes=" + std::to_string(N) + ";k=" + std::to_string(K) +
+             ";heuristic=" + heuristicName(H);
+    });
+    DegreeBuckets Buckets;
+    {
+      std::vector<uint32_t> Degrees(N);
+      for (uint32_t I = 0; I < N; ++I)
+        Degrees[I] = G.degree(I);
+      Buckets.init(Degrees);
     }
 
-    removeNode(G, Buckets, Chosen);
-    if (Push)
-      R.RemovalOrder.push_back(Chosen);
-    // Matula-Beck's search refinement: removing a node from bucket D
-    // can create degree D-1 but nothing lower.
-    Hint = D == 0 ? 0 : D - 1;
+    R.RemovalOrder.reserve(N);
+    SpillCandidateHeap SpillHeap; // built on the first stuck step
+
+    uint32_t Hint = 0;
+    bool InStuckRegion = false;
+    while (Buckets.numLive() != 0) {
+      if (Gov && !Gov->checkpoint())
+        break; // over budget: abandon simplify, skip select entirely
+      uint32_t D = Buckets.lowestNonEmpty(Hint);
+      assert(D != DegreeBuckets::None && "live nodes but empty buckets");
+
+      uint32_t Chosen;
+      bool Push = true;
+      if (D < K || H == Heuristic::MatulaBeck) {
+        // Unconstrained node (or smallest-last regardless of K): remove
+        // the head of the lowest bucket.
+        Chosen = Buckets.head(D);
+        InStuckRegion = false;
+      } else {
+        StuckEntries += !InStuckRegion;
+        InStuckRegion = true;
+        ++StuckPicks;
+        // Stuck: every remaining node has K or more neighbors. Fall back
+        // on Chaitin's estimator (Section 2.3) to choose the node, then
+        // either mark it spilled (Chaitin) or push it optimistically
+        // (Briggs). The heap keeps one entry per live node and re-keys
+        // an entry only when it pops with a stale degree; keys only get
+        // worse, so an entry that pops current is the exact minimum
+        // (SpillHeap.h). Until the first stuck step it costs nothing.
+        if (!SpillHeap.active())
+          SpillHeap.build(G, Buckets);
+        Chosen = SpillHeap.pick(G, Buckets);
+        if (!StuckPushed.empty())
+          StuckPushed[Chosen] = true; // Briggs: optimistic push, tracked
+        if (H == Heuristic::Chaitin) {
+          R.Spilled.push_back(Chosen);
+          R.SpilledCost += G.node(Chosen).SpillCost;
+          Push = false;
+        }
+      }
+
+      removeNode(G, Buckets, Chosen);
+      if (Push)
+        R.RemovalOrder.push_back(Chosen);
+      // Matula-Beck's search refinement: removing a node from bucket D
+      // can create degree D-1 but nothing lower.
+      Hint = D == 0 ? 0 : D - 1;
+    }
   }
-  SimplifyTimer.stop();
-  SimplifySpan.close();
 
   //===------------------------------------------------------------===//
   // Phase 3: select. Rebuild the graph in reverse removal order,
@@ -141,83 +135,77 @@ ColoringResult ra::colorGraph(const InterferenceGraph &G, unsigned K,
   // neighbors. Uncolorable nodes are left uncolored (Briggs) — spill
   // decisions deferred to this phase.
   //===------------------------------------------------------------===//
-  RA_TRACE_SPAN_NAMED(SelectSpan, "Select", "regalloc");
-  SelectTimer.start();
-  // A budget trip leaves the removal stack partial; select over it
-  // would miscount spills (and trip the Chaitin colorability assert),
-  // so the phase is skipped outright — the governed caller discards
-  // the result anyway.
-  const bool Tripped = Gov && Gov->exhausted();
-  const bool UseParallel =
-      SO.Parallel && R.RemovalOrder.size() >= SO.MinNodes;
-  if (Tripped) {
-    // nothing: R stays partial
-  } else if (UseParallel) {
-    // Speculate-and-repair engine (ParallelSelect.cpp): converges to the
-    // same coloring the sequential loop below computes, at any thread
-    // count. The spill list, cost sum, and counters are then derived in
-    // one sequential rank-order sweep so decision order and floating-
-    // point accumulation order match the sequential phase exactly.
-    std::vector<uint32_t> SelectOrder(R.RemovalOrder.rbegin(),
-                                      R.RemovalOrder.rend());
-    runParallelSelect(G, K, SelectOrder, SO, R.ColorOf, R.SelectRounds);
-    R.ParallelSelect = true;
-    if (Gov && Gov->exhausted()) {
-      // Repair was abandoned mid-round; the color array is partial and
-      // the spill derivation below would misread it.
-      SelectTimer.stop();
-      SelectSpan.close();
-      R.SimplifySeconds = SimplifyTimer.seconds();
-      R.SelectSeconds = SelectTimer.seconds();
-      return R;
-    }
-    for (uint32_t Node : SelectOrder) {
-      int32_t Color = R.ColorOf[Node];
-      if (Color < 0) {
-        assert(H != Heuristic::Chaitin &&
-               "Chaitin's stack nodes are always colorable");
-        R.Spilled.push_back(Node);
-        R.SpilledCost += G.node(Node).SpillCost;
-      } else {
-        R.NumColorsUsed = std::max(R.NumColorsUsed, unsigned(Color) + 1);
-        if (!StuckPushed.empty() && StuckPushed[Node])
-          ++OptimisticSaves; // a stuck-pushed node still found a color
-      }
-    }
-  } else {
-    std::vector<bool> Used(K);
-    std::vector<bool> Inserted(N, false);
-    for (auto It = R.RemovalOrder.rbegin(), E = R.RemovalOrder.rend();
-         It != E; ++It) {
-      if (Gov && !Gov->checkpoint())
-        break; // partial coloring; governed caller discards it
-      uint32_t Node = *It;
-      std::fill(Used.begin(), Used.end(), false);
-      for (uint32_t M : G.neighbors(Node))
-        if (Inserted[M] && R.ColorOf[M] >= 0)
-          Used[R.ColorOf[M]] = true;
-      int32_t Color = -1;
-      for (unsigned C = 0; C < K; ++C)
-        if (!Used[C]) {
-          Color = int32_t(C);
-          break;
+  {
+    RA_TRACE_PHASE(R.SelectSeconds, "Select", "regalloc");
+    // A budget trip leaves the removal stack partial; select over it
+    // would miscount spills (and trip the Chaitin colorability assert),
+    // so the phase is skipped outright — the governed caller discards
+    // the result anyway.
+    const bool Tripped = Gov && Gov->exhausted();
+    const bool UseParallel =
+        SO.Parallel && R.RemovalOrder.size() >= SO.MinNodes;
+    if (Tripped) {
+      // nothing: R stays partial
+    } else if (UseParallel) {
+      // Speculate-and-repair engine (ParallelSelect.cpp): converges to the
+      // same coloring the sequential loop below computes, at any thread
+      // count. The spill list, cost sum, and counters are then derived in
+      // one sequential rank-order sweep so decision order and floating-
+      // point accumulation order match the sequential phase exactly.
+      std::vector<uint32_t> SelectOrder(R.RemovalOrder.rbegin(),
+                                        R.RemovalOrder.rend());
+      runParallelSelect(G, K, SelectOrder, SO, R.ColorOf, R.SelectRounds);
+      R.ParallelSelect = true;
+      // A repair abandoned mid-round leaves the color array partial, and
+      // the spill derivation below would misread it; the governed caller
+      // discards the result.
+      if (!Gov || !Gov->exhausted())
+        for (uint32_t Node : SelectOrder) {
+          int32_t Color = R.ColorOf[Node];
+          if (Color < 0) {
+            assert(H != Heuristic::Chaitin &&
+                   "Chaitin's stack nodes are always colorable");
+            R.Spilled.push_back(Node);
+            R.SpilledCost += G.node(Node).SpillCost;
+          } else {
+            R.NumColorsUsed = std::max(R.NumColorsUsed, unsigned(Color) + 1);
+            if (!StuckPushed.empty() && StuckPushed[Node])
+              ++OptimisticSaves; // a stuck-pushed node still found a color
+          }
         }
-      if (Color < 0) {
-        assert(H != Heuristic::Chaitin &&
-               "Chaitin's stack nodes are always colorable");
-        R.Spilled.push_back(Node);
-        R.SpilledCost += G.node(Node).SpillCost;
-      } else {
-        R.ColorOf[Node] = Color;
-        R.NumColorsUsed = std::max(R.NumColorsUsed, unsigned(Color) + 1);
-        if (!StuckPushed.empty() && StuckPushed[Node])
-          ++OptimisticSaves; // a stuck-pushed node still found a color
+    } else {
+      std::vector<bool> Used(K);
+      std::vector<bool> Inserted(N, false);
+      for (auto It = R.RemovalOrder.rbegin(), E = R.RemovalOrder.rend();
+           It != E; ++It) {
+        if (Gov && !Gov->checkpoint())
+          break; // partial coloring; governed caller discards it
+        uint32_t Node = *It;
+        std::fill(Used.begin(), Used.end(), false);
+        for (uint32_t M : G.neighbors(Node))
+          if (Inserted[M] && R.ColorOf[M] >= 0)
+            Used[R.ColorOf[M]] = true;
+        int32_t Color = -1;
+        for (unsigned C = 0; C < K; ++C)
+          if (!Used[C]) {
+            Color = int32_t(C);
+            break;
+          }
+        if (Color < 0) {
+          assert(H != Heuristic::Chaitin &&
+                 "Chaitin's stack nodes are always colorable");
+          R.Spilled.push_back(Node);
+          R.SpilledCost += G.node(Node).SpillCost;
+        } else {
+          R.ColorOf[Node] = Color;
+          R.NumColorsUsed = std::max(R.NumColorsUsed, unsigned(Color) + 1);
+          if (!StuckPushed.empty() && StuckPushed[Node])
+            ++OptimisticSaves; // a stuck-pushed node still found a color
+        }
+        Inserted[Node] = true;
       }
-      Inserted[Node] = true;
     }
   }
-  SelectTimer.stop();
-  SelectSpan.close();
 
   if (Tracing) {
     RA_TRACE_COUNTER("coloring.stuck_entries", double(StuckEntries));
@@ -242,8 +230,6 @@ ColoringResult ra::colorGraph(const InterferenceGraph &G, unsigned K,
     }
   }
 
-  R.SimplifySeconds = SimplifyTimer.seconds();
-  R.SelectSeconds = SelectTimer.seconds();
   return R;
 }
 

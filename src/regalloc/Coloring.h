@@ -85,15 +85,14 @@ struct SelectOptions {
 };
 
 /// What one speculate/detect/repair round of the parallel Select did.
-/// Counts and timings are scheduling-dependent (they vary with thread
-/// count and interleaving, like wall time) — only the resulting coloring
-/// is deterministic. Observability surfaces them under the trace
+/// Counts are scheduling-dependent (they vary with thread count and
+/// interleaving, like wall time) — only the resulting coloring is
+/// deterministic. Observability surfaces them under the trace
 /// "sched" category, which normalizedLog drops by design.
 struct SelectRound {
   uint32_t Colored = 0;   ///< Nodes (re)colored this round.
   uint32_t Checked = 0;   ///< Candidate nodes examined by detection.
   uint32_t Conflicts = 0; ///< Nodes found wrong, to repair next round.
-  double Seconds = 0;     ///< Wall time of this round.
 };
 
 /// Outcome of one simplify+select run over a graph.
@@ -115,7 +114,8 @@ struct ColoringResult {
   /// Number of distinct colors actually used.
   unsigned NumColorsUsed = 0;
 
-  /// Wall-clock seconds in the two phases (for Figure 7).
+  /// Wall-clock seconds in the two phases (for Figure 7), filled by the
+  /// phase scopes that record the "Simplify" and "Select" spans.
   double SimplifySeconds = 0, SelectSeconds = 0;
 
   /// True when select ran the parallel speculate-and-repair engine

@@ -10,9 +10,18 @@
 
 using namespace ra;
 
+std::vector<std::string> ra::nodeLabels(const Function &F,
+                                        const ClassGraph &CG) {
+  std::vector<std::string> Labels;
+  for (VRegId R : CG.NodeToVReg)
+    Labels.push_back(F.vreg(R).Name);
+  return Labels;
+}
+
 std::string ra::dumpGraphviz(const InterferenceGraph &G,
                              const ColoringResult *Result,
-                             const std::string &Name) {
+                             const std::string &Name,
+                             const std::vector<std::string> &Labels) {
   // A small qualitative palette; colors repeat past eight registers.
   static const char *const Palette[] = {
       "#66c2a5", "#fc8d62", "#8da0cb", "#e78ac3",
@@ -24,8 +33,9 @@ std::string ra::dumpGraphviz(const InterferenceGraph &G,
   Out += "  node [style=filled, fontname=\"monospace\"];\n";
   for (unsigned N = 0; N < G.numNodes(); ++N) {
     const IGNode &Node = G.node(N);
-    std::string Label = Node.Name.empty() ? "n" + std::to_string(N)
-                                          : Node.Name;
+    std::string Label = N < Labels.size() && !Labels[N].empty()
+                            ? Labels[N]
+                            : "n" + std::to_string(N);
     char Buf[256];
     if (Result && N < Result->ColorOf.size()) {
       int32_t C = Result->ColorOf[N];

@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace ra {
@@ -43,7 +42,6 @@ struct IGNode {
   double SpillCost = 0;    ///< Chaitin's precomputed spill cost estimate.
   bool NoSpill = false;    ///< Spill temporaries: never choose to spill.
   uint32_t ExternalId = 0; ///< Client handle (vreg id for the allocator).
-  std::string Name;        ///< Debug label.
 };
 
 /// Undirected interference graph over dense node ids [0, numNodes()).

@@ -9,7 +9,6 @@
 #include "support/Budget.h"
 #include "support/ParallelFor.h"
 #include "support/ThreadPool.h"
-#include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -152,8 +151,6 @@ void ra::runParallelSelect(const InterferenceGraph &G, unsigned K,
   // neighbor ranked before their chunk can disagree with the joined
   // state, and exactly those become detection candidates.
   //===------------------------------------------------------------===//
-  Timer SpecTimer;
-  SpecTimer.start();
   forkJoin(Threads, [&](unsigned T) {
     Worker &W = Workers[T];
     for (size_t Chunk = T; Chunk < NumChunks; Chunk += Threads) {
@@ -199,9 +196,8 @@ void ra::runParallelSelect(const InterferenceGraph &G, unsigned K,
   };
 
   detect(Candidates);
-  SpecTimer.stop();
   Rounds.push_back({uint32_t(S), uint32_t(Candidates.size()),
-                    uint32_t(Conflicts.size()), SpecTimer.seconds()});
+                    uint32_t(Conflicts.size())});
 
   //===------------------------------------------------------------===//
   // Repair rounds: re-color exactly the wrong set, then re-detect the
@@ -217,8 +213,6 @@ void ra::runParallelSelect(const InterferenceGraph &G, unsigned K,
     if (SO.Governor && !SO.Governor->checkpoint())
       break; // over budget mid-repair: colors stay partial, caller discards
     if (Rounds.size() > SO.MaxRounds) {
-      Timer SweepTimer;
-      SweepTimer.start();
       Worker &W = Workers[0];
       for (size_t I = 0; I != S; ++I) {
         uint32_t Node = SelectOrder[I];
@@ -228,13 +222,10 @@ void ra::runParallelSelect(const InterferenceGraph &G, unsigned K,
                      W),
             std::memory_order_relaxed);
       }
-      SweepTimer.stop();
-      Rounds.push_back({uint32_t(S), uint32_t(S), 0, SweepTimer.seconds()});
+      Rounds.push_back({uint32_t(S), uint32_t(S), 0});
       break;
     }
 
-    Timer RepairTimer;
-    RepairTimer.start();
     const uint32_t Recolored = uint32_t(Conflicts.size());
     std::vector<uint32_t> Repair;
     Repair.swap(Conflicts);
@@ -273,9 +264,8 @@ void ra::runParallelSelect(const InterferenceGraph &G, unsigned K,
       Touched[I].store(0, std::memory_order_relaxed);
 
     detect(Candidates);
-    RepairTimer.stop();
     Rounds.push_back({Recolored, uint32_t(Candidates.size()),
-                      uint32_t(Conflicts.size()), RepairTimer.seconds()});
+                      uint32_t(Conflicts.size())});
   }
 
   for (size_t I = 0; I != S; ++I) {

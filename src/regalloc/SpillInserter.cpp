@@ -64,8 +64,6 @@ SpillCodeStats ra::insertSpillCode(Function &F,
   SpillCodeStats Stats;
   if (ToSpill.empty())
     return Stats;
-  RA_TRACE_SPAN("SpillInserter", "regalloc",
-                [&] { return "ranges=" + std::to_string(ToSpill.size()); });
   constexpr uint32_t NotSpilled = ~uint32_t(0);
 
   // Demote suffix requests whose region holds no *real* uses to

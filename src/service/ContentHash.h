@@ -23,14 +23,14 @@
 /// byte-identical sources, where the printed form is exactly stable.
 /// ServiceTest pins this contract in both directions.
 ///
-/// Config fields that are pure performance knobs — Jobs,
-/// ParallelClasses, ParallelGraph* — are excluded: they are proven
-/// byte-identical elsewhere (1-vs-N determinism tests, the
-/// briggs-parallel fuzz leg), so keying on them would only split the
-/// cache. Deadline and memory budgets are excluded too: only Converged
-/// results are ever inserted (AllocationService), and a governed run
-/// that converges is byte-identical to the ungoverned run by
-/// construction — budget polling can abort work, never steer it.
+/// Config fields that are pure performance knobs — Jobs and
+/// ParallelGraph* — are excluded: they are proven byte-identical
+/// elsewhere (1-vs-N determinism tests, the briggs-parallel fuzz leg),
+/// so keying on them would only split the cache. Deadline and memory
+/// budgets are excluded too: only Converged results are ever inserted
+/// (AllocationService), and a governed run that converges is
+/// byte-identical to the ungoverned run by construction — budget
+/// polling can abort work, never steer it.
 ///
 /// ContentHashTest.EveryConfigFieldIsClassified guards this split: it
 /// lists every AllocatorConfig field as keyed, neutral or cache-bypass

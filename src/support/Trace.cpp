@@ -25,8 +25,6 @@ using namespace ra::trace;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /// One thread's events for the current session.
 struct Stream {
   std::vector<Event> Events;
@@ -75,9 +73,9 @@ Stream &currentStream() {
 
 std::atomic<bool> ra::trace::detail::Enabled{false};
 
-uint64_t ra::trace::detail::nowNs() {
+uint64_t ra::trace::detail::sessionNs(Clock::time_point T) {
   return uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      Clock::now() - registry().SessionStart)
+                      T - registry().SessionStart)
                       .count());
 }
 

@@ -15,9 +15,12 @@
 ///  * Compile time — a translation unit built with \c RA_NO_TRACING
 ///    defined sees every RA_TRACE_* macro expand to `((void)0)`; macro
 ///    arguments are not even evaluated (asserted by TraceNoopTest).
+///    RA_TRACE_PHASE is the exception: it still times its scope into
+///    its stats field, but evaluates no name or detail and records
+///    nothing.
 ///  * Run time — with no session active the macros cost one relaxed
-///    atomic load; no event is allocated or recorded, and span detail
-///    lambdas are never invoked.
+///    atomic load (a phase adds its two clock reads); no event is
+///    allocated or recorded, and span detail lambdas are never invoked.
 ///
 /// A session is begun/ended from a single coordinating thread
 /// (\c beginSession / \c endSession); any thread may record while one
@@ -37,6 +40,7 @@
 #define RA_SUPPORT_TRACE_H
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -82,9 +86,14 @@ struct SessionLog {
   }
 };
 
+/// The one clock behind every timestamp, span and phase field.
+using Clock = std::chrono::steady_clock;
+
 namespace detail {
 extern std::atomic<bool> Enabled;
-uint64_t nowNs();
+/// Nanoseconds from the current session's start to \p T.
+uint64_t sessionNs(Clock::time_point T);
+inline uint64_t nowNs() { return sessionNs(Clock::now()); }
 void record(Event E);
 const std::string &threadContext();
 void setThreadContext(std::string Ctx);
@@ -132,56 +141,62 @@ inline void instant(const char *Name, const char *Category,
 /// Names the calling thread in trace viewers ("pool-worker-3").
 void setCurrentThreadName(const std::string &Name);
 
-/// RAII phase span. Opens on construction (when a session is active)
-/// and records one completed-span event on destruction. The optional
-/// detail functor is only invoked while tracing, so building the detail
-/// string costs nothing when off.
+/// RAII phase span. It reads the clock once when it opens and once when
+/// it closes. While a session is active it records one completed-span
+/// event with exactly that start and duration; given a \p Seconds field
+/// it also adds the duration to it, session or not, so a stats field and
+/// its span are one measurement. The optional detail functor is only
+/// invoked while tracing, so building the detail string costs nothing
+/// when off; a span with neither a session nor a field reads no clock.
 class Span {
 public:
-  Span(const char *Name, const char *Category) {
-    if (enabled())
-      open(Name, Category, {});
-  }
+  Span(double *Seconds, const char *Name, const char *Category)
+      : Span(Seconds, Name, Category, [] { return std::string(); }) {}
 
   template <typename DetailFn,
             typename = decltype(std::declval<DetailFn>()())>
-  Span(const char *Name, const char *Category, DetailFn &&Detail) {
-    if (enabled())
-      open(Name, Category, Detail());
+  Span(double *Seconds, const char *Name, const char *Category,
+       DetailFn &&Detail)
+      : Seconds(Seconds), Recording(enabled()) {
+    if (Recording) {
+      E.Kind = EventKind::Span;
+      E.Name = Name;
+      E.Category = Category;
+      E.Detail = Detail();
+    }
+    if (Recording || Seconds)
+      Start = Clock::now();
+    if (Recording)
+      E.StartNs = detail::sessionNs(Start);
   }
 
-  ~Span() { close(); }
+  /// Timing only: fills \p Seconds and never records. What RA_TRACE_PHASE
+  /// declares under RA_NO_TRACING, where Figure 7 still needs the times.
+  explicit Span(double &Seconds) : Seconds(&Seconds), Start(Clock::now()) {}
+
+  ~Span() {
+    if (!Recording && !Seconds)
+      return;
+    const uint64_t DurNs =
+        uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     Clock::now() - Start)
+                     .count());
+    if (Seconds)
+      *Seconds += double(DurNs) / 1e9;
+    if (Recording) {
+      E.DurNs = DurNs;
+      detail::record(std::move(E));
+    }
+  }
 
   Span(const Span &) = delete;
   Span &operator=(const Span &) = delete;
 
-  /// Ends the span early (idempotent; the destructor becomes a no-op).
-  void close() {
-    if (!Active)
-      return;
-    Active = false;
-    E.DurNs = detail::nowNs() - E.StartNs;
-    detail::record(std::move(E));
-  }
-
 private:
-  void open(const char *Name, const char *Category, std::string Detail) {
-    E.Kind = EventKind::Span;
-    E.Name = Name;
-    E.Category = Category;
-    E.Detail = std::move(Detail);
-    E.StartNs = detail::nowNs();
-    Active = true;
-  }
-
+  double *Seconds = nullptr;
+  bool Recording = false;
+  Clock::time_point Start;
   Event E;
-  bool Active = false;
-};
-
-/// What RA_TRACE_SPAN_NAMED declares under RA_NO_TRACING: same shape as
-/// Span (close() exists) but constructible from nothing and free.
-struct NoopSpan {
-  void close() {}
 };
 
 /// RAII context label: events recorded by this thread inside the scope
@@ -260,20 +275,23 @@ std::string normalizedLog(const SessionLog &Log);
 // instrumentation away entirely with RA_NO_TRACING.
 //===--------------------------------------------------------------------===//
 
-#ifndef RA_NO_TRACING
-
 #define RA_TRACE_CONCAT_IMPL(A, B) A##B
 #define RA_TRACE_CONCAT(A, B) RA_TRACE_CONCAT_IMPL(A, B)
 
-/// Scoped span: RA_TRACE_SPAN("Simplify", "regalloc") or with a lazy
+#ifndef RA_NO_TRACING
+
+/// Scoped span: RA_TRACE_SPAN("Renumber", "regalloc") or with a lazy
 /// detail functor RA_TRACE_SPAN("Pass", "regalloc", [&] { ... }).
 #define RA_TRACE_SPAN(...)                                                   \
-  ra::trace::Span RA_TRACE_CONCAT(RaTraceSpan, __LINE__)(__VA_ARGS__)
+  ra::trace::Span RA_TRACE_CONCAT(RaTraceSpan, __LINE__)(nullptr, __VA_ARGS__)
 
-/// Span bound to a caller-chosen variable, for phases whose boundaries
-/// are not a brace scope: RA_TRACE_SPAN_NAMED(S, "Simplify", "regalloc");
-/// ... S.close();
-#define RA_TRACE_SPAN_NAMED(Var, ...) ra::trace::Span Var(__VA_ARGS__)
+/// Scoped timed phase: adds the scope's duration to the double lvalue
+/// \p Seconds and records it as a span, RA_TRACE_PHASE(Rec.BuildSeconds,
+/// "Build", "regalloc"). Close the scope before returning a struct that
+/// holds the field: NRVO is not guaranteed, and a later write is lost.
+#define RA_TRACE_PHASE(Seconds, ...)                                         \
+  ra::trace::Span RA_TRACE_CONCAT(RaTracePhase, __LINE__)(&(Seconds),       \
+                                                          __VA_ARGS__)
 
 /// Scoped context label for everything this thread records inside.
 #define RA_TRACE_CONTEXT(Ctx)                                                \
@@ -283,9 +301,11 @@ std::string normalizedLog(const SessionLog &Log);
 #define RA_TRACE_INSTANT(...) ra::trace::instant(__VA_ARGS__)
 
 #else // RA_NO_TRACING: compile-time no-ops; arguments are not evaluated.
+      // A phase still fills its field: the stats need the times.
 
 #define RA_TRACE_SPAN(...) ((void)0)
-#define RA_TRACE_SPAN_NAMED(Var, ...) ra::trace::NoopSpan Var
+#define RA_TRACE_PHASE(Seconds, ...)                                         \
+  ra::trace::Span RA_TRACE_CONCAT(RaTracePhase, __LINE__)(Seconds)
 #define RA_TRACE_CONTEXT(Ctx) ((void)0)
 #define RA_TRACE_COUNTER(Name, Delta) ((void)0)
 #define RA_TRACE_INSTANT(...) ((void)0)

@@ -114,8 +114,6 @@ std::vector<ClassifiedField> classifiedFields() {
        [](C A, bool &) { A.CollectMetrics = true; }},
       {"Optimize", K::Keyed, [](C, bool &Opt) { Opt = false; }},
       {"Jobs", K::Neutral, [](C A, bool &) { A.Jobs = 4; }},
-      {"ParallelClasses", K::Neutral,
-       [](C A, bool &) { A.ParallelClasses = !A.ParallelClasses; }},
       {"ParallelGraph", K::Neutral,
        [](C A, bool &) {
          A.ParallelGraph = true;

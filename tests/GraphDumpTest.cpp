@@ -111,7 +111,8 @@ TEST(GraphDumpGolden, UncoloredDumpMatchesGolden) {
   Module M;
   ClassGraph CG = builtGraph(M);
   compareGolden("graphdump_uncolored.golden",
-                dumpGraphviz(CG.Graph, nullptr, "fib"));
+                dumpGraphviz(CG.Graph, nullptr, "fib",
+                             nodeLabels(M.function(0), CG)));
 }
 
 TEST(GraphDumpGolden, ColoredDumpMatchesGolden) {
@@ -119,7 +120,8 @@ TEST(GraphDumpGolden, ColoredDumpMatchesGolden) {
   ClassGraph CG = builtGraph(M);
   ColoringResult R = colorGraph(CG.Graph, /*K=*/3, Heuristic::Briggs);
   compareGolden("graphdump_colored.golden",
-                dumpGraphviz(CG.Graph, &R, "fib"));
+                dumpGraphviz(CG.Graph, &R, "fib",
+                             nodeLabels(M.function(0), CG)));
 }
 
 TEST(GraphDumpGolden, NodeOrderingIsStableAcrossRebuilds) {

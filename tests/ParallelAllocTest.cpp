@@ -27,6 +27,7 @@
 #include "regalloc/SpillHeap.h"
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
+#include "support/Trace.h"
 #include "workloads/MegaKernel.h"
 #include "workloads/RandomProgram.h"
 #include "workloads/Workloads.h"
@@ -435,19 +436,39 @@ TEST(AllocateModuleTest, MatchesPerFunctionAllocateRegisters) {
 }
 
 TEST(AllocateModuleTest, ParallelClassColoringIsIdentical) {
-  // GRADNT is large enough that both class graphs cross the
-  // per-class threading threshold.
-  AllocatorConfig On, Off;
-  On.ParallelClasses = true;
-  Off.ParallelClasses = false;
+  // mini.rand's Int and Float graphs both cross the class-helper
+  // threshold, so Float colors on the helper thread every pass (the run
+  // TSan watches; no fig5 routine is big enough in both classes). Its
+  // phases trace under "/flt-helper", and pass 1 must spill exactly
+  // what the two classes spill when colored one after the other here.
+  const MegaKernel &Rand = megaKernelTestFamily()[2];
+  ASSERT_EQ(Rand.Name, "mini.rand");
   Module M1, M2;
-  Function &F1 = buildGRADNT(M1);
-  Function &F2 = buildGRADNT(M2);
-  AllocationResult R1 = allocateRegisters(F1, On);
-  AllocationResult R2 = allocateRegisters(F2, Off);
-  ASSERT_TRUE(R1.Success && R2.Success);
-  EXPECT_EQ(R1.ColorOf, R2.ColorOf);
-  EXPECT_EQ(printFunction(M1, F1), printFunction(M2, F2));
+  Function &F1 = Rand.Build(M1);
+  Function &F2 = Rand.Build(M2);
+  AllocatorConfig C;
+  C.Audit = true;
+  trace::beginSession();
+  AllocationResult A = allocateRegisters(F1, C);
+  trace::SessionLog Log = trace::endSession();
+  ASSERT_EQ(A.Outcome, AllocOutcome::Converged) << A.Diag.toString();
+
+  unsigned HelperSelects = 0;
+  for (const trace::Event &E : Log.Events)
+    HelperSelects += E.Ctx == "@" + F1.name() + "/flt-helper" &&
+                     std::string(E.Name) == "Select";
+  EXPECT_EQ(HelperSelects, A.Stats.numPasses())
+      << "the Float class did not color on the helper thread every pass";
+
+  std::vector<std::string> Serial;
+  for (const ClassGraph &CG : passOneGraphs(F2)) {
+    ColoringResult R =
+        colorGraph(CG.Graph, C.Machine.numRegs(CG.Class), C.H);
+    for (uint32_t Node : R.Spilled)
+      Serial.push_back(F2.vreg(CG.NodeToVReg[Node]).Name);
+  }
+  ASSERT_FALSE(Serial.empty()) << "mini.rand must spill in pass 1";
+  EXPECT_EQ(A.Stats.Passes[0].SpilledNames, Serial);
 }
 
 TEST(AllocateModuleTest, WorkerExceptionFailsOnlyThatFunction) {

@@ -697,11 +697,8 @@ TEST(GraphDumpTest, RendersNodesEdgesAndColors) {
   InterferenceGraph G(3);
   G.addEdge(0, 1);
   G.addEdge(1, 2);
-  G.node(0).Name = "w";
-  G.node(1).Name = "x";
-  G.node(2).Name = "z";
   ColoringResult R = colorGraph(G, 2, Heuristic::Briggs);
-  std::string Dot = dumpGraphviz(G, &R, "demo");
+  std::string Dot = dumpGraphviz(G, &R, "demo", {"w", "x", "z"});
   EXPECT_NE(Dot.find("graph \"demo\""), std::string::npos);
   EXPECT_NE(Dot.find("n0 -- n1;"), std::string::npos);
   EXPECT_NE(Dot.find("n1 -- n2;"), std::string::npos);

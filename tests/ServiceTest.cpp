@@ -482,7 +482,6 @@ TEST(ContentHashTest, PurePerformanceKnobsDoNotChangeTheKey) {
   // the cache across equivalent configurations.
   AllocatorConfig C2 = C;
   C2.Jobs = 16;
-  C2.ParallelClasses = !C2.ParallelClasses;
   C2.ParallelGraph = true;
   C2.ParallelGraphJobs = 7;
   C2.ParallelGraphMinNodes = 0;

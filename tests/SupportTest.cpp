@@ -8,7 +8,6 @@
 #include "support/Rng.h"
 #include "support/Status.h"
 #include "support/Table.h"
-#include "support/Timer.h"
 #include "support/TriangularBitMatrix.h"
 #include "support/UnionFind.h"
 
@@ -220,22 +219,6 @@ TEST(TableTest, RendersAlignedColumns) {
   EXPECT_NE(Out.find("| Name   | Value |"), std::string::npos);
   EXPECT_NE(Out.find("| a      |     1 |"), std::string::npos);
   EXPECT_NE(Out.find("| longer |    22 |"), std::string::npos);
-}
-
-TEST(TimerTest, AccumulatesTime) {
-  Timer T;
-  T.start();
-  volatile unsigned Sink = 0;
-  for (unsigned I = 0; I < 100000; ++I)
-    Sink = Sink + I;
-  T.stop();
-  EXPECT_GT(T.seconds(), 0.0);
-  double First = T.seconds();
-  T.start();
-  T.stop();
-  EXPECT_GE(T.seconds(), First);
-  T.reset();
-  EXPECT_EQ(T.seconds(), 0.0);
 }
 
 TEST(StatusTest, DefaultConstructedIsOk) {

@@ -18,11 +18,13 @@
 #include "regalloc/Allocator.h"
 #include "support/Status.h"
 #include "support/Trace.h"
+#include "workloads/MegaKernel.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -219,15 +221,115 @@ TEST(Trace, ScopedContextNestsAndRestores) {
   EXPECT_EQ(Log.Events[0].Ctx, "@outer/helper");
 }
 
-TEST(Trace, SpanCloseIsIdempotent) {
+/// Spins long enough for a phase to measure more than zero.
+void busyWork() {
+  volatile unsigned Sink = 0;
+  for (unsigned I = 0; I < 100000; ++I)
+    Sink = Sink + I;
+}
+
+/// A seconds field in whole nanoseconds (exact: a field is a sum of a
+/// few durations of at most seconds, far inside double's precision).
+uint64_t asNs(double Seconds) { return uint64_t(std::llround(Seconds * 1e9)); }
+
+TEST(Trace, PhaseFillsItsFieldWithItsSpanDuration) {
+  double Seconds = 0;
   trace::beginSession();
   {
-    RA_TRACE_SPAN_NAMED(S, "Phase", "test");
-    S.close();
-    S.close(); // second close must not double-record
+    RA_TRACE_PHASE(Seconds, "Phase", "test",
+                   [] { return std::string("k=1"); });
+    busyWork();
   }
   trace::SessionLog Log = trace::endSession();
-  EXPECT_EQ(Log.Events.size(), 1u);
+  ASSERT_EQ(Log.Events.size(), 1u) << "a phase records exactly one span";
+  EXPECT_EQ(Log.Events[0].Kind, trace::EventKind::Span);
+  EXPECT_EQ(Log.Events[0].Detail, "k=1");
+  EXPECT_GT(Seconds, 0.0);
+  EXPECT_EQ(asNs(Seconds), Log.Events[0].DurNs);
+
+  // No session: the field still fills and the detail is never built.
+  bool DetailBuilt = false;
+  double Off = 0;
+  {
+    RA_TRACE_PHASE(Off, "Phase", "test", [&] {
+      DetailBuilt = true;
+      return std::string();
+    });
+    busyWork();
+  }
+  EXPECT_GT(Off, 0.0);
+  EXPECT_FALSE(DetailBuilt) << "detail lambda ran with tracing off";
+}
+
+/// Total duration of the spans named \p Name that lie inside \p Pass,
+/// on any thread: the class helper's spans count toward their pass.
+uint64_t spanNsWithin(const trace::SessionLog &Log, const trace::Event &Pass,
+                      const char *Name) {
+  uint64_t Ns = 0;
+  for (const trace::Event &E : Log.Events)
+    if (E.Kind == trace::EventKind::Span && !std::strcmp(E.Name, Name) &&
+        E.StartNs >= Pass.StartNs &&
+        E.StartNs + E.DurNs <= Pass.StartNs + Pass.DurNs)
+      Ns += E.DurNs;
+  return Ns;
+}
+
+/// Allocates mini.rand under \p B, traced, and checks every PassRecord
+/// seconds field against the spans its phase scope recorded in that
+/// pass, to the nanosecond. mini.rand spills, and its two class graphs
+/// both cross the class-helper threshold, so under graph coloring the
+/// Float class's Simplify and Select spans come from the helper thread:
+/// \p HelperSpansPerPass of them per pass.
+void expectPhaseFieldsMatchSpans(Backend B, const char *Cat,
+                                 const char *SelectSpan,
+                                 unsigned HelperSpansPerPass) {
+  Module M;
+  Function &F = megaKernelTestFamily()[2].Build(M);
+  AllocatorConfig C;
+  C.B = B;
+  trace::beginSession();
+  AllocationResult A = allocateRegisters(F, C);
+  trace::SessionLog Log = trace::endSession();
+  ASSERT_EQ(A.Outcome, AllocOutcome::Converged) << A.Diag.toString();
+  ASSERT_GE(A.Stats.numPasses(), 2u) << "mini.rand must spill";
+
+  std::vector<const trace::Event *> Passes;
+  unsigned HelperSpans = 0;
+  for (const trace::Event &E : Log.Events) {
+    if (E.Kind == trace::EventKind::Span && !std::strcmp(E.Name, "Pass") &&
+        !std::strcmp(E.Category, Cat))
+      Passes.push_back(&E);
+    HelperSpans += E.Kind == trace::EventKind::Span &&
+                   E.Ctx == "@" + F.name() + "/flt-helper";
+  }
+  EXPECT_EQ(HelperSpans, HelperSpansPerPass * A.Stats.numPasses());
+  ASSERT_EQ(Passes.size(), A.Stats.numPasses());
+  for (unsigned P = 0; P < Passes.size(); ++P) {
+    const PassRecord &Rec = A.Stats.Passes[P];
+    const trace::Event &Pass = *Passes[P];
+    ASSERT_EQ(Pass.Detail, "pass=" + std::to_string(P));
+    EXPECT_GT(Rec.BuildSeconds, 0.0) << "pass " << P;
+    EXPECT_EQ(asNs(Rec.BuildSeconds), spanNsWithin(Log, Pass, "Build"))
+        << "pass " << P;
+    EXPECT_EQ(asNs(Rec.SimplifySeconds), spanNsWithin(Log, Pass, "Simplify"))
+        << "pass " << P;
+    EXPECT_EQ(asNs(Rec.SelectSeconds), spanNsWithin(Log, Pass, SelectSpan))
+        << "pass " << P;
+    EXPECT_EQ(asNs(Rec.SpillSeconds),
+              spanNsWithin(Log, Pass, "SpillInserter"))
+        << "pass " << P;
+    EXPECT_EQ(Rec.SpillSeconds > 0, P + 1 < Passes.size()) << "pass " << P;
+  }
+}
+
+TEST(Trace, ColoringPhaseFieldsAreTheirSpansToTheNanosecond) {
+  expectPhaseFieldsMatchSpans(Backend::GraphColoring, "regalloc", "Select",
+                              /*HelperSpansPerPass=*/2);
+}
+
+TEST(Trace, LinearScanPhaseFieldsAreTheirSpansToTheNanosecond) {
+  expectPhaseFieldsMatchSpans(Backend::LinearScan, "linearscan",
+                              "IntervalWalk", /*HelperSpansPerPass=*/0);
 }
 
 //===--------------------------------------------------------------------===//
