@@ -42,6 +42,7 @@ InterferenceGraph makeRandomGraph(unsigned NumNodes, double AvgDegree,
     unsigned A = R.nextBelow(NumNodes), B = R.nextBelow(NumNodes);
     G.addEdge(A, B);
   }
+  G.finalize();
   for (unsigned N = 0; N < NumNodes; ++N)
     G.node(N).SpillCost = double(1 + R.nextBelow(10000));
   return G;
@@ -187,10 +188,8 @@ int main(int Argc, char **Argv) {
 
   std::vector<InterferenceGraph> Graphs;
   Graphs.reserve(NumGraphs);
-  for (unsigned I = 0; I < NumGraphs; ++I) {
+  for (unsigned I = 0; I < NumGraphs; ++I)
     Graphs.push_back(makeRandomGraph(NodesPerGraph, 12.0, 1000 + I));
-    Graphs.back().finalize(); // share safely across workers
-  }
 
   std::printf("Random-graph throughput (%u graphs x %u nodes, k=8)\n",
               NumGraphs, NodesPerGraph);

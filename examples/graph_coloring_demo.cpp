@@ -59,6 +59,7 @@ int main() {
     G.addEdge(1, 3);
     G.addEdge(2, 3);
     G.addEdge(3, 4);
+    G.finalize();
     for (unsigned N = 0; N < 5; ++N)
       G.node(N).SpillCost = 100;
     const char *Names[] = {"a", "b", "c", "d", "e"};
@@ -72,6 +73,7 @@ int main() {
     G.addEdge(1, 2); // x-z
     G.addEdge(2, 3); // z-y
     G.addEdge(3, 0); // y-w
+    G.finalize();
     for (unsigned N = 0; N < 4; ++N)
       G.node(N).SpillCost = 100;
     const char *Names[] = {"w", "x", "z", "y"};

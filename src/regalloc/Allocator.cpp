@@ -28,6 +28,7 @@
 #include "regalloc/SpillCost.h"
 #include "support/Budget.h"
 #include "support/Trace.h"
+#include "support/TwoLevelBitSet.h"
 
 #include <cassert>
 #include <chrono>
@@ -166,10 +167,12 @@ void computeAreaAndDepth(const Function &F, const LoopInfo &Loops,
                          std::vector<unsigned> &DepthOf) {
   Area.assign(F.numVRegs(), 0);
   DepthOf.assign(F.numVRegs(), 0);
+  // Visited once per instruction: the set walks only its non-zero words.
+  TwoLevelBitSet Live(F.numVRegs());
   for (const BasicBlock &B : F.blocks()) {
     unsigned Depth = Loops.depth(B.Id);
     double W = loopDepthWeight(Depth);
-    BitVector Live = LV.liveOut(B.Id);
+    Live.assign(LV.liveOut(B.Id));
     for (auto It = B.Insts.rbegin(), E = B.Insts.rend(); It != E; ++It) {
       const Instruction &I = *It;
       if (I.hasDef()) {
@@ -208,8 +211,9 @@ RangeMetrics rangeRow(const Function &F, const ClassGraph &CG,
   return RM;
 }
 
-/// Estimated bytes of both class graphs' interference matrices, charged
-/// to the budget before they are built.
+/// Estimated bytes of both class graphs' node arrays, charged to the
+/// budget before they are built. The build charges the edge pairs
+/// itself as it reserves them.
 uint64_t graphBytes(const Function &F, const AllocatorConfig &C) {
   std::array<uint64_t, NumRegClasses> ClassNodes{};
   for (VRegId R = 0; R < F.numVRegs(); ++R)
@@ -392,11 +396,11 @@ AllocationResult runPasses(Function &F, const AllocatorConfig &C,
         if (CS.CopiesRemoved != 0)
           renumberLiveRanges(F, G); // compact ids merged away
       }
-      // Charge the matrices *before* they exist: the triangular bit
-      // matrix is the allocation that OOMs at scale, and refusing it up
-      // front turns a would-be OOM into a clean over-budget exit. The
-      // charge is held for the pass (the graphs die with the iteration).
-      // Linear scan builds no matrix and charges nothing.
+      // Charge the graphs' node arrays *before* they exist, and let the
+      // build charge its edge pairs as they grow: refusing either turns
+      // a would-be OOM into a clean over-budget exit. The node charge is
+      // held for the pass (the graphs die with the iteration). Linear
+      // scan builds no graph and charges nothing.
       Budget *GraphGov = Scan ? nullptr : Gov;
       GraphCharge.emplace(GraphGov, GraphGov ? graphBytes(F, C) : 0);
       if (!GraphCharge->granted())
@@ -568,8 +572,8 @@ AllocationResult ra::allocateRegisters(Function &F,
   }
 
   // Rung 1 of the budget ladder: graph coloring ran over its deadline
-  // or was refused its matrices — retry under linear scan, which
-  // allocates no triangular matrix and is the measured-cheaper engine,
+  // or was refused its graphs — retry under linear scan, which
+  // allocates no interference graph and is the measured-cheaper engine,
   // before surrendering registers entirely. The retry keeps the same
   // token (memory charges carry over) with a fresh deadline window, and
   // is audited unconditionally: degraded code must never be wrong code.

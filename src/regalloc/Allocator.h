@@ -81,10 +81,10 @@ struct FaultInjectOptions {
   /// deterministically trips a tiny deadline so every ladder rung is
   /// provable without relying on machine speed.
   unsigned SlowPhaseMicros = 0;
-  /// Pretend the interference-graph matrix estimate is ~1 GB larger
-  /// than it is, so a memory budget refuses the graph-coloring build
-  /// up front and the ladder retries under linear scan (which has no
-  /// triangular matrix and charges nothing extra).
+  /// Pretend the interference graphs' up-front estimate is ~1 GB
+  /// larger than it is, so a memory budget refuses the graph-coloring
+  /// build up front and the ladder retries under linear scan (which
+  /// builds no graph and charges nothing extra).
   bool GraphMemorySpike = false;
 
   bool any() const {
@@ -146,11 +146,12 @@ struct AllocatorConfig {
   /// result is Degraded with a DeadlineExceeded status rather than
   /// Failed. rac's --deadline-ms.
   double DeadlineSeconds = 0;
-  /// Byte ceiling per function for governed allocations — today the
-  /// dominant O(N^2)-bit interference matrices, charged up front from
-  /// InterferenceGraph::estimateBytes so a would-be OOM is refused
-  /// before the matrix exists (0 = unbounded). Same ladder as the
-  /// deadline. rac's --mem-budget-mb.
+  /// Byte ceiling per function for governed allocations — the
+  /// interference graphs: their node arrays, charged up front from
+  /// InterferenceGraph::estimateBytes, and their raw edge pairs,
+  /// charged by the build before each slab is reserved, so a would-be
+  /// OOM is refused before the bytes exist (0 = unbounded). Same ladder
+  /// as the deadline. rac's --mem-budget-mb.
   uint64_t MemoryBudgetBytes = 0;
 
   /// True when either resource limit is armed.

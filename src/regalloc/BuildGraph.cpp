@@ -8,6 +8,9 @@
 
 #include "support/Budget.h"
 #include "support/Trace.h"
+#include "support/TwoLevelBitSet.h"
+
+#include <algorithm>
 
 using namespace ra;
 
@@ -15,16 +18,18 @@ namespace {
 
 /// Walks every block backward from live-out, invoking
 /// \p AddInterference(Def, Live) for each def against each live range
-/// live just after it (excluding a Copy's source). Polls \p Gov once
-/// per block and stops the walk when the budget trips.
+/// live just after it (excluding a Copy's source), in ascending order of
+/// the live range. Polls \p Gov once per block and stops the walk when
+/// the budget trips. The live set visits only its non-zero words, so a
+/// def costs its live ranges, not the register count.
 template <typename CallableT>
 void forEachInterference(const Function &F, const Liveness &LV,
                          CallableT AddInterference, Budget *Gov = nullptr) {
-  BitVector LiveNow;
+  TwoLevelBitSet LiveNow(F.numVRegs());
   for (const BasicBlock &B : F.blocks()) {
     if (Gov && !Gov->checkpoint())
       return;
-    LiveNow = LV.liveOut(B.Id);
+    LiveNow.assign(LV.liveOut(B.Id));
     for (auto It = B.Insts.rbegin(), E = B.Insts.rend(); It != E; ++It) {
       const Instruction &I = *It;
       if (I.hasDef()) {
@@ -41,6 +46,9 @@ void forEachInterference(const Function &F, const Liveness &LV,
     }
   }
 }
+
+/// Smallest pair slab the build reserves (and charges) at a time.
+constexpr size_t MinPairSlab = 1024;
 
 } // namespace
 
@@ -71,17 +79,30 @@ ra::buildInterferenceGraphs(const Function &F, const Liveness &LV,
     }
   }
 
+  // The raw pairs are the build's one allocation that grows with the
+  // walk: reserve them in doubling slabs and charge each slab before it
+  // exists. A refused charge latches the token, drops the rest of this
+  // block's pairs (every later request is refused too: nothing is
+  // released mid-build) and ends the walk at the next checkpoint.
+  ScopedCharge PairCharge(Gov, 0);
   forEachInterference(
       F, LV,
       [&](VRegId D, VRegId L) {
         if (F.regClass(D) != F.regClass(L))
           return; // disjoint files never compete for a register
         ClassGraph &CG = Out[static_cast<unsigned>(F.regClass(D))];
-        CG.Graph.addEdge(CG.VRegToNode[D], CG.VRegToNode[L]);
+        InterferenceGraph &G = CG.Graph;
+        if (G.numPairs() == G.pairCapacity()) {
+          size_t More = std::max<size_t>(G.pairCapacity(), MinPairSlab);
+          if (!PairCharge.grow(More * InterferenceGraph::PairBytes))
+            return;
+          G.reservePairs(G.pairCapacity() + More);
+        }
+        G.addEdge(CG.VRegToNode[D], CG.VRegToNode[L]);
       },
       Gov);
   // Pack adjacency into CSR here, once, so the graphs are ready to be
-  // colored concurrently (the lazy build in neighbors() must not race).
+  // colored concurrently.
   for (ClassGraph &CG : Out)
     CG.Graph.finalize();
   return Out;

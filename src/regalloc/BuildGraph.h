@@ -21,6 +21,7 @@
 
 #include "analysis/Liveness.h"
 #include "regalloc/InterferenceGraph.h"
+#include "support/TriangularBitMatrix.h"
 
 #include <array>
 

@@ -49,10 +49,9 @@ ColoringResult ra::colorGraph(const InterferenceGraph &G, unsigned K,
   if (N == 0)
     return R;
 
-  // Pack adjacency into its CSR layout up front: simplify/select then
-  // read only sequential memory, and concurrent colorings of already-
-  // finalized graphs never mutate shared state.
-  G.finalize();
+  // Simplify/select read only the packed rows, so concurrent colorings
+  // of finalized graphs never mutate shared state.
+  assert(G.finalized() && "color a finalized graph");
 
   // Counter tracking is gated on an active trace session: when off, the
   // only residue is dead local integers (and no StuckPushed allocation).

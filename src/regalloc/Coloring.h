@@ -129,7 +129,8 @@ struct ColoringResult {
   bool success() const { return Spilled.empty(); }
 };
 
-/// Runs heuristic \p H on \p G with \p K colors. Requires K >= 1.
+/// Runs heuristic \p H on \p G with \p K colors. Requires K >= 1 and a
+/// finalized \p G.
 /// Ties in the cost/degree spill metric break toward the lowest node id
 /// (the paper's footnote 4: "often something as trivial as a symbol
 /// table index"), consistently across heuristics.

@@ -102,7 +102,7 @@ void ra::runParallelSelect(const InterferenceGraph &G, unsigned K,
   const size_t S = SelectOrder.size();
   if (S == 0)
     return;
-  G.finalize(); // CSR must be packed before threads read it
+  assert(G.finalized() && "CSR must be packed before threads read it");
   const unsigned N = G.numNodes();
   assert(ColorOf.size() == N && "color array must cover the graph");
 

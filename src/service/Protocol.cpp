@@ -206,7 +206,7 @@ const Option Options[] = {
     {"deadline_ms", &WireConfig::DeadlineMs, "--deadline-ms", nullptr,
      nullptr, "per-function wall-clock budget (0 = unbounded)"},
     {"mem_mb", &WireConfig::MemBudgetMb, "--mem-budget-mb", nullptr, nullptr,
-     "per-function interference-matrix budget (0 = unbounded)"},
+     "per-function interference-graph memory budget (0 = unbounded)"},
 };
 
 bool spells(const char *Spelling, const std::string &Arg) {

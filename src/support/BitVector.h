@@ -19,6 +19,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace ra {
@@ -108,6 +109,10 @@ public:
 
   /// Index of the first set bit strictly after \p Prev, or -1 if none.
   int findNext(unsigned Prev) const;
+
+  /// The backing words, bit I at bit I % 64 of word I / 64. Bits past
+  /// size() are zero.
+  std::span<const uint64_t> words() const { return Words; }
 
   /// Calls \p Fn(Idx) for every set bit in ascending order.
   template <typename CallableT> void forEachSetBit(CallableT Fn) const {

@@ -12,10 +12,11 @@
 /// Instead, every long-running loop polls `checkpoint()` — an amortized
 /// check that touches the clock only every 64th call — and backs out at
 /// the next IR-safe boundary when the token has tripped. Memory is
-/// governed up front: a phase *estimates* its dominant allocation (the
-/// triangular bit matrix) and asks `tryCharge()` before allocating, so
-/// a would-be OOM is refused into the degradation ladder before any
-/// bytes are committed.
+/// governed before it is committed: a phase *estimates* its dominant
+/// allocation (the interference graphs' node arrays, and the raw edge
+/// pairs slab by slab as the build reserves them) and asks
+/// `tryCharge()` before allocating, so a would-be OOM is refused into
+/// the degradation ladder before the bytes exist.
 ///
 /// Tripping is *latched*: once either resource is exhausted the token
 /// stays exhausted (every subsequent checkpoint answers instantly)
@@ -197,6 +198,18 @@ public:
   ScopedCharge &operator=(const ScopedCharge &) = delete;
 
   bool granted() const { return Granted; }
+
+  /// Charges \p More bytes under this scope, released with the rest.
+  /// Returns false, charging nothing, when the budget refuses (or when
+  /// the scope's own charge was refused).
+  bool grow(uint64_t More) {
+    if (!Granted)
+      return false;
+    if (Governor && !Governor->tryCharge(More))
+      return false;
+    Bytes += More;
+    return true;
+  }
 
 private:
   Budget *Governor;

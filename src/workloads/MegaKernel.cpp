@@ -161,7 +161,7 @@ Status ra::checkMegaKernelCapacity(const MegaKernel &MK,
       StatusCode::MemoryBudgetExceeded,
       MK.Name + ": ~" + std::to_string(MK.ApproxRanges) +
           " live ranges need an estimated " + std::to_string(Estimate) +
-          " bytes of interference matrix, over the " +
+          " bytes of interference-graph node arrays, over the " +
           std::to_string(MemoryBudgetBytes) +
           "-byte budget; raise --mem-budget-mb or skip this kernel");
 }
@@ -174,9 +174,7 @@ std::array<ClassGraph, NumRegClasses> ra::buildColoringGraphs(Function &F) {
   Dominators Doms = Dominators::compute(F, G);
   LoopInfo Loops = LoopInfo::compute(F, G, Doms);
   std::vector<double> Costs = computeSpillCosts(F, Loops, CostModel::rtpc());
-  for (ClassGraph &CG : Graphs) {
+  for (ClassGraph &CG : Graphs)
     setNodeCosts(F, Costs, CG);
-    CG.Graph.finalize();
-  }
   return Graphs;
 }

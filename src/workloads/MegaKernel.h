@@ -50,7 +50,7 @@ struct MegaKernel {
   std::string Name; ///< "mega.ramp.10k" — unique within the family.
   std::string Kind; ///< "ramp", "wide", "random".
   /// Approximate live ranges the kernel produces — the N that sizes the
-  /// O(N^2)-bit triangular interference matrix. Capacity guards
+  /// interference graphs' node arrays. Capacity guards
   /// (checkMegaKernelCapacity) use it to refuse a kernel *before*
   /// building anything.
   uint64_t ApproxRanges = 0;
@@ -58,17 +58,15 @@ struct MegaKernel {
   std::function<Function &(Module &)> Build;
 };
 
-/// Bench-scale family: ≥10k live ranges per member (the largest ~50k —
-/// the triangular interference bit matrix is O(N^2) bits, so 50k nodes
-/// costs ~156 MB while 100k would cost ~625 MB).
+/// Bench-scale family: ≥10k live ranges per member (the largest ~50k).
 const std::vector<MegaKernel> &megaKernelFamily();
 
 /// Fast variants of the same three shapes (a few thousand ranges) for
 /// unit/determinism tests that run in milliseconds.
 const std::vector<MegaKernel> &megaKernelTestFamily();
 
-/// Explicit capacity guard: Ok when \p MK's triangular interference
-/// matrix (estimated from ApproxRanges) fits \p MemoryBudgetBytes, or a
+/// Explicit capacity guard: Ok when \p MK's interference-graph node
+/// arrays (estimated from ApproxRanges) fit \p MemoryBudgetBytes, or a
 /// MemoryBudgetExceeded error naming the kernel, the estimate, and the
 /// budget — with the remedy (raise the budget or drop the kernel) in
 /// the message — instead of silently attempting the allocation.

@@ -12,8 +12,9 @@
 //  * a deadline trip mid-coloring retries under linear scan and then
 //    spill-everything — the function always comes back usable
 //    (Degraded), audited, with a Status naming the exhausted resource;
-//  * a memory budget refuses the interference matrix *before* the
-//    bytes exist;
+//  * a memory budget refuses the interference graphs *before* the
+//    bytes exist: their node arrays up front, their edge pairs slab by
+//    slab as the build reserves them;
 //  * governance off (the default) and governance with generous limits
 //    are byte-identical to each other.
 //
@@ -22,6 +23,7 @@
 #include "ir/IRPrinter.h"
 #include "regalloc/AllocationAudit.h"
 #include "regalloc/Allocator.h"
+#include "regalloc/BuildGraph.h"
 #include "sim/Simulator.h"
 #include "support/Budget.h"
 #include "workloads/MegaKernel.h"
@@ -167,28 +169,73 @@ TEST(AllocatorBudgetTest, GraphMemorySpikeRetriesUnderLinearScan) {
   EXPECT_EQ(A.Outcome, AllocOutcome::Degraded);
   EXPECT_EQ(A.Diag.code(), StatusCode::MemoryBudgetExceeded)
       << A.Diag.toString();
-  // The spike only inflates the coloring estimate; linear scan has no
-  // triangular matrix, so the first retry rung absorbs the trip.
+  // The spike only inflates the coloring estimate; linear scan builds
+  // no interference graph, so the first retry rung absorbs the trip.
   EXPECT_NE(A.Diag.toString().find("linear-scan"), std::string::npos)
       << A.Diag.toString();
   EXPECT_TRUE(auditAllocation(F, A).empty());
 }
 
-TEST(AllocatorBudgetTest, TinyMemoryBudgetRefusesMatrixUpFront) {
-  // mini.ramp's ~3000 ranges need ~600 KB of triangular matrix; a
-  // 100 KB budget must refuse the build *before* allocating it and
-  // still hand back a usable allocation from a cheaper rung.
+TEST(AllocatorBudgetTest, TinyMemoryBudgetRefusesGraphUpFront) {
+  // mini.ramp's ~3000 ranges need ~82 KB of graph node arrays; a 32 KB
+  // budget must refuse the build *before* allocating them and still
+  // hand back a usable allocation from a cheaper rung.
   Module M;
-  Function &F = megaKernelTestFamily()[0].Build(M);
+  const MegaKernel &MK = megaKernelTestFamily()[0];
+  Function &F = MK.Build(M);
   AllocatorConfig C;
   C.Audit = true;
-  C.MemoryBudgetBytes = 100 << 10;
+  C.MemoryBudgetBytes = 32 << 10;
+  ASSERT_GT(InterferenceGraph::estimateBytes(MK.ApproxRanges),
+            C.MemoryBudgetBytes);
   AllocationResult A = allocateRegisters(F, C);
   ASSERT_TRUE(A.Success) << A.Diag.toString();
   EXPECT_EQ(A.Outcome, AllocOutcome::Degraded);
   EXPECT_EQ(A.Diag.code(), StatusCode::MemoryBudgetExceeded)
       << A.Diag.toString();
   EXPECT_TRUE(auditAllocation(F, A).empty());
+}
+
+TEST(AllocatorBudgetTest, SmallMemoryBudgetRefusesEdgePairsMidBuild) {
+  // 256 KB admits mini.ramp's node arrays, but not its edge pairs:
+  // each range meets ~16-32 others, so the walk records ~48k pairs at
+  // 16 bytes each. The build must ask for each
+  // pair slab before reserving it, and the refusal must take the same
+  // ladder as an up-front one.
+  Module M;
+  const MegaKernel &MK = megaKernelTestFamily()[0];
+  Function &F = MK.Build(M);
+  AllocatorConfig C;
+  C.Audit = true;
+  C.MemoryBudgetBytes = 256 << 10;
+  ASSERT_LT(2 * InterferenceGraph::estimateBytes(MK.ApproxRanges),
+            C.MemoryBudgetBytes);
+  AllocationResult A = allocateRegisters(F, C);
+  ASSERT_TRUE(A.Success) << A.Diag.toString();
+  EXPECT_EQ(A.Outcome, AllocOutcome::Degraded);
+  EXPECT_EQ(A.Diag.code(), StatusCode::MemoryBudgetExceeded)
+      << A.Diag.toString();
+  EXPECT_NE(A.Diag.toString().find("linear-scan"), std::string::npos)
+      << A.Diag.toString();
+  EXPECT_TRUE(auditAllocation(F, A).empty());
+}
+
+TEST(AllocatorBudgetTest, GovernedBuildChargesEdgePairsAndReleasesThem) {
+  // A token without limits still records the peak: the build charges
+  // at least PairBytes per recorded pair (there are at least as many
+  // pairs as edges) and releases all of it when it returns.
+  Module M;
+  Function &F = megaKernelTestFamily()[0].Build(M);
+  CFG G = CFG::compute(F);
+  Liveness LV = Liveness::compute(F, G);
+  Budget Gov;
+  auto Graphs = buildInterferenceGraphs(F, LV, &Gov);
+  uint64_t Pairs = 0;
+  for (const ClassGraph &CG : Graphs)
+    Pairs += CG.Graph.numEdges();
+  EXPECT_GE(Gov.peakBytes(), Pairs * InterferenceGraph::PairBytes);
+  EXPECT_EQ(Gov.currentBytes(), 0u);
+  EXPECT_FALSE(Gov.exhausted());
 }
 
 TEST(AllocatorBudgetTest, LinearScanDeadlineFallsToSpillEverything) {
@@ -293,13 +340,17 @@ TEST(AllocatorBudgetTest, ModuleUnderTinyBudgetsNeverFails) {
 // Capacity estimation and the MegaKernel guard.
 //===--------------------------------------------------------------------===//
 
-TEST(CapacityTest, EstimateBytesScalesQuadratically) {
+TEST(CapacityTest, EstimateBytesScalesLinearly) {
   EXPECT_EQ(InterferenceGraph::estimateBytes(0), 0u);
-  // 50k nodes: the triangular bit matrix alone is ~156 MB.
-  EXPECT_GT(InterferenceGraph::estimateBytes(50000), 150ull << 20);
-  EXPECT_LT(InterferenceGraph::estimateBytes(50000), 200ull << 20);
-  EXPECT_LT(InterferenceGraph::estimateBytes(1000),
-            InterferenceGraph::estimateBytes(2000));
+  // Node arrays only: metadata, row offsets, finalize's row starts and
+  // stamps. 50k nodes take ~1.3 MB; edge pairs are charged by the build.
+  const uint64_t PerNode = InterferenceGraph::estimateBytes(1);
+  EXPECT_EQ(PerNode, sizeof(IGNode) + 3 * sizeof(uint32_t));
+  EXPECT_EQ(InterferenceGraph::estimateBytes(50000), 50000 * PerNode);
+  EXPECT_GT(InterferenceGraph::estimateBytes(50000), 1ull << 20);
+  EXPECT_LT(InterferenceGraph::estimateBytes(50000), 2ull << 20);
+  EXPECT_EQ(InterferenceGraph::estimateBytes(2000),
+            2 * InterferenceGraph::estimateBytes(1000));
 }
 
 TEST(CapacityTest, MegaKernelGuardRefusesOverBudgetKernels) {
@@ -308,9 +359,13 @@ TEST(CapacityTest, MegaKernelGuardRefusesOverBudgetKernels) {
   EXPECT_TRUE(checkMegaKernelCapacity(Big, 0).ok());
   // Roomy budget: Ok.
   EXPECT_TRUE(checkMegaKernelCapacity(Big, 1ull << 30).ok());
-  // 16 MB cannot hold a ~156 MB matrix: an actionable refusal naming
-  // the kernel and the remedy, not a silent attempt.
-  Status S = checkMegaKernelCapacity(Big, 16ull << 20);
+  // Exactly the estimate: Ok.
+  uint64_t Estimate = InterferenceGraph::estimateBytes(Big.ApproxRanges);
+  EXPECT_TRUE(checkMegaKernelCapacity(Big, Estimate).ok());
+  // 1 MB cannot hold ~1.3 MB of node arrays: an actionable refusal
+  // naming the kernel and the remedy, not a silent attempt.
+  ASSERT_GT(Estimate, 1ull << 20);
+  Status S = checkMegaKernelCapacity(Big, 1ull << 20);
   ASSERT_FALSE(S.ok());
   EXPECT_EQ(S.code(), StatusCode::MemoryBudgetExceeded);
   EXPECT_NE(S.toString().find(Big.Name), std::string::npos);

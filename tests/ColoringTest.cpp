@@ -28,6 +28,7 @@ InterferenceGraph makeGraph(unsigned N,
   InterferenceGraph G(N);
   for (auto [A, B] : Edges)
     G.addEdge(unsigned(A), unsigned(B));
+  G.finalize();
   for (unsigned I = 0; I < N; ++I)
     G.node(I).SpillCost = 100; // equal costs, as in the paper's example
   return G;
@@ -83,6 +84,7 @@ TEST(ColoringTest, CliqueNeedsExactlyCliqueSizeColors) {
   for (unsigned A = 0; A < N; ++A)
     for (unsigned B = A + 1; B < N; ++B)
       G.addEdge(A, B);
+  G.finalize();
   for (unsigned I = 0; I < N; ++I)
     G.node(I).SpillCost = 1 + I;
 
@@ -119,6 +121,7 @@ TEST(ColoringTest, NoSpillNodesAreSpilledLast) {
   for (unsigned A = 0; A < 4; ++A)
     for (unsigned B = A + 1; B < 4; ++B)
       G.addEdge(A, B);
+  G.finalize();
   G.node(0).SpillCost = 1;
   G.node(0).NoSpill = true;
   G.node(1).SpillCost = 2;
@@ -140,6 +143,7 @@ InterferenceGraph randomGraph(Rng &R, unsigned N, double Density) {
     for (unsigned B = A + 1; B < N; ++B)
       if (R.nextBool(Density))
         G.addEdge(A, B);
+  G.finalize();
   for (unsigned I = 0; I < N; ++I)
     G.node(I).SpillCost = double(1 + R.nextBelow(1000));
   return G;
@@ -258,6 +262,7 @@ TEST(DegreeBucketsTest, SearchHintNeverSkipsWork) {
     for (unsigned B2 = A + 1; B2 < 64; ++B2)
       if (R.nextBool(0.2))
         G.addEdge(A, B2);
+  G.finalize();
 
   std::vector<uint32_t> Degrees(64);
   for (unsigned N = 0; N < 64; ++N)
@@ -290,12 +295,22 @@ TEST(DegreeBucketsTest, SearchHintNeverSkipsWork) {
 
 TEST(InterferenceGraphTest, AddEdgeDeduplicates) {
   InterferenceGraph G(3);
-  EXPECT_TRUE(G.addEdge(0, 1));
-  EXPECT_FALSE(G.addEdge(1, 0)) << "duplicate edges rejected";
-  EXPECT_FALSE(G.addEdge(2, 2)) << "self edges rejected";
-  EXPECT_EQ(G.numEdges(), 1u);
+  G.addEdge(0, 1);
+  G.addEdge(1, 0); // duplicate, the other orientation
+  G.addEdge(2, 2); // self edge
+  G.addEdge(0, 1); // duplicate, the same orientation
+  EXPECT_FALSE(G.finalized());
+  G.finalize();
+  EXPECT_EQ(G.numEdges(), 1u) << "duplicates merged, self edge dropped";
   EXPECT_EQ(G.degree(0), 1u);
+  EXPECT_EQ(G.degree(1), 1u);
+  EXPECT_EQ(G.degree(2), 0u) << "self edges dropped";
+  EXPECT_EQ(std::vector<uint32_t>(G.neighbors(0).begin(), G.neighbors(0).end()),
+            (std::vector<uint32_t>{1}));
+  EXPECT_EQ(std::vector<uint32_t>(G.neighbors(1).begin(), G.neighbors(1).end()),
+            (std::vector<uint32_t>{0}));
   EXPECT_TRUE(G.interferes(0, 1));
+  EXPECT_TRUE(G.interferes(1, 0));
   EXPECT_FALSE(G.interferes(0, 2));
 }
 

@@ -120,11 +120,18 @@ TEST(InterferenceGraphCSRTest, AddEdgeAfterFinalizeRebuilds) {
   G.addEdge(0, 1);
   G.finalize();
   EXPECT_EQ(G.neighbors(0).size(), 1u);
-  EXPECT_TRUE(G.addEdge(0, 2));
-  EXPECT_FALSE(G.addEdge(1, 0)); // duplicate, either orientation
+  G.addEdge(0, 2);
+  G.addEdge(1, 0); // duplicate of a packed edge, the other orientation
+  G.addEdge(3, 3); // self edge
+  G.finalize();
+  EXPECT_EQ(G.numEdges(), 2u);
   EXPECT_EQ(G.degree(0), 2u);
+  EXPECT_EQ(G.degree(1), 1u);
+  EXPECT_EQ(G.degree(3), 0u);
   std::vector<uint32_t> N0(G.neighbors(0).begin(), G.neighbors(0).end());
   EXPECT_EQ(N0, (std::vector<uint32_t>{1, 2}));
+  std::vector<uint32_t> N1(G.neighbors(1).begin(), G.neighbors(1).end());
+  EXPECT_EQ(N1, (std::vector<uint32_t>{0}));
 }
 
 //===--------------------------------------------------------------------===//
@@ -247,10 +254,8 @@ std::array<ClassGraph, NumRegClasses> passOneGraphs(Function &F) {
   Dominators Doms = Dominators::compute(F, G);
   LoopInfo Loops = LoopInfo::compute(F, G, Doms);
   std::vector<double> Costs = computeSpillCosts(F, Loops, CostModel::rtpc());
-  for (ClassGraph &CG : Graphs) {
+  for (ClassGraph &CG : Graphs)
     setNodeCosts(F, Costs, CG);
-    CG.Graph.finalize();
-  }
   return Graphs;
 }
 

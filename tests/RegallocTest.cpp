@@ -480,8 +480,8 @@ TEST(AllocatorTest, SmallFileStillConverges) {
   EXPECT_TRUE(A.Success) << "minimum legal file must still allocate";
 }
 
-// 66,001 int live ranges: the interference matrix holds more bits than
-// a 32-bit index reaches (2.2e9; the limit falls at 65,537 nodes).
+// 66,001 int live ranges: past 65,537 nodes, where a 32-bit index into
+// a triangular interference matrix would overflow (2.2e9 bits).
 // c is live across every add; each v dies at the next one's def.
 TEST(AllocatorTest, ColorsPastSixtyFiveThousandLiveRanges) {
   Module M;
@@ -697,6 +697,7 @@ TEST(GraphDumpTest, RendersNodesEdgesAndColors) {
   InterferenceGraph G(3);
   G.addEdge(0, 1);
   G.addEdge(1, 2);
+  G.finalize();
   ColoringResult R = colorGraph(G, 2, Heuristic::Briggs);
   std::string Dot = dumpGraphviz(G, &R, "demo", {"w", "x", "z"});
   EXPECT_NE(Dot.find("graph \"demo\""), std::string::npos);
@@ -716,6 +717,7 @@ TEST(GraphDumpTest, MarksSpilledNodes) {
   for (unsigned A = 0; A < 4; ++A)
     for (unsigned B = A + 1; B < 4; ++B)
       G.addEdge(A, B);
+  G.finalize();
   for (unsigned N = 0; N < 4; ++N)
     G.node(N).SpillCost = 1 + N;
   ColoringResult R = colorGraph(G, 2, Heuristic::Briggs);

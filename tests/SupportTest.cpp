@@ -9,10 +9,13 @@
 #include "support/Status.h"
 #include "support/Table.h"
 #include "support/TriangularBitMatrix.h"
+#include "support/TwoLevelBitSet.h"
 #include "support/UnionFind.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <set>
 
 using namespace ra;
@@ -107,6 +110,64 @@ TEST(BitVectorTest, ForEachMatchesReferenceSet) {
   BV.forEachSetBit([&](unsigned Bit) { Seen.insert(Bit); });
   EXPECT_EQ(Seen, Ref);
   EXPECT_EQ(BV.count(), Ref.size());
+}
+
+/// Set bits of \p S in visit order.
+std::vector<unsigned> visitOrder(const TwoLevelBitSet &S) {
+  std::vector<unsigned> Out;
+  S.forEachSetBit([&](unsigned Bit) { Out.push_back(Bit); });
+  return Out;
+}
+
+std::vector<unsigned> setBits(const BitVector &BV) {
+  std::vector<unsigned> Out;
+  BV.forEachSetBit([&](unsigned Bit) { Out.push_back(Bit); });
+  return Out;
+}
+
+TEST(TwoLevelBitSetTest, RandomOpsMatchBitVector) {
+  // Sizes straddle one word, one summary word (64 words = 4096 bits),
+  // and a summary longer than one word.
+  for (unsigned Size : {0u, 1u, 63u, 64u, 65u, 4095u, 4096u, 4097u, 65537u}) {
+    Rng R(Size + 1);
+    TwoLevelBitSet S(Size);
+    BitVector Ref(Size);
+    EXPECT_EQ(S.size(), Size);
+    EXPECT_TRUE(visitOrder(S).empty());
+    for (unsigned Op = 0; Op < 1500; ++Op) {
+      unsigned Kind = unsigned(R.nextBelow(10));
+      if (Kind == 0) {
+        // Assign a fresh vector: empty, sparse, or half full.
+        BitVector Src(Size);
+        double Density = std::array{0.0, 0.001, 0.02, 0.5}[R.nextBelow(4)];
+        for (unsigned I = 0; I < Size; ++I)
+          if (R.nextBool(Density))
+            Src.set(I);
+        S.assign(Src);
+        Ref = Src;
+      } else if (Size != 0) {
+        // Cluster most picks in a few words so resets empty them.
+        unsigned Bit = R.nextBool(0.7)
+                           ? unsigned(R.nextBelow(std::min(Size, 192u)))
+                           : unsigned(R.nextBelow(Size));
+        if (Kind < 6) {
+          S.set(Bit);
+          Ref.set(Bit);
+        } else {
+          S.reset(Bit);
+          Ref.reset(Bit);
+        }
+        EXPECT_EQ(S.test(Bit), Ref.test(Bit));
+      }
+      std::vector<unsigned> Seen = visitOrder(S);
+      ASSERT_TRUE(std::is_sorted(Seen.begin(), Seen.end()));
+      ASSERT_EQ(Seen, setBits(Ref)) << "size " << Size << ", op " << Op;
+    }
+    // Clearing every bit one by one leaves nothing to visit.
+    for (unsigned Bit : setBits(Ref))
+      S.reset(Bit);
+    EXPECT_TRUE(visitOrder(S).empty()) << "size " << Size;
+  }
 }
 
 TEST(TriangularBitMatrixTest, SymmetryAndDiagonal) {
