@@ -160,8 +160,8 @@ int main(int Argc, char **Argv) {
   // Generated kernels: build the IR, replicate the build phase, then
   // race sequential vs. parallel Select on the biggest class graph.
   for (const MegaKernel &MK : megaKernelFamily()) {
-    // Capacity guard: refuse a kernel whose triangular interference
-    // matrix would blow the budget *before* building any IR, with the
+    // Capacity guard: refuse a kernel whose interference-graph node
+    // arrays would blow the budget *before* building any IR, with the
     // remedy in the message — not a silent attempt that OOMs mid-run.
     if (Status Cap = checkMegaKernelCapacity(MK, MemBudgetBytes); !Cap.ok()) {
       std::fprintf(stderr, "megakernel_scaling: skipping %s\n",

@@ -8,7 +8,9 @@
 /// Lower-triangular bit matrix for symmetric relations over node ids.
 /// Chaitin's allocator keeps the interference relation in exactly this
 /// shape for O(1) membership tests, alongside adjacency vectors for
-/// iteration [CACC 81]; we reuse the structure here.
+/// iteration [CACC 81]. Here only conservative coalescing uses it, for
+/// its all-vreg interference tests; the interference graphs keep
+/// adjacency alone.
 ///
 //===----------------------------------------------------------------------===//
 
