@@ -115,13 +115,3 @@ void ra::setNodeCosts(const Function &F, const std::vector<double> &Costs,
   for (unsigned N = 0; N < CG.Graph.numNodes(); ++N)
     CG.Graph.node(N).SpillCost = Costs[CG.NodeToVReg[N]];
 }
-
-TriangularBitMatrix ra::buildInterferenceMatrix(const Function &F,
-                                                const Liveness &LV) {
-  TriangularBitMatrix M(F.numVRegs());
-  forEachInterference(F, LV, [&](VRegId D, VRegId L) {
-    if (F.regClass(D) == F.regClass(L))
-      M.set(D, L);
-  });
-  return M;
-}

@@ -21,7 +21,6 @@
 
 #include "analysis/Liveness.h"
 #include "regalloc/InterferenceGraph.h"
-#include "support/TriangularBitMatrix.h"
 
 #include <array>
 
@@ -53,12 +52,6 @@ buildInterferenceGraphs(const Function &F, const Liveness &LV,
 /// temporaries NoSpill.
 void setNodeCosts(const Function &F, const std::vector<double> &Costs,
                   ClassGraph &CG);
-
-/// Builds a whole-function interference matrix over *all* vregs (both
-/// classes), used by conservative coalescing for O(1) interference
-/// tests and neighbor counts.
-TriangularBitMatrix buildInterferenceMatrix(const Function &F,
-                                            const Liveness &LV);
 
 } // namespace ra
 

@@ -85,48 +85,44 @@ unsigned coalesceRound(Function &F, const CFG &G, Liveness &LV,
   RA_TRACE_SPAN("CoalesceRound", "regalloc");
   unsigned NR = F.numVRegs();
 
-  // The aggressive test needs interference only between copy operands.
-  // The conservative test also counts neighbors, so it keeps the
-  // all-vreg matrix and the degrees read from it.
-  std::vector<VRegPair> Interfering;
-  TriangularBitMatrix Matrix;
-  std::vector<uint32_t> Degree;
-  if (Policy == CoalescePolicy::Conservative) {
-    assert(Machine && "conservative coalescing needs register counts");
-    Matrix = buildInterferenceMatrix(F, LV);
-    Degree.assign(NR, 0);
-    for (VRegId A = 0; A < NR; ++A)
-      for (VRegId B = A + 1; B < NR; ++B)
-        if (Matrix.test(A, B)) {
-          ++Degree[A];
-          ++Degree[B];
-        }
-  } else {
-    Interfering = interferingCopyPairs(F, LV);
-  }
+  // Both policies read D--S interference from the copy pairs alone.
+  std::vector<VRegPair> Interfering = interferingCopyPairs(F, LV);
   auto Interferes = [&](VRegId D, VRegId S) {
-    if (Policy == CoalescePolicy::Conservative)
-      return Matrix.test(D, S);
     return std::binary_search(Interfering.begin(), Interfering.end(),
                               VRegPair{std::min(D, S), std::max(D, S)});
   };
 
+  // The conservative test also reads degrees and neighbors, from the
+  // class graphs of the same liveness.
+  std::array<ClassGraph, NumRegClasses> Graphs;
+  std::vector<unsigned> Seen;
+  unsigned Stamp = 0;
+  if (Policy == CoalescePolicy::Conservative) {
+    assert(Machine && "conservative coalescing needs register counts");
+    Graphs = buildInterferenceGraphs(F, LV);
+    Seen.assign(NR, 0);
+  }
+
   // Briggs' test: the merged node is safe if it has fewer than k
   // neighbors whose own degree is >= k (low-degree neighbors can always
-  // be simplified away first).
+  // be simplified away first). A neighbor of both D and S counts once.
   auto ConservativelySafe = [&](VRegId D, VRegId S) {
-    unsigned K = Machine->numRegs(F.regClass(D));
+    const ClassGraph &CG = Graphs[static_cast<unsigned>(F.regClass(D))];
+    unsigned K = Machine->numRegs(CG.Class);
+    uint32_t ND = CG.VRegToNode[D], NS = CG.VRegToNode[S];
+    ++Stamp;
+    Seen[ND] = Seen[NS] = Stamp;
     unsigned Significant = 0;
-    for (VRegId N = 0; N < NR; ++N) {
-      if (N == D || N == S)
-        continue;
-      if (!Matrix.test(N, D) && !Matrix.test(N, S))
-        continue;
-      // Merging may drop this neighbor's degree by one (it loses a
-      // double edge); use the pre-merge degree as the safe upper bound.
-      if (Degree[N] >= K)
-        ++Significant;
-    }
+    for (uint32_t Node : {ND, NS})
+      for (uint32_t N : CG.Graph.neighbors(Node)) {
+        if (Seen[N] == Stamp)
+          continue;
+        Seen[N] = Stamp;
+        // Merging may drop this neighbor's degree by one (it loses a
+        // double edge); use the pre-merge degree as the safe upper bound.
+        if (CG.Graph.degree(N) >= K)
+          ++Significant;
+      }
     return Significant < K;
   };
 

@@ -14,12 +14,12 @@
 ///
 /// Liveness is solved once per \c coalesceAll. After each rewrite only
 /// the registers whose occurrences changed are re-solved: the merged
-/// registers and those of deleted self-copies. The aggressive test reads
+/// registers and those of deleted self-copies. Both policies read
 /// interference only between copy operands, so a round tests each def
-/// against its register's copy partners and builds no interference
-/// matrix. The conservative test also counts significant-degree
-/// neighbors; it builds the all-vreg matrix each round from the same
-/// maintained liveness.
+/// against its register's copy partners. The conservative test also
+/// counts significant-degree neighbors: it builds the class graphs each
+/// round from the same maintained liveness and walks the rows of the
+/// copy's two operands. No round builds an interference matrix.
 ///
 //===----------------------------------------------------------------------===//
 

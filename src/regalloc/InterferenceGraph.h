@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The interference graph: nodes are live ranges, edges connect live
-/// ranges that are simultaneously live. Simplify and select read it;
-/// coalescing does not (the aggressive policy tests copy pairs directly
-/// and the conservative one builds its own all-vreg matrix).
+/// ranges that are simultaneously live. Simplify and select read it,
+/// and so does conservative coalescing's safety test, for degrees and
+/// neighbors. Both coalescing policies test copy pairs directly.
 ///
 /// Chaitin [CACC 81] keeps the graph in two forms at once, a triangular
 /// bit matrix for O(1) membership tests and adjacency lists for

@@ -17,7 +17,9 @@
 // and the renumbered mega.rand.16k. Each is checked renumbered, and
 // again after spill code on a seeded subset of its live ranges and a
 // second renumbering, which is where spill temporaries (NoSpill nodes)
-// and the larger pass-2 graphs appear.
+// and the larger pass-2 graphs appear. Every vreg's degree must also
+// match its row count in the all-vreg matrix: Briggs's conservative
+// coalescing test reads the degrees and must see the matrix's counts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -84,6 +86,25 @@ bool sameGraphs(const Function &F, const std::string &What) {
                       << "'s neighbor sequence differs";
         return false;
       }
+    }
+  }
+  // Conservative coalescing reads each vreg's degree off these rows, so
+  // it must equal the vreg's row count in the all-vreg matrix.
+  TriangularBitMatrix Matrix = buildInterferenceMatrix(F, LV);
+  std::vector<unsigned> MatrixDegree(F.numVRegs(), 0);
+  for (VRegId B = 0; B < F.numVRegs(); ++B) // row by row: the bits in order
+    for (VRegId A = 0; A < B; ++A)
+      if (Matrix.test(A, B)) {
+        ++MatrixDegree[A];
+        ++MatrixDegree[B];
+      }
+  for (VRegId V = 0; V < F.numVRegs(); ++V) {
+    const ClassGraph &CG = New[static_cast<unsigned>(F.regClass(V))];
+    if (MatrixDegree[V] != CG.Graph.degree(CG.VRegToNode[V])) {
+      ADD_FAILURE() << What << ": vreg " << V << " has matrix degree "
+                    << MatrixDegree[V] << ", graph degree "
+                    << CG.Graph.degree(CG.VRegToNode[V]);
+      return false;
     }
   }
   return true;

@@ -71,3 +71,13 @@ ra::buildInterferenceGraphsReference(const Function &F, const Liveness &LV) {
   });
   return Out;
 }
+
+TriangularBitMatrix ra::buildInterferenceMatrix(const Function &F,
+                                                const Liveness &LV) {
+  TriangularBitMatrix M(F.numVRegs());
+  forEachInterference(F, LV, [&](VRegId D, VRegId L) {
+    if (F.regClass(D) == F.regClass(L))
+      M.set(D, L);
+  });
+  return M;
+}

@@ -11,7 +11,8 @@
 /// matrix as they arrive, then packs the surviving edge list into CSR
 /// rows. BuildGraphDiffTest holds buildInterferenceGraphs in
 /// regalloc/BuildGraph.cpp to the same nodes, degrees, edge counts and
-/// neighbor sequences.
+/// neighbor sequences. The same walk fills the all-vreg matrix that the
+/// coalescing reference and CoalesceTest read.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +20,7 @@
 #define RA_TESTS_BUILDGRAPHREFERENCE_H
 
 #include "regalloc/BuildGraph.h"
-#include "support/TriangularBitMatrix.h"
+#include "TriangularBitMatrix.h"
 
 namespace ra {
 
@@ -105,6 +106,12 @@ struct MatrixClassGraph {
 /// dense live set and the triangular matrix.
 std::array<MatrixClassGraph, NumRegClasses>
 buildInterferenceGraphsReference(const Function &F, const Liveness &LV);
+
+/// Builds a whole-function interference matrix over *all* vregs (both
+/// classes; only same-class pairs are set), for O(1) interference tests
+/// and neighbor counts.
+TriangularBitMatrix buildInterferenceMatrix(const Function &F,
+                                            const Liveness &LV);
 
 } // namespace ra
 

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "CoalesceReference.h"
+#include "BuildGraphReference.h"
 
 #include "analysis/Liveness.h"
-#include "regalloc/BuildGraph.h"
 #include "support/UnionFind.h"
 
 #include <algorithm>

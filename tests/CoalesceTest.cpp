@@ -13,10 +13,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BuildGraphReference.h"
+
 #include "analysis/Liveness.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
-#include "regalloc/BuildGraph.h"
 #include "regalloc/Coalesce.h"
 #include "sim/Simulator.h"
 

@@ -13,6 +13,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Printers.h"
+
 #include "analysis/CFG.h"
 #include "analysis/InstrNumbering.h"
 #include "analysis/Liveness.h"

@@ -9,6 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Printers.h"
+
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
 #include "regalloc/Allocator.h"

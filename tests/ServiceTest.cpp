@@ -92,6 +92,10 @@ struct BackendCase {
   Heuristic H;
 };
 
+void PrintTo(const BackendCase &C, std::ostream *OS) {
+  *OS << allocatorName(C.B, C.H);
+}
+
 class ServiceBackendTest : public ::testing::TestWithParam<BackendCase> {};
 
 // The headline contract: replaying a request through the service must be

@@ -4,11 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TriangularBitMatrix.h"
+
 #include "support/BitVector.h"
 #include "support/Rng.h"
 #include "support/Status.h"
 #include "support/Table.h"
-#include "support/TriangularBitMatrix.h"
 #include "support/TwoLevelBitSet.h"
 #include "support/UnionFind.h"
 

@@ -1,4 +1,4 @@
-//===- support/TriangularBitMatrix.h - Symmetric bit matrix ----*- C++ -*-===//
+//===- tests/TriangularBitMatrix.h - Symmetric bit matrix ------*- C++ -*-===//
 //
 // Part of briggs-regalloc. SPDX-License-Identifier: MIT
 //
@@ -8,14 +8,14 @@
 /// Lower-triangular bit matrix for symmetric relations over node ids.
 /// Chaitin's allocator keeps the interference relation in exactly this
 /// shape for O(1) membership tests, alongside adjacency vectors for
-/// iteration [CACC 81]. Here only conservative coalescing uses it, for
-/// its all-vreg interference tests; the interference graphs keep
-/// adjacency alone.
+/// iteration [CACC 81]. The allocator keeps adjacency alone, so this is
+/// a test reference: the matrix-based graph build and coalescing round
+/// that the differential tests hold the allocator to.
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef RA_SUPPORT_TRIANGULARBITMATRIX_H
-#define RA_SUPPORT_TRIANGULARBITMATRIX_H
+#ifndef RA_TESTS_TRIANGULARBITMATRIX_H
+#define RA_TESTS_TRIANGULARBITMATRIX_H
 
 #include <algorithm>
 #include <cassert>
@@ -94,4 +94,4 @@ private:
 
 } // namespace ra
 
-#endif // RA_SUPPORT_TRIANGULARBITMATRIX_H
+#endif // RA_TESTS_TRIANGULARBITMATRIX_H

@@ -33,6 +33,10 @@ struct WorkloadCase {
   Heuristic H;
 };
 
+void PrintTo(const WorkloadCase &C, std::ostream *OS) {
+  *OS << C.Routine << ' ' << heuristicName(C.H);
+}
+
 std::vector<WorkloadCase> allCases() {
   std::vector<WorkloadCase> Cases;
   for (const Workload &W : allWorkloads())
