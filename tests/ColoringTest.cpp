@@ -156,11 +156,6 @@ struct RandomGraphCase {
   unsigned K;
 };
 
-void PrintTo(const RandomGraphCase &C, std::ostream *OS) {
-  *OS << "seed=" << C.Seed << " n=" << C.N << " density=" << C.Density
-      << " k=" << C.K;
-}
-
 class RandomGraphs : public ::testing::TestWithParam<RandomGraphCase> {};
 
 TEST_P(RandomGraphs, AllHeuristicsProduceValidColorings) {

@@ -96,10 +96,6 @@ struct RegisterFile {
   unsigned Int, Flt;
 };
 
-void PrintTo(const RegisterFile &RF, std::ostream *OS) {
-  *OS << "int=" << RF.Int << " flt=" << RF.Flt;
-}
-
 class PaperGuaranteeTest : public ::testing::TestWithParam<RegisterFile> {};
 
 TEST_P(PaperGuaranteeTest, BriggsSpillsSubsetAndIdenticalWhenChaitinFits) {
