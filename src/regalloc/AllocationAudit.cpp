@@ -4,12 +4,24 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Everything here is recomputed from the function text: liveness with a
-// local backward solver, register conflicts at definition points, and a
-// forward store-before-load dataflow over spill slots. None of the
-// allocator's own analyses (Liveness, BuildGraph, the interference
-// graph) are reused, so the audit catches their bugs rather than
-// inheriting them.
+// Everything here is recomputed from the function text, in two backward
+// passes after the table checks:
+//
+//  1. One liveness solver, run twice. Over spill slots (spill.ld reads
+//     its slot, spill.st writes it) a slot live into the entry block is
+//     a reload that some path reaches before any store. Over registers
+//     it yields each block's live-out set for the walk.
+//  2. One occupancy walk per block, from its live-out set back to its
+//     top, that keeps every live value on the holder list of the
+//     (class, physical register) it occupies at the current slot. A
+//     definition conflicts when its register has another holder (bar
+//     Chaitin's copy source), a piece move when its target register has
+//     a holder, a block entry when a register has two, and an access to
+//     a split value when no piece covers it.
+//
+// None of the allocator's own analyses (Liveness, BuildGraph, the
+// interference graph) are reused, so the audit catches their bugs rather
+// than inheriting them.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,8 +30,8 @@
 #include "support/BitVector.h"
 #include "support/Trace.h"
 
-#include <deque>
-#include <map>
+#include <algorithm>
+#include <array>
 
 using namespace ra;
 
@@ -56,77 +68,45 @@ std::string instructionText(const Function &F, const Instruction &I) {
   return Out;
 }
 
+/// "in BLOCK: 'INSTRUCTION'", the prefix of every per-instruction message.
+std::string where(const Function &F, const BasicBlock &B,
+                  const Instruction &I) {
+  return "in " + B.Name + ": '" + instructionText(F, I) + "'";
+}
+
 class Auditor {
 public:
   Auditor(const Function &F, const AllocationResult &A) : F(F), A(A) {}
 
   std::vector<std::string> run() {
-    if (!checkStructure())
-      return Errors; // dataflow below needs well-shaped blocks
+    if (Status S = validateForAllocation(F); !S.ok()) {
+      error(S.message());
+      return Errors; // the passes below need well-shaped blocks
+    }
     checkAssignments();
     checkPieces();
-    if (Errors.empty()) {
-      numberBlocks();
-      computeLiveness();
-      if (!A.Pieces.empty()) {
-        checkPieceCoverage();
-        checkBlockEntryDistinct();
-      }
-      checkRegisterConflicts();
-      checkSpillSlots();
-    }
+    if (!Errors.empty())
+      return Errors;
+    indexBlocks();
+    // Slots first: their sets are freed before the register solve, so
+    // the two solves never hold their sets at the same time.
+    checkSpillSlots();
+    walkBlocks(solveRegisters());
     return Errors;
   }
 
 private:
   void error(const BasicBlock &B, const Instruction &I,
              const std::string &Msg) {
-    Errors.push_back("@" + F.name() + ": in " + B.Name + ": '" +
-                     instructionText(F, I) + "': " + Msg);
+    Errors.push_back("@" + F.name() + ": " + where(F, B, I) + ": " + Msg);
   }
 
   void error(const std::string &Msg) {
     Errors.push_back("@" + F.name() + ": " + Msg);
   }
 
-  /// Shape checks the later dataflow depends on: non-empty terminated
-  /// blocks, in-range branch targets and register ids.
-  bool checkStructure() {
-    if (F.numBlocks() == 0) {
-      error("function has no blocks");
-      return false;
-    }
-    for (const BasicBlock &B : F.blocks()) {
-      if (B.Insts.empty()) {
-        error("block " + B.Name + " is empty");
-        return false;
-      }
-      for (unsigned Idx = 0, E = B.Insts.size(); Idx != E; ++Idx) {
-        const Instruction &I = B.Insts[Idx];
-        if (I.isTerminator() != (Idx + 1 == E)) {
-          error(B, I, Idx + 1 == E ? "block does not end in a terminator"
-                                   : "terminator in the middle of a block");
-          return false;
-        }
-        for (const Operand &O : I.Ops) {
-          if (O.isReg() && O.Reg >= F.numVRegs()) {
-            error(B, I, "register id out of range");
-            return false;
-          }
-          if (O.isBlock() && O.Block >= F.numBlocks()) {
-            error(B, I, "branch to out-of-range block");
-            return false;
-          }
-        }
-        if ((I.Op == Opcode::SpillLd || I.Op == Opcode::SpillSt) &&
-            (I.Ops.size() != 2 || !I.Ops[0].isReg() ||
-             I.Ops[1].K != Operand::Kind::IntImm)) {
-          error(B, I, "malformed spill instruction");
-          return false;
-        }
-      }
-    }
-    return true;
+  std::string regText(RegClass C, int32_t Phys) const {
+    return std::string(regClassName(C)) + " r" + std::to_string(Phys);
   }
 
   /// Every register operand must map to a physical register inside its
@@ -151,9 +131,9 @@ private:
                             " has no physical register");
           else if (unsigned(Phys) >= FileSize)
             error(B, I, "%" + F.vreg(O.Reg).Name + " assigned " +
-                            regClassName(F.regClass(O.Reg)) + " r" +
-                            std::to_string(Phys) + " outside the " +
-                            std::to_string(FileSize) + "-register file");
+                            regText(F.regClass(O.Reg), Phys) +
+                            " outside the " + std::to_string(FileSize) +
+                            "-register file");
         }
       }
     }
@@ -163,7 +143,7 @@ private:
   /// well-formed instruction-aligned ranges, physical registers inside
   /// the file, no overlap between pieces of one range, and a color
   /// table that agrees with each range's first piece. Also builds the
-  /// per-vreg span index the slot-aware checks below resolve against.
+  /// per-vreg span index physAt resolves against.
   void checkPieces() {
     if (A.Pieces.empty() || A.ColorOf.size() != F.numVRegs())
       return; // nothing to index, or checkAssignments already reported
@@ -182,9 +162,9 @@ private:
       unsigned FileSize = A.Machine.numRegs(F.regClass(P.Reg));
       if (P.PhysReg >= FileSize)
         error("piece of " + Name + " assigned " +
-              std::string(regClassName(F.regClass(P.Reg))) + " r" +
-              std::to_string(P.PhysReg) + " outside the " +
-              std::to_string(FileSize) + "-register file");
+              regText(F.regClass(P.Reg), int32_t(P.PhysReg)) +
+              " outside the " + std::to_string(FileSize) +
+              "-register file");
       if (Prev && (Prev->Reg > P.Reg ||
                    (Prev->Reg == P.Reg && Prev->From > P.From)))
         error("piece table is not sorted by (register, slot)");
@@ -202,95 +182,87 @@ private:
 
   /// Local copy of the InstrNumbering convention: instructions are
   /// numbered in block layout order, read slot = index * 2, write slot
-  /// = index * 2 + 1. Recomputed here so the audit does not inherit the
-  /// analysis it is checking.
-  void numberBlocks() {
+  /// = index * 2 + 1. Recomputed here, with the predecessor lists, so
+  /// the audit does not inherit the analyses it is checking.
+  void indexBlocks() {
     FirstInst.assign(F.numBlocks(), 0);
+    Preds.assign(F.numBlocks(), {});
     uint32_t Idx = 0;
     for (const BasicBlock &B : F.blocks()) {
       FirstInst[B.Id] = Idx;
       Idx += uint32_t(B.Insts.size());
-    }
-  }
-
-  /// Where value \p V lives at slot \p S: its piece's register, its
-  /// single color when unsplit, or -1 when no piece covers the slot.
-  int32_t physAt(VRegId V, uint32_t S) const {
-    if (SpansOf.empty() || SpansOf[V].empty())
-      return A.ColorOf[V];
-    for (const Span &P : SpansOf[V])
-      if (P.From <= S && S < P.To)
-        return int32_t(P.Phys);
-    return -1;
-  }
-
-  /// Every access of a split range must land inside one of its pieces:
-  /// reads at the instruction's read slot, definitions at its write
-  /// slot. A gap at an access point means the value has no register
-  /// exactly when the instruction needs one.
-  void checkPieceCoverage() {
-    for (const BasicBlock &B : F.blocks()) {
-      uint32_t Idx = 0;
-      for (const Instruction &I : B.Insts) {
-        const uint32_t ReadSlot = (FirstInst[B.Id] + Idx) * 2;
-        ++Idx;
-        I.forEachUse([&](VRegId R) {
-          if (!SpansOf[R].empty() && physAt(R, ReadSlot) < 0)
-            error(B, I, "%" + F.vreg(R).Name + " is read at slot " +
-                            std::to_string(ReadSlot) +
-                            " where no piece assigns it a register");
-        });
-        if (I.hasDef() && !SpansOf[I.defReg()].empty() &&
-            physAt(I.defReg(), ReadSlot + 1) < 0)
-          error(B, I, "%" + F.vreg(I.defReg()).Name +
-                          " is defined at slot " +
-                          std::to_string(ReadSlot + 1) +
-                          " where no piece assigns it a register");
-      }
-    }
-  }
-
-  /// On entry to each block every live-in value must occupy a distinct
-  /// register within its class. Cross-edge piece moves are resolved on
-  /// the edge, so a collision at the entry slot means two values target
-  /// one register — the conflict shape def-point checking cannot see,
-  /// because a piece may change register across an edge with no def in
-  /// sight.
-  void checkBlockEntryDistinct() {
-    std::map<std::pair<RegClass, int32_t>, unsigned> Holder;
-    for (const BasicBlock &B : F.blocks()) {
-      const uint32_t S = FirstInst[B.Id] * 2;
-      Holder.clear();
-      LiveIn[B.Id].forEachSetBit([&](unsigned V) {
-        int32_t P = physAt(V, S);
-        if (P < 0)
-          return;
-        auto Key = std::make_pair(F.regClass(V), P);
-        auto It = Holder.find(Key);
-        if (It != Holder.end())
-          error(B, B.Insts.front(),
-                "at block entry %" + F.vreg(V).Name + " and %" +
-                    F.vreg(It->second).Name + " both occupy " +
-                    std::string(regClassName(F.regClass(V))) + " r" +
-                    std::to_string(P));
-        else
-          Holder.emplace(Key, V);
-      });
-    }
-  }
-
-  /// Backward live-variable fixpoint, written out longhand so the audit
-  /// shares no code with analysis/Liveness.
-  void computeLiveness() {
-    unsigned NB = F.numBlocks(), NR = F.numVRegs();
-    std::vector<BitVector> Use(NB, BitVector(NR)), Def(NB, BitVector(NR));
-    LiveOut.assign(NB, BitVector(NR));
-    LiveIn.assign(NB, BitVector(NR));
-    std::vector<std::vector<uint32_t>> Preds(NB);
-
-    for (const BasicBlock &B : F.blocks()) {
       B.terminator().forEachBlockTarget(
           [&](uint32_t S) { Preds[S].push_back(B.Id); });
+    }
+  }
+
+  /// The one liveness solver, over registers or spill slots alike:
+  /// LiveOut(b) is the union over successors s of
+  /// Use(s) | (LiveOut(s) - Def(s)), where Use(b) holds what b reads
+  /// before writing it and Def(b) what b writes. Each upward-exposed
+  /// read is pushed back through predecessors until a block writes it,
+  /// so the work follows the live-out bits set, with no rounds over
+  /// every block.
+  std::vector<BitVector> solveLiveOut(const std::vector<BitVector> &Use,
+                                      const std::vector<BitVector> &Def) {
+    unsigned N = Use.empty() ? 0 : Use.front().size();
+    std::vector<BitVector> LiveOut(F.numBlocks(), BitVector(N));
+    std::vector<uint32_t> Stack;
+    for (uint32_t BId = 0; BId < F.numBlocks(); ++BId)
+      Use[BId].forEachSetBit([&](unsigned X) {
+        Stack.push_back(BId);
+        while (!Stack.empty()) {
+          uint32_t S = Stack.back();
+          Stack.pop_back();
+          for (uint32_t P : Preds[S])
+            if (LiveOut[P].testAndSet(X) && !Def[P].test(X) &&
+                !Use[P].test(X))
+              Stack.push_back(P);
+        }
+      });
+    return LiveOut;
+  }
+
+  /// Spill traffic: slot operands in range and of their register's
+  /// class, and no slot live into the entry block when spill.ld reads
+  /// its slot and spill.st writes it — "never reload garbage" on any
+  /// path from the entry.
+  void checkSpillSlots() {
+    unsigned NB = F.numBlocks(), NS = F.numSpillSlots();
+    std::vector<BitVector> Use(NB, BitVector(NS)), Def(NB, BitVector(NS));
+    for (const BasicBlock &B : F.blocks()) {
+      for (const Instruction &I : B.Insts) {
+        if (I.Op != Opcode::SpillLd && I.Op != Opcode::SpillSt)
+          continue;
+        int64_t Slot = I.Ops[1].Imm;
+        if (Slot < 0 || uint64_t(Slot) >= NS) {
+          error(B, I, "spill slot out of range");
+          return; // the slot solve below would index out of range
+        }
+        if (F.spillSlotClass(unsigned(Slot)) != F.regClass(I.Ops[0].Reg))
+          error(B, I, "spill slot class mismatch");
+        if (I.Op == Opcode::SpillSt)
+          Def[B.Id].set(unsigned(Slot));
+        else if (!Def[B.Id].test(unsigned(Slot)))
+          Use[B.Id].set(unsigned(Slot));
+      }
+    }
+    const uint32_t Entry = F.entry();
+    BitVector LiveIn = solveLiveOut(Use, Def)[Entry];
+    LiveIn.subtract(Def[Entry]);
+    LiveIn.unionWith(Use[Entry]);
+    LiveIn.forEachSetBit([&](unsigned Slot) {
+      error("spill slot " + std::to_string(Slot) +
+            " is loaded on a path from the entry that stores no value "
+            "to it");
+    });
+  }
+
+  /// Register liveness: every block's live-out set, the walk's start.
+  std::vector<BitVector> solveRegisters() {
+    unsigned NB = F.numBlocks(), NR = F.numVRegs();
+    std::vector<BitVector> Use(NB, BitVector(NR)), Def(NB, BitVector(NR));
+    for (const BasicBlock &B : F.blocks()) {
       for (const Instruction &I : B.Insts) {
         I.forEachUse([&](VRegId R) {
           if (!Def[B.Id].test(R))
@@ -300,186 +272,172 @@ private:
           Def[B.Id].set(I.defReg());
       }
     }
-
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (unsigned BId = NB; BId-- > 0;) {
-        BitVector Out(NR);
-        F.block(BId).terminator().forEachBlockTarget(
-            [&](uint32_t S) { Out.unionWith(LiveIn[S]); });
-        BitVector In = Out;
-        In.subtract(Def[BId]);
-        In.unionWith(Use[BId]);
-        if (!(Out == LiveOut[BId]) || !(In == LiveIn[BId])) {
-          LiveOut[BId] = std::move(Out);
-          LiveIn[BId] = std::move(In);
-          Changed = true;
-        }
-      }
-    }
+    return solveLiveOut(Use, Def);
   }
 
-  /// At every definition point, the defined register must not share its
-  /// physical register with any other live range live just after the
-  /// instruction (same class). Exception: a Copy's target may share with
-  /// its source — both hold the same value at that point, so later reads
-  /// of either are still correct. All comparisons resolve through
-  /// physAt, so a split range is checked against the register it holds
-  /// *at that slot*; and wherever a piece boundary falls inside the
-  /// block, the implicit move is checked against every other live
-  /// value's location at the same slot.
-  void checkRegisterConflicts() {
+  /// Where value \p V lives at slot \p S: its piece's register, its
+  /// single color when unsplit, or -1 when no piece covers the slot.
+  int32_t physAt(VRegId V, uint32_t S) const {
+    if (SpansOf.empty() || SpansOf[V].empty())
+      return A.ColorOf[V];
+    const std::vector<Span> &Sp = SpansOf[V];
+    auto It = std::upper_bound(
+        Sp.begin(), Sp.end(), S,
+        [](uint32_t Slot, const Span &P) { return Slot < P.From; });
+    if (It == Sp.begin() || S >= std::prev(It)->To)
+      return -1;
+    return int32_t(std::prev(It)->Phys);
+  }
+
+  std::vector<VRegId> &holders(VRegId V, int32_t Phys) {
+    return Holders[static_cast<unsigned>(F.regClass(V))][unsigned(Phys)];
+  }
+
+  /// Puts live value \p V on the holder list of \p Phys (none when -1).
+  void hold(VRegId V, int32_t Phys) {
+    if (Phys < 0)
+      return;
+    std::vector<VRegId> &H = holders(V, Phys);
+    HolderPos[V] = uint32_t(H.size());
+    H.push_back(V);
+  }
+
+  /// Takes \p V off the holder list of \p Phys, where hold put it.
+  void release(VRegId V, int32_t Phys) {
+    if (Phys < 0)
+      return;
+    std::vector<VRegId> &H = holders(V, Phys);
+    H[HolderPos[V]] = H.back();
+    HolderPos[H.back()] = HolderPos[V];
+    H.pop_back();
+  }
+
+  /// The occupancy walk. Each block is walked backward from its
+  /// live-out set. Live holds the values live at the current point, and
+  /// each holder list the live values whose register at the current
+  /// slot is that list's register. Within a block the slot only falls,
+  /// so a split value changes list only at its piece boundaries: the
+  /// events, sorted by falling slot and consumed by one cursor, since
+  /// the blocks are visited last to first.
+  ///
+  /// A definition must find no holder of its register but itself and,
+  /// for a copy, its source (Chaitin's copy exception: both hold the
+  /// same value there). A piece starting between two instructions
+  /// implies a move, whose target register must have no other holder
+  /// at that slot. Where the allocation has pieces, every register must
+  /// have at most one holder at a block's top: cross-edge moves are
+  /// resolved on the edge, so a collision there is two values targeting
+  /// one register with no definition in sight.
+  void walkBlocks(std::vector<BitVector> LiveOut) {
     const bool Pieced = !A.Pieces.empty();
-    for (const BasicBlock &B : F.blocks()) {
-      BitVector Live = LiveOut[B.Id];
+    struct Event {
+      uint32_t Slot;
+      VRegId V;
+    };
+    std::vector<Event> Events;
+    for (VRegId V = 0; V < SpansOf.size(); ++V) {
+      const std::vector<Span> &Sp = SpansOf[V];
+      for (size_t J = 0; J < Sp.size(); ++J) {
+        Events.push_back({Sp[J].From, V});
+        if (J + 1 == Sp.size() || Sp[J + 1].From != Sp[J].To)
+          Events.push_back({Sp[J].To, V});
+      }
+    }
+    std::sort(Events.begin(), Events.end(),
+              [](const Event &L, const Event &R) { return L.Slot > R.Slot; });
+    for (unsigned C = 0; C < NumRegClasses; ++C)
+      Holders[C].assign(A.Machine.numRegs(static_cast<RegClass>(C)), {});
+    HolderPos.assign(F.numVRegs(), 0);
+
+    size_t Next = 0;
+    for (auto BIt = F.blocks().rbegin(); BIt != F.blocks().rend(); ++BIt) {
+      const BasicBlock &B = *BIt;
+      for (auto &ClassHolders : Holders)
+        for (std::vector<VRegId> &H : ClassHolders)
+          H.clear();
+      BitVector Live = std::move(LiveOut[B.Id]);
+      const uint32_t LastSlot =
+          (FirstInst[B.Id] + uint32_t(B.Insts.size()) - 1) * 2;
+      Live.forEachSetBit([&](unsigned V) { hold(V, physAt(V, LastSlot)); });
+
       for (unsigned Idx = B.Insts.size(); Idx-- > 0;) {
         const Instruction &I = B.Insts[Idx];
-        const uint32_t ReadSlot = (FirstInst[B.Id] + Idx) * 2;
-        // Live currently holds the set live immediately after I.
+        const uint32_t Slot = (FirstInst[B.Id] + Idx) * 2;
+        // The holders are keyed at Slot; every offset is even, so the
+        // write slot Slot + 1 resolves to the same registers.
         if (I.hasDef()) {
           VRegId D = I.defReg();
-          RegClass DC = F.regClass(D);
-          int32_t DPhys = physAt(D, ReadSlot + 1);
-          VRegId CopySrc =
-              I.isCopy() && I.Ops[1].isReg() ? I.Ops[1].Reg : InvalidVReg;
-          Live.forEachSetBit([&](unsigned V) {
-            if (V == D || V == CopySrc)
-              return;
-            if (F.regClass(V) == DC && DPhys >= 0 &&
-                physAt(V, ReadSlot + 1) == DPhys)
-              error(B, I,
-                    std::string(regClassName(DC)) + " r" +
-                        std::to_string(DPhys) + " is clobbered: %" +
-                        F.vreg(D).Name + " is defined while %" +
-                        F.vreg(V).Name + " is live in the same register");
-          });
-          Live.reset(D);
-        }
-        I.forEachUse([&](VRegId R) { Live.set(R); });
-        // Live now holds the set live immediately before I. A split
-        // value changing register right here (between the previous
-        // instruction and this one) implies a move; its target must not
-        // be occupied by any other value live across the move.
-        if (Pieced && ReadSlot >= FirstInst[B.Id] * 2 + 2) {
-          Live.forEachSetBit([&](unsigned V) {
-            if (SpansOf[V].empty())
-              return;
-            int32_t POld = physAt(V, ReadSlot - 2);
-            int32_t PNew = physAt(V, ReadSlot);
-            if (POld < 0 || PNew < 0 || POld == PNew)
-              return;
-            RegClass C = F.regClass(V);
-            Live.forEachSetBit([&](unsigned W) {
-              if (W == V || F.regClass(W) != C)
-                return;
-              if (physAt(W, ReadSlot) == PNew)
+          int32_t DPhys = physAt(D, Slot);
+          if (DPhys < 0) {
+            error(B, I, "%" + F.vreg(D).Name + " is defined at slot " +
+                            std::to_string(Slot + 1) +
+                            " where no piece assigns it a register");
+          } else {
+            VRegId CopySrc =
+                I.isCopy() && I.Ops[1].isReg() ? I.Ops[1].Reg : InvalidVReg;
+            for (VRegId V : holders(D, DPhys))
+              if (V != D && V != CopySrc)
                 error(B, I,
-                      "piece move puts %" + F.vreg(V).Name + " into " +
-                          std::string(regClassName(C)) + " r" +
-                          std::to_string(PNew) + " while %" +
-                          F.vreg(W).Name + " occupies it");
-            });
-          });
-        }
-      }
-    }
-  }
-
-  /// Spill traffic: slot operands in range and of the right class, and a
-  /// forward definite-assignment dataflow proving every spill load is
-  /// reached by a store to its slot on all paths ("never reload garbage").
-  void checkSpillSlots() {
-    unsigned NB = F.numBlocks(), NS = F.numSpillSlots();
-
-    for (const BasicBlock &B : F.blocks()) {
-      for (const Instruction &I : B.Insts) {
-        if (I.Op != Opcode::SpillLd && I.Op != Opcode::SpillSt)
-          continue;
-        int64_t Slot = I.Ops[1].Imm;
-        if (Slot < 0 || uint64_t(Slot) >= NS) {
-          error(B, I, "spill slot out of range");
-          return; // slot dataflow below would index out of range
-        }
-        if (F.spillSlotClass(unsigned(Slot)) != F.regClass(I.Ops[0].Reg))
-          error(B, I, "spill slot class mismatch");
-      }
-    }
-    if (NS == 0)
-      return;
-
-    // StoredOut[b]: slots stored on every path from entry through b.
-    std::vector<BitVector> StoredOut(NB, BitVector(NS));
-    std::vector<bool> Reached(NB, false);
-    std::vector<std::vector<uint32_t>> Preds(NB);
-    for (const BasicBlock &B : F.blocks())
-      B.terminator().forEachBlockTarget(
-          [&](uint32_t S) { Preds[S].push_back(B.Id); });
-    for (BitVector &BV : StoredOut)
-      BV.setAll(); // top element for the intersection
-
-    std::deque<uint32_t> Work{F.entry()};
-    std::vector<bool> InWork(NB, false);
-    InWork[F.entry()] = true;
-    while (!Work.empty()) {
-      uint32_t BId = Work.front();
-      Work.pop_front();
-      InWork[BId] = false;
-      bool FirstVisit = !Reached[BId];
-      Reached[BId] = true;
-
-      BitVector In = blockInSet(BId, Preds, StoredOut, Reached, NS);
-      for (const Instruction &I : F.block(BId).Insts)
-        if (I.Op == Opcode::SpillSt)
-          In.set(unsigned(I.Ops[1].Imm));
-      if (FirstVisit || !(In == StoredOut[BId])) {
-        StoredOut[BId] = std::move(In);
-        F.block(BId).terminator().forEachBlockTarget([&](uint32_t S) {
-          if (!InWork[S]) {
-            InWork[S] = true;
-            Work.push_back(S);
+                      regText(F.regClass(D), DPhys) + " is clobbered: %" +
+                          F.vreg(D).Name + " is defined while %" +
+                          F.vreg(V).Name + " is live in the same register");
           }
+          if (Live.testAndReset(D))
+            release(D, DPhys);
+        }
+        I.forEachUse([&](VRegId U) {
+          int32_t P = physAt(U, Slot);
+          if (P < 0)
+            error(B, I, "%" + F.vreg(U).Name + " is read at slot " +
+                            std::to_string(Slot) +
+                            " where no piece assigns it a register");
+          if (Live.testAndSet(U))
+            hold(U, P);
         });
-      }
-    }
 
-    for (const BasicBlock &B : F.blocks()) {
-      if (!Reached[B.Id])
-        continue;
-      BitVector Stored = blockInSet(B.Id, Preds, StoredOut, Reached, NS);
-      for (const Instruction &I : B.Insts) {
-        if (I.Op == Opcode::SpillLd &&
-            !Stored.test(unsigned(I.Ops[1].Imm)))
-          error(B, I, "spill load from slot " +
-                          std::to_string(I.Ops[1].Imm) +
-                          " that is not stored on every path");
-        else if (I.Op == Opcode::SpillSt)
-          Stored.set(unsigned(I.Ops[1].Imm));
+        // Live is now the set live just before I. Cross the piece
+        // boundaries at Slot, back to the previous instruction's slot.
+        while (Next < Events.size() && Events[Next].Slot > Slot)
+          ++Next;
+        size_t End = Next;
+        while (End < Events.size() && Events[End].Slot == Slot)
+          ++End;
+        if (Idx == 0)
+          continue;
+        for (size_t K = Next; K < End; ++K) {
+          VRegId V = Events[K].V;
+          int32_t POld = physAt(V, Slot - 2), PNew = physAt(V, Slot);
+          if (!Live.test(V) || POld < 0 || PNew < 0 || POld == PNew)
+            continue;
+          for (VRegId W : holders(V, PNew))
+            if (W != V)
+              error(B, I,
+                    "piece move puts %" + F.vreg(V).Name + " into " +
+                        regText(F.regClass(V), PNew) + " while %" +
+                        F.vreg(W).Name + " occupies it");
+        }
+        for (size_t K = Next; K < End; ++K) {
+          VRegId V = Events[K].V;
+          int32_t POld = physAt(V, Slot - 2), PNew = physAt(V, Slot);
+          if (Live.test(V) && POld != PNew) {
+            release(V, PNew);
+            hold(V, POld);
+          }
+        }
       }
-    }
-  }
 
-  /// Intersection of StoredOut over reached predecessors (empty set for
-  /// the entry block).
-  BitVector blockInSet(uint32_t BId,
-                       const std::vector<std::vector<uint32_t>> &Preds,
-                       const std::vector<BitVector> &StoredOut,
-                       const std::vector<bool> &Reached, unsigned NS) {
-    BitVector In(NS);
-    if (BId == F.entry())
-      return In;
-    bool First = true;
-    for (uint32_t P : Preds[BId]) {
-      if (!Reached[P])
+      if (!Pieced)
         continue;
-      if (First) {
-        In = StoredOut[P];
-        First = false;
-      } else {
-        In.intersectWith(StoredOut[P]);
-      }
+      for (unsigned C = 0; C < NumRegClasses; ++C)
+        for (unsigned Phys = 0; Phys < Holders[C].size(); ++Phys) {
+          const std::vector<VRegId> &H = Holders[C][Phys];
+          for (size_t K = 1; K < H.size(); ++K)
+            error(B, B.Insts.front(),
+                  "at block entry %" + F.vreg(H[K]).Name + " and %" +
+                      F.vreg(H[0]).Name + " both occupy " +
+                      regText(static_cast<RegClass>(C), int32_t(Phys)));
+        }
     }
-    return In;
   }
 
   /// One piece of a split range, indexed per vreg by checkPieces.
@@ -491,14 +449,50 @@ private:
 
   const Function &F;
   const AllocationResult &A;
-  std::vector<BitVector> LiveOut;
-  std::vector<BitVector> LiveIn;
-  std::vector<std::vector<Span>> SpansOf; ///< Empty vector = unsplit.
-  std::vector<uint32_t> FirstInst;        ///< Block -> first instr index.
+  std::vector<std::vector<Span>> SpansOf;  ///< Empty vector = unsplit.
+  std::vector<uint32_t> FirstInst;         ///< Block -> first instr index.
+  std::vector<std::vector<uint32_t>> Preds; ///< Block -> predecessors.
+  /// Per class, per physical register: the live values it holds.
+  std::array<std::vector<std::vector<VRegId>>, NumRegClasses> Holders;
+  std::vector<uint32_t> HolderPos; ///< Live value -> index in its list.
   std::vector<std::string> Errors;
 };
 
 } // namespace
+
+Status ra::validateForAllocation(const Function &F) {
+  auto Fail = [&](std::string Msg) {
+    return Status::error(StatusCode::InvalidInput, std::move(Msg));
+  };
+  if (F.numBlocks() == 0)
+    return Fail("function has no blocks");
+  for (const BasicBlock &B : F.blocks()) {
+    if (B.Insts.empty())
+      return Fail("block " + B.Name + " is empty");
+    for (unsigned Idx = 0, E = B.Insts.size(); Idx != E; ++Idx) {
+      const Instruction &I = B.Insts[Idx];
+      auto FailAt = [&](const char *Msg) {
+        return Fail(where(F, B, I) + ": " + Msg);
+      };
+      if (I.isTerminator() != (Idx + 1 == E))
+        return FailAt(Idx + 1 == E ? "block does not end in a terminator"
+                                   : "terminator in the middle of a block");
+      for (const Operand &O : I.Ops) {
+        if (O.isReg() && O.Reg >= F.numVRegs())
+          return FailAt("register id out of range");
+        if (O.isBlock() && O.Block >= F.numBlocks())
+          return FailAt("branch to out-of-range block");
+      }
+      if (I.hasDef() && (I.Ops.empty() || !I.Ops[0].isReg()))
+        return FailAt("malformed definition");
+      if ((I.Op == Opcode::SpillLd || I.Op == Opcode::SpillSt) &&
+          (I.Ops.size() != 2 || !I.Ops[0].isReg() ||
+           I.Ops[1].K != Operand::Kind::IntImm))
+        return FailAt("malformed spill instruction");
+    }
+  }
+  return Status();
+}
 
 std::vector<std::string> ra::auditAllocation(const Function &F,
                                              const AllocationResult &A) {

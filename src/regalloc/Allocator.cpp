@@ -94,41 +94,6 @@ namespace {
 /// spawning a thread costs more than simplifying a small graph.
 constexpr unsigned ParallelClassThreshold = 256;
 
-/// Cheap structural validity: the conditions CFG/liveness construction
-/// would otherwise assert on. Anything caught here is a recoverable
-/// InvalidInput, not a crash.
-Status validateForAllocation(const Function &F) {
-  if (F.numBlocks() == 0)
-    return Status::error(StatusCode::InvalidInput, "function has no blocks");
-  for (const BasicBlock &B : F.blocks()) {
-    if (B.Insts.empty())
-      return Status::error(StatusCode::InvalidInput,
-                           "block " + B.Name + " is empty");
-    for (unsigned Idx = 0, E = B.Insts.size(); Idx != E; ++Idx) {
-      const Instruction &I = B.Insts[Idx];
-      if (I.isTerminator() != (Idx + 1 == E))
-        return Status::error(StatusCode::InvalidInput,
-                             Idx + 1 == E
-                                 ? "block " + B.Name +
-                                       " does not end in a terminator"
-                                 : "terminator in the middle of block " +
-                                       B.Name);
-      for (const Operand &O : I.Ops) {
-        if (O.isReg() && O.Reg >= F.numVRegs())
-          return Status::error(StatusCode::InvalidInput,
-                               "register id out of range in " + B.Name);
-        if (O.isBlock() && O.Block >= F.numBlocks())
-          return Status::error(StatusCode::InvalidInput,
-                               "branch to out-of-range block in " + B.Name);
-      }
-      if (I.hasDef() && (I.Ops.empty() || !I.Ops[0].isReg()))
-        return Status::error(StatusCode::InvalidInput,
-                             "malformed definition in " + B.Name);
-    }
-  }
-  return Status();
-}
-
 /// Copies a color across the first interference edge whose endpoints are
 /// both colored (or, when the graphs have no such edge, pushes one
 /// assignment outside the register file). The audit must catch either.

@@ -12,7 +12,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "AuditReference.h"
+
+#include "analysis/Liveness.h"
+#include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
+#include "linearscan/LiveInterval.h"
 #include "regalloc/AllocationAudit.h"
 #include "regalloc/Allocator.h"
 #include "sim/Simulator.h"
@@ -20,6 +25,8 @@
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
 
 using namespace ra;
 
@@ -136,6 +143,209 @@ TEST(AuditTest, CatchesCorruptedSpillSlot) {
 }
 
 //===--------------------------------------------------------------------===//
+// Split-range corruptions, rejected by the audit and by its reference.
+//===--------------------------------------------------------------------===//
+
+/// What a piece-table corruption sees of the allocation it corrupts:
+/// the allocation's liveness, its exact live intervals, and each block's
+/// first read slot.
+struct PieceSite {
+  const Function &F;
+  const Liveness &LV;
+  const LiveIntervals &LI;
+  std::vector<uint32_t> TopSlot;
+};
+
+/// Where \p V lives at slot \p S in \p A: its piece's register, its
+/// color when unsplit, or -1 in a gap.
+int32_t regAt(const AllocationResult &A, VRegId V, uint32_t S) {
+  bool Split = false;
+  for (const PieceAssignment &P : A.Pieces)
+    if (P.Reg == V) {
+      Split = true;
+      if (P.From <= S && S < P.To)
+        return int32_t(P.PhysReg);
+    }
+  return Split ? -1 : A.ColorOf[V];
+}
+
+/// Runs \p Corrupt on converged linear-scan allocations of random
+/// programs (6 int + 6 float registers) that publish pieces, until it
+/// reports a corruption; then both auditors must reject the result and
+/// the audit must say \p Expected.
+void expectPieceCorruptionCaught(
+    const std::string &Expected,
+    const std::function<bool(const PieceSite &, AllocationResult &)>
+        &Corrupt) {
+  for (uint64_t Seed = 0; Seed < 200; ++Seed) {
+    Module M;
+    Function &F = buildRandomProgram(M, Seed);
+    AllocatorConfig C;
+    C.B = Backend::LinearScan;
+    C.Machine = MachineInfo(6, 6);
+    C.MaxPasses = 64;
+    AllocationResult A = allocateRegisters(F, C);
+    if (A.Outcome != AllocOutcome::Converged || A.Pieces.empty())
+      continue;
+    ASSERT_TRUE(auditAllocation(F, A).empty()) << "seed " << Seed;
+    ASSERT_TRUE(auditAllocationReference(F, A).empty()) << "seed " << Seed;
+    CFG G = CFG::compute(F);
+    Liveness LV = Liveness::compute(F, G);
+    LiveIntervals LI =
+        LiveIntervals::compute(F, LV, InstrNumbering::compute(F));
+    PieceSite Site{F, LV, LI, {}};
+    uint32_t Idx = 0;
+    for (const BasicBlock &B : F.blocks()) {
+      Site.TopSlot.push_back(Idx * 2);
+      Idx += uint32_t(B.Insts.size());
+    }
+    if (!Corrupt(Site, A))
+      continue;
+    std::vector<std::string> Errors = auditAllocation(F, A);
+    EXPECT_FALSE(auditAllocationReference(F, A).empty()) << "seed " << Seed;
+    ASSERT_FALSE(Errors.empty()) << "seed " << Seed;
+    bool Said = false;
+    for (const std::string &E : Errors)
+      Said |= E.find(Expected) != std::string::npos;
+    EXPECT_TRUE(Said) << "seed " << Seed << ": " << Errors.front();
+    return;
+  }
+  FAIL() << "no random program offered a site for this corruption";
+}
+
+TEST(AuditTest, CatchesPieceMoveIntoOccupiedRegister) {
+  // A split value's next piece starts inside a block, where it is live:
+  // retarget that move at the register of an unsplit value live there.
+  expectPieceCorruptionCaught(
+      "piece move puts", [](const PieceSite &S, AllocationResult &A) {
+        for (size_t J = 1; J < A.Pieces.size(); ++J) {
+          PieceAssignment &Next = A.Pieces[J];
+          const PieceAssignment &Prev = A.Pieces[J - 1];
+          uint32_t Slot = Next.From;
+          if (Prev.Reg != Next.Reg || Prev.To != Slot ||
+              std::count(S.TopSlot.begin(), S.TopSlot.end(), Slot) ||
+              !S.LI.interval(Next.Reg).covers(Slot))
+            continue;
+          for (VRegId W = 0; W < S.F.numVRegs(); ++W) {
+            int32_t Held = regAt(A, W, Slot);
+            if (W == Next.Reg || Held < 0 ||
+                S.F.regClass(W) != S.F.regClass(Next.Reg) ||
+                Held == int32_t(Prev.PhysReg) ||
+                !S.LI.interval(W).covers(Slot))
+              continue;
+            Next.PhysReg = uint32_t(Held);
+            return true;
+          }
+        }
+        return false;
+      });
+}
+
+TEST(AuditTest, CatchesTwoLiveInsSharingARegisterAtBlockEntry) {
+  // Give the piece a split value occupies at a block's top the register
+  // of another live-in of its class.
+  expectPieceCorruptionCaught(
+      "at block entry", [](const PieceSite &S, AllocationResult &A) {
+        for (uint32_t B = 0; B < S.F.numBlocks(); ++B) {
+          const uint32_t Top = S.TopSlot[B];
+          for (size_t J = 0; J < A.Pieces.size(); ++J) {
+            PieceAssignment &P = A.Pieces[J];
+            if (!(P.From <= Top && Top < P.To) ||
+                !S.LV.liveIn(B).test(P.Reg))
+              continue;
+            int Found = S.LV.liveIn(B).findFirst();
+            for (; Found >= 0; Found = S.LV.liveIn(B).findNext(Found)) {
+              VRegId W = VRegId(Found);
+              int32_t Held = regAt(A, W, Top);
+              if (W == P.Reg || Held < 0 || Held == int32_t(P.PhysReg) ||
+                  S.F.regClass(W) != S.F.regClass(P.Reg))
+                continue;
+              P.PhysReg = uint32_t(Held);
+              if (J == 0 || A.Pieces[J - 1].Reg != P.Reg)
+                A.ColorOf[P.Reg] = Held;
+              return true;
+            }
+          }
+        }
+        return false;
+      });
+}
+
+TEST(AuditTest, CatchesReadInPieceGap) {
+  // Cut a hole in a split value's piece exactly where an instruction
+  // reads it.
+  expectPieceCorruptionCaught(
+      "where no piece assigns it a register",
+      [](const PieceSite &S, AllocationResult &A) {
+        uint32_t Slot = 0;
+        for (const BasicBlock &B : S.F.blocks())
+          for (const Instruction &I : B.Insts) {
+            bool Cut = false;
+            I.forEachUse([&](VRegId U) {
+              for (PieceAssignment &P : A.Pieces) {
+                if (Cut || P.Reg != U || !(P.From <= Slot && Slot < P.To))
+                  continue;
+                if (P.From < Slot)
+                  P.To = Slot;
+                else if (Slot + 2 < P.To)
+                  P.From = Slot + 2;
+                else
+                  continue;
+                Cut = true;
+              }
+            });
+            if (Cut)
+              return true;
+            Slot += 2;
+          }
+        return false;
+      });
+}
+
+TEST(AuditTest, CatchesReloadOnDiamondMissingAStore) {
+  // x is stored to its slot on both arms of a diamond and reloaded at
+  // the join. Dropping the store on one arm leaves a path on which the
+  // reload reads a slot nothing wrote.
+  Module M;
+  uint32_t Arr = M.newArray("a", 4, RegClass::Int);
+  Function &F = M.newFunction("diamond");
+  IRBuilder B(M, F);
+  uint32_t Entry = B.newBlock("entry"), Left = B.newBlock("left"),
+           Right = B.newBlock("right"), Join = B.newBlock("join");
+  unsigned Slot = F.newSpillSlot(RegClass::Int);
+  B.setInsertPoint(Entry);
+  VRegId X = B.movI(7);
+  VRegId Zero = B.movI(0);
+  B.br(CmpKind::LT, Zero, X, Left, Right);
+  for (uint32_t Arm : {Left, Right}) {
+    B.setInsertPoint(Arm);
+    B.emit({Opcode::SpillSt, {Operand::reg(X), Operand::intImm(Slot)}});
+    B.jmp(Join);
+  }
+  B.setInsertPoint(Join);
+  VRegId Y = B.iReg();
+  B.emit({Opcode::SpillLd, {Operand::reg(Y), Operand::intImm(Slot)}});
+  B.store(Arr, Zero, Y);
+  B.ret();
+
+  AllocatorConfig C;
+  C.B = Backend::LinearScan;
+  AllocationResult A = allocateRegisters(F, C);
+  ASSERT_TRUE(A.Success) << A.Diag.toString();
+  ASSERT_TRUE(auditAllocation(F, A).empty());
+  ASSERT_TRUE(auditAllocationReference(F, A).empty());
+
+  std::vector<Instruction> &RightInsts = F.block(Right).Insts;
+  ASSERT_EQ(RightInsts.front().Op, Opcode::SpillSt);
+  RightInsts.erase(RightInsts.begin());
+  std::vector<std::string> Errors = auditAllocation(F, A);
+  ASSERT_EQ(Errors.size(), 1u);
+  EXPECT_NE(Errors.front().find("spill slot"), std::string::npos)
+      << Errors.front();
+  EXPECT_FALSE(auditAllocationReference(F, A).empty());
+}
+
+//===--------------------------------------------------------------------===//
 // Degradation ladder.
 //===--------------------------------------------------------------------===//
 
@@ -205,6 +415,41 @@ TEST(AuditTest, MalformedFunctionFailsWithDiagnosticNotAbort) {
   EXPECT_EQ(A.Diag.code(), StatusCode::InvalidInput);
   EXPECT_NE(A.Diag.toString().find("hollow"), std::string::npos)
       << A.Diag.toString();
+}
+
+TEST(AuditTest, OneShapeCheckGuardsAllocationAndAudit) {
+  // A spill store with no slot operand, and a definition whose first
+  // operand is not a register: allocateRegisters refuses each as
+  // InvalidInput, and the audit reports it instead of reading operands
+  // that are not there.
+  for (bool Spill : {true, false}) {
+    Module M;
+    Function &F = M.newFunction("misshapen");
+    IRBuilder B(M, F);
+    B.setInsertPoint(B.newBlock("entry"));
+    VRegId X = B.movI(1);
+    if (Spill)
+      B.emit({Opcode::SpillSt, {Operand::reg(X)}});
+    else
+      B.emit({Opcode::MovI, {Operand::intImm(3), Operand::intImm(4)}});
+    B.ret();
+    const char *Expected =
+        Spill ? "malformed spill instruction" : "malformed definition";
+
+    Function Copy = F;
+    AllocationResult A = allocateRegisters(Copy, AllocatorConfig());
+    EXPECT_EQ(A.Outcome, AllocOutcome::Failed);
+    EXPECT_EQ(A.Diag.code(), StatusCode::InvalidInput);
+    EXPECT_NE(A.Diag.toString().find(Expected), std::string::npos)
+        << A.Diag.toString();
+
+    AllocationResult Colored;
+    Colored.ColorOf.assign(F.numVRegs(), 0);
+    std::vector<std::string> Errors = auditAllocation(F, Colored);
+    ASSERT_EQ(Errors.size(), 1u);
+    EXPECT_NE(Errors.front().find(Expected), std::string::npos)
+        << Errors.front();
+  }
 }
 
 TEST(AuditTest, DegradedFunctionsReportedThroughModuleAllocation) {
