@@ -156,8 +156,7 @@ void computeAreaAndDepth(const Function &F, const LoopInfo &Loops,
 /// One metrics row for graph node \p Node of \p CG.
 RangeMetrics rangeRow(const Function &F, const ClassGraph &CG,
                       uint32_t Node, const PassInputs &In,
-                      RangeMetrics::Decision D, int32_t Color,
-                      unsigned SelectRounds) {
+                      RangeMetrics::Decision D, int32_t Color) {
   VRegId R = CG.NodeToVReg[Node];
   RangeMetrics RM;
   RM.Name = F.vreg(R).Name;
@@ -172,7 +171,6 @@ RangeMetrics rangeRow(const Function &F, const ClassGraph &CG,
   RM.LoopDepth = In.DepthOf[R];
   RM.D = D;
   RM.Color = Color;
-  RM.SelectRounds = SelectRounds;
   return RM;
 }
 
@@ -209,9 +207,6 @@ bool colorClasses(const Function &F, const AllocatorConfig &C,
   std::array<ColoringResult, NumRegClasses> Colorings;
   static_assert(NumRegClasses == 2, "per-class threading assumes 2");
   SelectOptions SelOpts;
-  SelOpts.Parallel = C.ParallelGraph;
-  SelOpts.Threads = C.ParallelGraphJobs;
-  SelOpts.MinNodes = C.ParallelGraphMinNodes;
   SelOpts.Governor = In.Gov;
   auto Color = [&](unsigned Cls) {
     Colorings[Cls] = colorGraph(Graphs[Cls].Graph,
@@ -244,10 +239,6 @@ bool colorClasses(const Function &F, const AllocatorConfig &C,
     const ColoringResult &Col = Colorings[Cls];
     Rec.SimplifySeconds += Col.SimplifySeconds;
     Rec.SelectSeconds += Col.SelectSeconds;
-    for (const SelectRound &Round : Col.SelectRounds) {
-      ++Rec.SelectRounds;
-      Rec.SelectConflicts += Round.Conflicts;
-    }
     for (uint32_t Node : Col.Spilled) {
       VRegId R = CG.NodeToVReg[Node];
       Spills.push_back({R, /*FromSlot=*/0});
@@ -255,7 +246,7 @@ bool colorClasses(const Function &F, const AllocatorConfig &C,
       if (C.CollectMetrics)
         Result.Metrics.push_back(
             rangeRow(F, CG, Node, In, RangeMetrics::Decision::Spilled,
-                     /*Color=*/-1, unsigned(Col.SelectRounds.size())));
+                     /*Color=*/-1));
     }
   }
   if (!Spills.empty())
@@ -272,10 +263,9 @@ bool colorClasses(const Function &F, const AllocatorConfig &C,
     for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls) {
       const ClassGraph &CG = Graphs[Cls];
       for (uint32_t Node = 0; Node < CG.Graph.numNodes(); ++Node)
-        Result.Metrics.push_back(rangeRow(
-            F, CG, Node, In, RangeMetrics::Decision::Colored,
-            Colorings[Cls].ColorOf[Node],
-            unsigned(Colorings[Cls].SelectRounds.size())));
+        Result.Metrics.push_back(
+            rangeRow(F, CG, Node, In, RangeMetrics::Decision::Colored,
+                     Colorings[Cls].ColorOf[Node]));
     }
   if (C.FaultInject.Miscolor)
     injectMiscoloring(Graphs, Colorings, C.Machine, Result);

@@ -120,18 +120,11 @@ struct AllocatorConfig {
   /// allocation units). 1 = serial; 0 = one per hardware thread. Output
   /// is bit-identical at any setting.
   unsigned Jobs = 1;
-  /// Parallelize the Select phase *inside* one interference graph with
-  /// the speculate-and-repair engine (ParallelSelect.h). Byte-identical
-  /// to the sequential phase at any thread count; engages only for
-  /// graphs whose select stack reaches ParallelGraphMinNodes. rac's
-  /// --parallel-graph flag.
+  /// Inert: read only by perfbench; deleted by ROADMAP item 7.
   bool ParallelGraph = false;
-  /// Threads for the parallel Select. 0 = one per hardware thread
-  /// (divided by Jobs when the module driver is already running
-  /// functions in parallel — see allocateModule).
+  /// Inert: read only by perfbench; deleted by ROADMAP item 7.
   unsigned ParallelGraphJobs = 0;
-  /// Select stacks smaller than this stay sequential even with
-  /// ParallelGraph set; below it, thread spawn outweighs the work.
+  /// Inert: read only by perfbench; deleted by ROADMAP item 7.
   unsigned ParallelGraphMinNodes = 2048;
   /// Run the independent post-allocation audit (AllocationAudit.h) on
   /// every allocation. An audit failure triggers the spill-everything
@@ -186,14 +179,6 @@ struct PassRecord {
   /// Linear scan with splitting: ranges this pass assigned to more than
   /// one register over disjoint slot ranges (graph coloring: always 0).
   unsigned SplitLiveRanges = 0;
-  /// Parallel Select (AllocatorConfig::ParallelGraph) telemetry, summed
-  /// over both class graphs: speculate/repair rounds run and conflicts
-  /// detected. All zero when the
-  /// sequential phase ran. Scheduling-dependent (vary with thread count
-  /// and interleaving, like the timing fields) — the resulting coloring
-  /// is identical regardless.
-  unsigned SelectRounds = 0;
-  unsigned SelectConflicts = 0;
 };
 
 /// Aggregate statistics for a full allocation.
@@ -265,9 +250,6 @@ struct RangeMetrics {
   Decision D = Decision::Colored;
   int32_t Color = -1;        ///< Physical register, or -1 if not colored.
   std::string CoalescedInto; ///< Surviving range's name (Coalesced only).
-  /// Speculate/repair rounds the range's class graph took this pass
-  /// (0 = sequential Select). Scheduling-dependent, like wall time.
-  unsigned SelectRounds = 0;
 };
 
 /// Printable decision name ("colored", "spilled", "coalesced", "split").

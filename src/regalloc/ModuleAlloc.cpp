@@ -94,15 +94,6 @@ ra::allocateModule(Module &M, const AllocatorConfig &C, ThreadPool *Pool,
       Result.Functions[I] = collectOne(F, C, [&] { return Allocate(F, C); });
     }
   } else {
-    // When functions already fan out across the pool, divide the
-    // hardware budget for the intra-graph parallel Select between them
-    // instead of oversubscribing Jobs * hw threads. Results are
-    // identical at any split — the speculate-and-repair engine is
-    // thread-count-agnostic — so this only tunes contention.
-    AllocatorConfig WorkerC = C;
-    if (C.ParallelGraph && C.ParallelGraphJobs == 0)
-      WorkerC.ParallelGraphJobs =
-          std::max(1u, ThreadPool::resolveJobs(0) / Jobs);
     std::optional<ThreadPool> OwnPool;
     ThreadPool &P = Pool ? *Pool : OwnPool.emplace(Jobs);
     std::vector<std::future<AllocationResult>> Pending;
@@ -112,7 +103,7 @@ ra::allocateModule(Module &M, const AllocatorConfig &C, ThreadPool *Pool,
       if (trace::enabled())
         RA_TRACE_INSTANT("TaskQueued", "sched", "@" + F.name());
       Pending.push_back(
-          P.submit([&F, &WorkerC, &Allocate] { return Allocate(F, WorkerC); }));
+          P.submit([&F, &C, &Allocate] { return Allocate(F, C); }));
     }
     for (size_t J = 0; J < Only->size(); ++J) {
       Function &F = M.function((*Only)[J]);

@@ -23,10 +23,10 @@
 /// byte-identical sources, where the printed form is exactly stable.
 /// ServiceTest pins this contract in both directions.
 ///
-/// Config fields that are pure performance knobs — Jobs and
-/// ParallelGraph* — are excluded: they are proven byte-identical
-/// elsewhere (1-vs-N determinism tests, the briggs-parallel fuzz leg),
-/// so keying on them would only split the cache. Deadline and memory
+/// Config fields that cannot change the result are excluded: Jobs,
+/// proven byte-identical by the 1-vs-N determinism tests, and the three
+/// inert fields only perfbench still sets, which nothing in the
+/// allocator reads. Keying on them would only split the cache. Deadline and memory
 /// budgets are excluded too: only Converged results are ever inserted
 /// (AllocationService), and a governed run that converges is
 /// byte-identical to the ungoverned run by construction — budget

@@ -10,7 +10,7 @@
 
 #include <cerrno>
 #include <cstring>
-#include <mutex>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -194,8 +194,13 @@ Status RacdServer::acceptLoop() {
   if (ListenFd < 0)
     return Status::error(StatusCode::InvalidInput,
                          "acceptLoop called before listenUnix");
-  std::vector<std::thread> Conns;
-  std::mutex ConnsMu;
+  // One entry per connection thread not yet joined. Done is set by the
+  // thread as its last act, so a set flag means join() returns at once.
+  struct Conn {
+    std::thread T;
+    std::unique_ptr<std::atomic<bool>> Done;
+  };
+  std::vector<Conn> Conns;
   while (!stopRequested()) {
     int Fd = ::accept(ListenFd, nullptr, nullptr);
     if (Fd < 0) {
@@ -209,17 +214,28 @@ Status RacdServer::acceptLoop() {
       closeListener();
       return S;
     }
-    std::lock_guard<std::mutex> Lock(ConnsMu);
-    Conns.emplace_back([this, Fd] {
+    // An exited thread keeps its stack mapped until it is joined, so a
+    // long-lived daemon joins each finished connection here instead of
+    // holding them all until shutdown.
+    std::erase_if(Conns, [](Conn &C) {
+      if (!C.Done->load(std::memory_order_acquire))
+        return false;
+      C.T.join();
+      return true;
+    });
+    auto Done = std::make_unique<std::atomic<bool>>(false);
+    std::thread T([this, Fd, D = Done.get()] {
       (void)serveStream(Fd, Fd);
       ::close(Fd);
+      D->store(true, std::memory_order_release);
     });
+    Conns.push_back({std::move(T), std::move(Done)});
   }
   // A Shutdown frame stops the listener from a connection thread that
   // is itself in Conns — join after the accept loop exits, when no new
   // connections can appear.
-  for (std::thread &T : Conns)
-    T.join();
+  for (Conn &C : Conns)
+    C.T.join();
   closeListener();
   return Status();
 }

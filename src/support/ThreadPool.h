@@ -36,9 +36,8 @@ namespace ra {
 /// the destructor; queued tasks all run before shutdown completes.
 class ThreadPool {
 public:
-  /// The most threads a command-line flag may ask for: rac --jobs and
-  /// --parallel-graph, racd --workers, and the bench binaries' thread
-  /// counts. Each is started up front, so the cap is checked when the
+  /// The most threads a command-line flag may ask for: rac --jobs,
+  /// racd --workers, and the bench binaries' thread counts. Each is started up front, so the cap is checked when the
   /// flag is parsed, before any thread exists.
   static constexpr unsigned MaxThreads = 256;
 

@@ -150,22 +150,6 @@ const std::vector<MegaKernel> &ra::megaKernelTestFamily() {
   return Family;
 }
 
-Status ra::checkMegaKernelCapacity(const MegaKernel &MK,
-                                   uint64_t MemoryBudgetBytes) {
-  if (MemoryBudgetBytes == 0)
-    return Status();
-  uint64_t Estimate = InterferenceGraph::estimateBytes(MK.ApproxRanges);
-  if (Estimate <= MemoryBudgetBytes)
-    return Status();
-  return Status::error(
-      StatusCode::MemoryBudgetExceeded,
-      MK.Name + ": ~" + std::to_string(MK.ApproxRanges) +
-          " live ranges need an estimated " + std::to_string(Estimate) +
-          " bytes of interference-graph node arrays, over the " +
-          std::to_string(MemoryBudgetBytes) +
-          "-byte budget; raise --mem-budget-mb or skip this kernel");
-}
-
 std::array<ClassGraph, NumRegClasses> ra::buildColoringGraphs(Function &F) {
   CFG G = CFG::compute(F);
   renumberLiveRanges(F, G);

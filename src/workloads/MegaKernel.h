@@ -8,9 +8,9 @@
 /// A generated family of "mega-kernels": single functions whose
 /// interference graphs reach tens of thousands of live ranges. The
 /// paper's Figure 5 routines top out at a few hundred ranges, which is
-/// too small for any intra-graph parallelism to show; these shapes make
-/// the parallel Select phase (ParallelSelect.h) measurable while
-/// staying verifier-clean, terminating, and executable — every kernel
+/// too small to show how each phase scales; these shapes make that
+/// measurable while staying verifier-clean, terminating, and
+/// executable — every kernel
 /// folds its values into a store + return, so the simulator can compare
 /// runs before and after allocation exactly.
 ///
@@ -37,7 +37,6 @@
 
 #include "ir/Module.h"
 #include "regalloc/BuildGraph.h"
-#include "support/Status.h"
 
 #include <functional>
 #include <string>
@@ -50,9 +49,7 @@ struct MegaKernel {
   std::string Name; ///< "mega.ramp.10k" — unique within the family.
   std::string Kind; ///< "ramp", "wide", "random".
   /// Approximate live ranges the kernel produces — the N that sizes the
-  /// interference graphs' node arrays. Capacity guards
-  /// (checkMegaKernelCapacity) use it to refuse a kernel *before*
-  /// building anything.
+  /// interference graphs' node arrays.
   uint64_t ApproxRanges = 0;
   /// Builds the kernel (arrays + one function) into a fresh module.
   std::function<Function &(Module &)> Build;
@@ -64,15 +61,6 @@ const std::vector<MegaKernel> &megaKernelFamily();
 /// Fast variants of the same three shapes (a few thousand ranges) for
 /// unit/determinism tests that run in milliseconds.
 const std::vector<MegaKernel> &megaKernelTestFamily();
-
-/// Explicit capacity guard: Ok when \p MK's interference-graph node
-/// arrays (estimated from ApproxRanges) fit \p MemoryBudgetBytes, or a
-/// MemoryBudgetExceeded error naming the kernel, the estimate, and the
-/// budget — with the remedy (raise the budget or drop the kernel) in
-/// the message — instead of silently attempting the allocation.
-/// \p MemoryBudgetBytes == 0 means unbounded (always Ok).
-Status checkMegaKernelCapacity(const MegaKernel &MK,
-                               uint64_t MemoryBudgetBytes);
 
 /// Straight-line register-pressure ramp: ~\p Ranges float live ranges
 /// in one block, each live for ~\p Width defs (degree ~2*Width).

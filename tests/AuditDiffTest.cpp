@@ -23,6 +23,12 @@
 // adds the random programs at 4 + 4, 5 + 4 and 6 + 6, raw and optimized,
 // and gives every allocation that publishes pieces 24 piece corruptions.
 //
+// FaultInjectedAllocations runs the allocator's own fault injection on
+// the Figure 5 routines and mini.rand: a miscoloring returned with the
+// audit off must be rejected by both auditors, and the Degraded results
+// of non-convergence, a blown deadline and a refused graph must be
+// accepted by both and then corrupted like any other allocation.
+//
 //===----------------------------------------------------------------------===//
 
 #include "AuditReference.h"
@@ -210,6 +216,55 @@ void checkAllocations(const Function &F, uint64_t Seed,
     }
 }
 
+/// Allocates a copy of \p F under each injected fault: a miscoloring
+/// with the audit off, which both auditors must reject, then three
+/// faults that end on a lower rung of the ladder, whose Degraded
+/// results both must accept before their corruptions are audited.
+void checkFaults(const Function &F, uint64_t Seed, const std::string &What,
+                 Verdicts &V) {
+  {
+    AllocatorConfig C;
+    C.Audit = false;
+    C.FaultInject.Miscolor = true;
+    Function G = F;
+    AllocationResult A = allocateRegisters(G, C);
+    ASSERT_TRUE(A.Success) << What << ": " << A.Diag.toString();
+    EXPECT_FALSE(auditAllocation(G, A).empty()) << What << " miscolor";
+    EXPECT_FALSE(auditAllocationReference(G, A).empty())
+        << What << " miscolor";
+  }
+
+  using Arm = void (*)(AllocatorConfig &);
+  const std::pair<const char *, Arm> Faults[] = {
+      {"non-convergence",
+       [](AllocatorConfig &C) { C.FaultInject.NonConvergence = true; }},
+      {"slow phase",
+       [](AllocatorConfig &C) {
+         C.DeadlineSeconds = 0.001;
+         C.FaultInject.SlowPhaseMicros = 5000; // every pass top trips it
+       }},
+      {"graph memory spike",
+       [](AllocatorConfig &C) {
+         C.MemoryBudgetBytes = 64ull << 20;
+         C.FaultInject.GraphMemorySpike = true;
+       }},
+  };
+  Rng R(Seed);
+  for (const auto &[Name, Apply] : Faults) {
+    AllocatorConfig C;
+    C.Audit = true;
+    Apply(C);
+    Function G = F;
+    AllocationResult A = allocateRegisters(G, C);
+    const std::string Case = What + " " + Name;
+    ASSERT_TRUE(A.Success) << Case << ": " << A.Diag.toString();
+    EXPECT_EQ(A.Outcome, AllocOutcome::Degraded) << Case;
+    EXPECT_TRUE(auditAllocation(G, A).empty()) << Case;
+    EXPECT_TRUE(auditAllocationReference(G, A).empty()) << Case;
+    auditCorruptions(G, A, R, Case, V);
+  }
+}
+
 /// Both verdicts must occur, or the inputs prove nothing.
 void expectBothVerdicts(const Verdicts &V) {
   EXPECT_GT(V.Accepted, 0u);
@@ -300,6 +355,23 @@ TEST(AuditDiffTest, PieceTables) {
                       V);
       }
   EXPECT_GT(Pieced, 10u) << "too few split ranges to test the piece checks";
+  expectBothVerdicts(V);
+}
+
+TEST(AuditDiffTest, FaultInjectedAllocations) {
+  Verdicts V;
+  uint64_t Seed = 500;
+  for (const Workload &W : allWorkloads()) {
+    Module M;
+    checkFaults(W.Build(M), Seed++, W.Routine, V);
+  }
+  const std::vector<MegaKernel> &Family = megaKernelTestFamily();
+  auto It = std::find_if(Family.begin(), Family.end(), [](const MegaKernel &K) {
+    return K.Name == "mini.rand";
+  });
+  ASSERT_NE(It, Family.end());
+  Module M;
+  checkFaults(It->Build(M), Seed, It->Name, V);
   expectBothVerdicts(V);
 }
 

@@ -337,7 +337,7 @@ TEST(AllocatorBudgetTest, ModuleUnderTinyBudgetsNeverFails) {
 }
 
 //===--------------------------------------------------------------------===//
-// Capacity estimation and the MegaKernel guard.
+// Capacity estimation.
 //===--------------------------------------------------------------------===//
 
 TEST(CapacityTest, EstimateBytesScalesLinearly) {
@@ -351,25 +351,6 @@ TEST(CapacityTest, EstimateBytesScalesLinearly) {
   EXPECT_LT(InterferenceGraph::estimateBytes(50000), 2ull << 20);
   EXPECT_EQ(InterferenceGraph::estimateBytes(2000),
             2 * InterferenceGraph::estimateBytes(1000));
-}
-
-TEST(CapacityTest, MegaKernelGuardRefusesOverBudgetKernels) {
-  const MegaKernel &Big = megaKernelFamily()[1]; // mega.ramp.50k
-  // Unbounded budget: always Ok.
-  EXPECT_TRUE(checkMegaKernelCapacity(Big, 0).ok());
-  // Roomy budget: Ok.
-  EXPECT_TRUE(checkMegaKernelCapacity(Big, 1ull << 30).ok());
-  // Exactly the estimate: Ok.
-  uint64_t Estimate = InterferenceGraph::estimateBytes(Big.ApproxRanges);
-  EXPECT_TRUE(checkMegaKernelCapacity(Big, Estimate).ok());
-  // 1 MB cannot hold ~1.3 MB of node arrays: an actionable refusal
-  // naming the kernel and the remedy, not a silent attempt.
-  ASSERT_GT(Estimate, 1ull << 20);
-  Status S = checkMegaKernelCapacity(Big, 1ull << 20);
-  ASSERT_FALSE(S.ok());
-  EXPECT_EQ(S.code(), StatusCode::MemoryBudgetExceeded);
-  EXPECT_NE(S.toString().find(Big.Name), std::string::npos);
-  EXPECT_NE(S.toString().find("--mem-budget-mb"), std::string::npos);
 }
 
 } // namespace

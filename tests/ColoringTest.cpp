@@ -156,6 +156,12 @@ struct RandomGraphCase {
   unsigned K;
 };
 
+// Without a printer gtest prints each case as its raw bytes, padding
+// included, so the test names would change between builds.
+void PrintTo(const RandomGraphCase &C, std::ostream *OS) {
+  *OS << "Seed" << C.Seed << "_N" << C.N << "_K" << C.K;
+}
+
 class RandomGraphs : public ::testing::TestWithParam<RandomGraphCase> {};
 
 TEST_P(RandomGraphs, AllHeuristicsProduceValidColorings) {

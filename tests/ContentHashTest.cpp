@@ -87,9 +87,8 @@ enum class KeyClass {
 struct ClassifiedField {
   const char *Name;
   KeyClass Class;
-  /// Sets the field away from the base config. Neutral flips also turn on
-  /// whatever the field needs to take effect (ParallelGraph for its
-  /// thread count and threshold).
+  /// Sets the field away from the base config. The inert ParallelGraph
+  /// fields are flipped together, the way perfbench sets them.
   std::function<void(AllocatorConfig &, bool &Optimize)> Flip;
 };
 

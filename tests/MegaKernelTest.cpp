@@ -6,14 +6,12 @@
 //
 // The mega-kernel contract: every generated shape is verifier-clean,
 // reaches its advertised live-range scale, allocates with a clean audit,
-// computes the same answers before and after allocation, and colors
-// identically under the sequential and parallel Select engines.
+// and computes the same answers before and after allocation.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ir/Verifier.h"
 #include "regalloc/Allocator.h"
-#include "regalloc/Coloring.h"
 #include "sim/Simulator.h"
 #include "workloads/MegaKernel.h"
 
@@ -52,8 +50,8 @@ TEST(MegaKernelTest, TestFamilyVerifiesAndReachesScale) {
     Function &F = MK.Build(M);
     EXPECT_TRUE(verifyFunction(M, F).empty()) << MK.Name;
     auto Graphs = buildColoringGraphs(F);
-    // "A few thousand ranges": enough to clear the default parallel
-    // gate, small enough for millisecond tests.
+    // "A few thousand ranges": past the per-class helper thread's
+    // threshold, small enough for millisecond tests.
     EXPECT_GE(totalNodes(Graphs), 1000u) << MK.Name;
   }
 }
@@ -68,29 +66,6 @@ TEST(MegaKernelTest, BenchFamilyHitsTenThousandRanges) {
   auto Graphs = buildColoringGraphs(F);
   EXPECT_GE(totalNodes(Graphs), 10000u)
       << "mega.ramp.10k must reach its advertised scale";
-}
-
-TEST(MegaKernelTest, ParallelSelectMatchesSequentialOnEveryShape) {
-  for (const MegaKernel &MK : megaKernelTestFamily()) {
-    Module M;
-    Function &F = MK.Build(M);
-    auto Graphs = buildColoringGraphs(F);
-    for (ClassGraph &CG : Graphs) {
-      if (CG.Graph.numNodes() == 0)
-        continue;
-      // K=6 is tight enough that the ramp/wide shapes spill, so the
-      // spill-order path is compared too, not just clean colorings.
-      ColoringResult Seq = colorGraph(CG.Graph, 6, Heuristic::Briggs);
-      SelectOptions SO;
-      SO.Parallel = true;
-      SO.Threads = 4;
-      SO.MinNodes = 0;
-      ColoringResult Par = colorGraph(CG.Graph, 6, Heuristic::Briggs, SO);
-      EXPECT_EQ(Seq.ColorOf, Par.ColorOf) << MK.Name;
-      EXPECT_EQ(Seq.Spilled, Par.Spilled) << MK.Name;
-      EXPECT_EQ(Seq.SpilledCost, Par.SpilledCost) << MK.Name;
-    }
-  }
 }
 
 TEST(MegaKernelTest, AllocatesAuditCleanAndComputesSameAnswers) {
@@ -112,13 +87,10 @@ TEST(MegaKernelTest, AllocatesAuditCleanAndComputesSameAnswers) {
 
     AllocatorConfig C;
     C.Audit = true;
-    C.ParallelGraph = true;
-    C.ParallelGraphMinNodes = 0;
-    C.ParallelGraphJobs = 3;
     AllocationResult A = allocateRegisters(F, C);
     ASSERT_TRUE(A.Success) << MK.Name;
     EXPECT_EQ(A.Outcome, AllocOutcome::Converged)
-        << MK.Name << ": parallel select failed the audit";
+        << MK.Name << ": failed the audit";
 
     Simulator Sim(M);
     MemoryImage Mem(M);

@@ -96,6 +96,12 @@ struct RegisterFile {
   unsigned Int, Flt;
 };
 
+// Names each test too (PrintToStringParamName), so ctest lists no raw
+// bytes.
+void PrintTo(const RegisterFile &RF, std::ostream *OS) {
+  *OS << "Int" << RF.Int << "Flt" << RF.Flt;
+}
+
 class PaperGuaranteeTest : public ::testing::TestWithParam<RegisterFile> {};
 
 TEST_P(PaperGuaranteeTest, BriggsSpillsSubsetAndIdenticalWhenChaitinFits) {
@@ -141,9 +147,6 @@ INSTANTIATE_TEST_SUITE_P(
     Files, PaperGuaranteeTest,
     ::testing::Values(RegisterFile{16, 8}, RegisterFile{6, 4},
                       RegisterFile{4, 2}, RegisterFile{3, 2}),
-    [](const ::testing::TestParamInfo<RegisterFile> &Info) {
-      return "Int" + std::to_string(Info.param.Int) + "Flt" +
-             std::to_string(Info.param.Flt);
-    });
+    ::testing::PrintToStringParamName());
 
 } // namespace

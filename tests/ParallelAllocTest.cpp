@@ -511,8 +511,7 @@ TEST(AllocateModuleTest, WorkerExceptionFailsOnlyThatFunction) {
 }
 
 TEST(AllocateModuleTest, WorkerExceptionDoesNotPoisonSiblingBudgets) {
-  // The hardest combination: pool workers, in-graph parallel Select,
-  // per-function budgets, and one function that throws mid-allocation.
+  // The hardest combination: pool workers, per-function budgets, and one function that throws mid-allocation.
   // The thrown function must come back Failed/WorkerError; every
   // sibling must still produce a usable (Converged or Degraded)
   // allocation with its *own* budget telemetry — a worker's death must
@@ -526,9 +525,6 @@ TEST(AllocateModuleTest, WorkerExceptionDoesNotPoisonSiblingBudgets) {
 
     AllocatorConfig C;
     C.Jobs = 4;
-    C.ParallelGraph = true;
-    C.ParallelGraphJobs = 3;
-    C.ParallelGraphMinNodes = 0;
     C.DeadlineSeconds = 30;                 // generous: must not trip
     C.MemoryBudgetBytes = 1ull << 30;
     C.FaultInject.ThrowInFunction = Victim;

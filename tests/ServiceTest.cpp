@@ -481,9 +481,9 @@ TEST(ContentHashTest, PurePerformanceKnobsDoNotChangeTheKey) {
                                   Heuristic::Briggs);
   const std::string Base = canonicalFunctionKey(M, M.function(0), C, true);
 
-  // Every knob here is proven byte-identical elsewhere (ParallelAlloc,
-  // ParallelColoring, megakernel_scaling); including them would shatter
-  // the cache across equivalent configurations.
+  // Jobs is proven byte-identical elsewhere (ParallelAllocTest) and the
+  // ParallelGraph fields are inert; including them would shatter the
+  // cache across equivalent configurations.
   AllocatorConfig C2 = C;
   C2.Jobs = 16;
   C2.ParallelGraph = true;

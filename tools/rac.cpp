@@ -60,14 +60,11 @@ void usage(const char *Prog) {
       "\n"
       "rac options (the output is identical at any thread count):\n"
       "  --jobs N             functions on N pool workers, <= %u (0 = all)\n"
-      "  --parallel-graph[=N] parallel Select on N threads, <= %u (0 = all)\n"
-      "  --parallel-graph-min N  smallest select stack it engages on (2048)\n"
       "  --run                execute each function on zero-filled memory\n"
       "  --quiet              suppress the statistics table\n"
       "  --trace[=]FILE       write a Chrome/Perfetto trace of the run\n"
       "  --metrics[=]FILE     write the per-live-range metrics table (CSV)\n",
-      Prog, service::WireConfig::flagUsage().c_str(), ThreadPool::MaxThreads,
-      ThreadPool::MaxThreads);
+      Prog, service::WireConfig::flagUsage().c_str(), ThreadPool::MaxThreads);
 }
 
 /// Prints a failure as "rac: <file>: <status rendering>".
@@ -75,8 +72,8 @@ void report(const std::string &Path, const Status &S) {
   std::fprintf(stderr, "rac: %s: %s\n", Path.c_str(), S.toString().c_str());
 }
 
-/// rac's options: the shared ones in W, its own allocation fields
-/// (Jobs, ParallelGraph*) in C, and its output flags.
+/// rac's options: the shared ones in W, its own allocation field
+/// (Jobs) in C, and its output flags.
 struct Options {
   service::WireConfig W;
   AllocatorConfig C;
@@ -195,14 +192,6 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--jobs" && I + 1 < Argc) {
       Bad = parseDecimalFlag(Arg, Argv[++I], Opt.C.Jobs,
                              ThreadPool::MaxThreads);
-    } else if (Arg == "--parallel-graph") {
-      Opt.C.ParallelGraph = true;
-    } else if (Arg.rfind("--parallel-graph=", 0) == 0) {
-      Opt.C.ParallelGraph = true;
-      Bad = parseDecimalFlag("--parallel-graph", Arg.substr(17),
-                             Opt.C.ParallelGraphJobs, ThreadPool::MaxThreads);
-    } else if (Arg == "--parallel-graph-min" && I + 1 < Argc) {
-      Bad = parseDecimalFlag(Arg, Argv[++I], Opt.C.ParallelGraphMinNodes);
     } else if (Arg == "--run") {
       Opt.Run = true;
     } else if (Arg == "--quiet") {

@@ -37,8 +37,8 @@
 //   --seeds N       number of seeds to run (default 1000)
 //   --start S       first seed (default 0)
 //   --allocators L  comma-separated allocator list (chaitin, briggs,
-//                   briggs-parallel, matula-beck, linear-scan);
-//                   default chaitin,briggs,briggs-parallel,linear-scan
+//                   matula-beck, linear-scan);
+//                   default chaitin,briggs,linear-scan
 //   --audit         run the in-allocator audit too (default on)
 //   --no-audit      rely on this tool's external checks only
 //   --fault-inject  deliberately miscolor / fail convergence and demand
@@ -112,26 +112,15 @@ struct FuzzCase {
 struct AllocatorChoice {
   Backend B = Backend::GraphColoring;
   Heuristic H = Heuristic::Briggs;
-  /// Graph coloring only: run the speculate-and-repair parallel Select
-  /// (gate forced to 0 so even fuzz-sized graphs exercise it). Must be
-  /// indistinguishable from plain briggs in every observable.
-  bool ParallelGraph = false;
-
-  const char *name() const {
-    if (B == Backend::GraphColoring && ParallelGraph)
-      return "briggs-parallel";
-    return allocatorName(B, H);
-  }
+  const char *name() const { return allocatorName(B, H); }
 };
 
 /// The allocators every seed runs by default: both of the paper's
-/// heuristics, parallel Select, and the linear-scan backend, so
-/// coloring-vs-coloring and coloring-vs-linear-scan differentials are
-/// both always live.
+/// heuristics and the linear-scan backend, so coloring-vs-coloring and
+/// coloring-vs-linear-scan differentials are both always live.
 std::vector<AllocatorChoice> defaultAllocators() {
   return {{Backend::GraphColoring, Heuristic::Chaitin},
           {Backend::GraphColoring, Heuristic::Briggs},
-          {Backend::GraphColoring, Heuristic::Briggs, /*ParallelGraph=*/true},
           {Backend::LinearScan, Heuristic::Briggs}};
 }
 
@@ -246,11 +235,6 @@ bool runOne(const FuzzCase &FC, AllocatorChoice AC, const RunPolicy &P,
   C.B = AC.B;
   C.H = AC.H;
   C.Machine = MachineInfo(FC.IntK, FC.FltK);
-  if (AC.ParallelGraph) {
-    C.ParallelGraph = true;
-    C.ParallelGraphMinNodes = 0; // fuzz graphs are small; force the engine
-    C.ParallelGraphJobs = 3;     // odd count -> uneven chunk boundaries
-  }
   C.MaxPasses = 64; // Matula-Beck-style worst cases need headroom
   C.Audit = Audit || FaultInject || P.Chaos; // faults must be caught
   if (P.Chaos) {
@@ -338,7 +322,7 @@ bool checkPaperGuarantees(const FuzzCase &FC,
   const CapturedRun *Chaitin = nullptr, *Briggs = nullptr;
   for (size_t I = 0; I < Allocs.size(); ++I) {
     const AllocatorChoice &AC = Allocs[I];
-    if (AC.B != Backend::GraphColoring || AC.ParallelGraph)
+    if (AC.B != Backend::GraphColoring)
       continue;
     if (AC.H == Heuristic::Chaitin)
       Chaitin = &Runs[I];
@@ -466,11 +450,6 @@ bool runSeedService(ra::service::AllocationService &Svc, const FuzzCase &FC,
     Req.Alloc.B = AC.B;
     Req.Alloc.H = AC.H;
     Req.Alloc.Machine = MachineInfo(FC.IntK, FC.FltK);
-    if (AC.ParallelGraph) {
-      Req.Alloc.ParallelGraph = true;
-      Req.Alloc.ParallelGraphMinNodes = 0;
-      Req.Alloc.ParallelGraphJobs = 3;
-    }
     Req.Alloc.MaxPasses = 64;
     Req.Alloc.Audit = true;
 
@@ -597,10 +576,7 @@ bool dumpReproducer(const std::string &Path, const FuzzCase &FC,
       << " arrays=" << FC.Shape.ArraySize
       << " trip=" << FC.Shape.LoopTrip << "\n";
   for (const AllocatorChoice &AC : Allocs)
-    Out << "; replay: rac " << Path << " --allocator "
-        << allocatorName(AC.B, AC.H)
-        << (AC.ParallelGraph ? " --parallel-graph=3 --parallel-graph-min 0"
-                             : "")
+    Out << "; replay: rac " << Path << " --allocator " << AC.name()
         << " --int " << FC.IntK << " --flt " << FC.FltK << " --run"
         << (FC.Optimize ? "" : " --no-opt") << "\n";
   Out << printModule(M);
@@ -639,9 +615,8 @@ void usage(const char *Prog) {
                "       [--service] [--seed-timeout-ms N]\n"
                "       [--max-instructions N]\n"
                "       [--out FILE] [--emit-corpus DIR] [--quiet]\n"
-               "allocators: chaitin, briggs, briggs-parallel, matula-beck,\n"
-               "            linear-scan (default chaitin,briggs,\n"
-               "            briggs-parallel,linear-scan)\n",
+               "allocators: chaitin, briggs, matula-beck, linear-scan\n"
+               "            (default chaitin,briggs,linear-scan)\n",
                Prog);
 }
 
@@ -657,13 +632,10 @@ bool parseAllocatorList(const std::string &List,
       Comma = List.size();
     std::string Name = List.substr(Pos, Comma - Pos);
     AllocatorChoice AC;
-    if (Name == "briggs-parallel") {
-      AC.ParallelGraph = true;
-    } else if (!parseAllocatorName(Name, AC.B, AC.H)) {
+    if (!parseAllocatorName(Name, AC.B, AC.H)) {
       std::fprintf(stderr,
                    "ralfuzz: unknown allocator '%s' (expected chaitin, "
-                   "briggs, briggs-parallel, matula-beck, or "
-                   "linear-scan)\n",
+                   "briggs, matula-beck, or linear-scan)\n",
                    Name.c_str());
       return false;
     }
