@@ -7,6 +7,9 @@
 #include "ir/IRParser.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <optional>
@@ -112,15 +115,30 @@ private:
           break;
         }
       }
+      // The whole literal must convert: no bare sign, no trailing
+      // "1.2.3" tail. An integer must fit in int64_t and a float must not
+      // overflow; a float that underflows to a subnormal is kept, since
+      // the printer writes subnormals.
       std::string Lit = Text.substr(Start, Pos - Start);
       Token T;
       T.Line = TokLine;
+      char *End = nullptr;
+      errno = 0;
       if (IsFloat) {
         T.K = Token::Kind::FloatLit;
-        T.FloatValue = std::strtod(Lit.c_str(), nullptr);
+        T.FloatValue = std::strtod(Lit.c_str(), &End);
       } else {
         T.K = Token::Kind::IntLit;
-        T.IntValue = std::strtoll(Lit.c_str(), nullptr, 10);
+        T.IntValue = std::strtoll(Lit.c_str(), &End, 10);
+      }
+      if (End != Lit.c_str() + Lit.size()) {
+        Error = diag(TokLine, "malformed number '" + Lit + "'");
+        return false;
+      }
+      if (errno == ERANGE && (!IsFloat || std::isinf(T.FloatValue))) {
+        Error = diag(TokLine, std::string(IsFloat ? "float" : "integer") +
+                                  " literal '" + Lit + "' out of range");
+        return false;
       }
       Out.push_back(T);
       return true;
@@ -239,6 +257,8 @@ private:
     int64_t Size = take().IntValue;
     if (Size < 0)
       return fail("negative array size");
+    if (Size > int64_t(UINT32_MAX))
+      return fail("array size " + std::to_string(Size) + " out of range");
     if (!expectPunct(']'))
       return false;
     if (M.findArray(Name) != ~0u)

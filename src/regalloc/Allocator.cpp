@@ -90,10 +90,6 @@ bool ra::parseAllocatorName(const std::string &Name, Backend &B,
 
 namespace {
 
-/// Nodes below which a class graph is colored on the calling thread:
-/// spawning a thread costs more than simplifying a small graph.
-constexpr unsigned ParallelClassThreshold = 256;
-
 /// Copies a color across the first interference edge whose endpoints are
 /// both colored (or, when the graphs have no such edge, pushes one
 /// assignment outside the register file). The audit must catch either.
@@ -205,32 +201,12 @@ bool colorClasses(const Function &F, const AllocatorConfig &C,
     Rec.Interferences += CG.Graph.numEdges();
   }
   std::array<ColoringResult, NumRegClasses> Colorings;
-  static_assert(NumRegClasses == 2, "per-class threading assumes 2");
   SelectOptions SelOpts;
   SelOpts.Governor = In.Gov;
-  auto Color = [&](unsigned Cls) {
+  for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls)
     Colorings[Cls] = colorGraph(Graphs[Cls].Graph,
                                 C.Machine.numRegs(Graphs[Cls].Class), C.H,
                                 SelOpts);
-  };
-  if (Graphs[0].Graph.numNodes() >= ParallelClassThreshold &&
-      Graphs[1].Graph.numNodes() >= ParallelClassThreshold) {
-    // The two class files are disjoint, so their colorings share no
-    // state; run Float on a helper thread while Int colors here.
-    // Results land in fixed slots — output is identical to serial.
-    // The helper traces under its own sub-context so the event log
-    // groups deterministically whether or not it was spawned.
-    std::string ParentCtx = trace::ScopedContext::current();
-    std::thread Helper([&, ParentCtx] {
-      RA_TRACE_CONTEXT([&] { return ParentCtx + "/flt-helper"; });
-      Color(1);
-    });
-    Color(0);
-    Helper.join();
-  } else {
-    Color(0);
-    Color(1);
-  }
   if (In.Gov && In.Gov->expired())
     return false;
 

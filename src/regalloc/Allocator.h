@@ -116,10 +116,6 @@ struct AllocatorConfig {
   /// reloading them (off by default: the paper's allocator predates
   /// rematerialization; turn on to measure the refinement).
   bool Rematerialize = false;
-  /// Worker threads for \c allocateModule (functions are independent
-  /// allocation units). 1 = serial; 0 = one per hardware thread. Output
-  /// is bit-identical at any setting.
-  unsigned Jobs = 1;
   /// Inert: read only by perfbench; deleted by ROADMAP item 7.
   bool ParallelGraph = false;
   /// Inert: read only by perfbench; deleted by ROADMAP item 7.
@@ -357,19 +353,19 @@ struct ModuleAllocationResult {
   }
 };
 
-/// Allocates registers for every function in \p M (mutating them),
-/// farming functions out across \c C.Jobs pool workers. Functions are
-/// independent allocation units, so the result — rewritten functions,
-/// colors, spill decisions — is bit-identical to running
-/// \c allocateRegisters serially in function order.
+/// Allocates registers for every function in \p M (mutating them).
+/// Without \p Pool the functions run serially on the caller; with one
+/// they fan out across all of its workers. Each function allocates on
+/// one thread, and functions are independent allocation units, so the
+/// result — rewritten functions, colors, spill decisions — is
+/// bit-identical to running \c allocateRegisters serially in function
+/// order.
 ///
 /// A worker that throws fails only that function's AllocationResult
 /// (Outcome == Failed, WorkerError status); the exception propagates
 /// through the future and is converted here, so one bad function never
 /// crashes or hangs the whole module.
 ///
-/// \p Pool, when given, runs the work instead of a pool of \c C.Jobs
-/// created for the call (the width is then the smaller of the two).
 /// \p Only, when given, lists the function indices to allocate; the
 /// other entries of the result stay default (Failed, empty). \p PreStep
 /// runs on each function inside its work unit, before allocation — the

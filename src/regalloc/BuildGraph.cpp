@@ -101,8 +101,7 @@ ra::buildInterferenceGraphs(const Function &F, const Liveness &LV,
         G.addEdge(CG.VRegToNode[D], CG.VRegToNode[L]);
       },
       Gov);
-  // Pack adjacency into CSR here, once, so the graphs are ready to be
-  // colored concurrently.
+  // Pack adjacency into CSR here, once, before coloring reads the rows.
   for (ClassGraph &CG : Out)
     CG.Graph.finalize();
   return Out;

@@ -48,8 +48,7 @@ ColoringResult ra::colorGraph(const InterferenceGraph &G, unsigned K,
   if (N == 0)
     return R;
 
-  // Simplify/select read only the packed rows, so concurrent colorings
-  // of finalized graphs never mutate shared state.
+  // Simplify/select read only the packed rows.
   assert(G.finalized() && "color a finalized graph");
 
   // Counter tracking is gated on an active trace session: when off, the

@@ -92,7 +92,7 @@ public:
       Pairs.push_back({A, B});
   }
 
-  /// Raw pairs recorded since the last \c finalize, and the room
+  /// Raw pairs recorded before \c finalize, and the room
   /// reserved for them. The build reserves pair storage itself so it
   /// can charge a memory budget before each allocation.
   size_t numPairs() const { return Pairs.size(); }
@@ -102,19 +102,16 @@ public:
   /// True when no recorded edge is waiting for \c finalize.
   bool finalized() const { return Pairs.empty(); }
 
-  /// Merges the recorded pairs into the packed rows: each row keeps its
-  /// current neighbors, then gains the pairs' new neighbors in pair
-  /// order, each at its first arrival. Frees the pairs. Call before any
-  /// query and before sharing the graph across threads.
+  /// Packs the recorded pairs into rows: each row holds its neighbors
+  /// in pair order, each at its first arrival. Frees the pairs. Runs
+  /// once per graph, after the last \c addEdge and before any query.
   void finalize() {
     if (Pairs.empty())
       return;
+    assert(Flat.empty() && "finalize runs once per graph");
     const unsigned N = Nodes.size();
-    // Count each row's entries, its packed neighbors plus one per
-    // half-edge, and prefix-sum them into row starts.
+    // Count each row's half-edges and prefix-sum them into row starts.
     std::vector<uint32_t> Start(N + 1, 0);
-    for (unsigned I = 0; I < N; ++I)
-      Start[I + 1] = Offsets[I + 1] - Offsets[I];
     for (const EdgePair &P : Pairs) {
       ++Start[P.A + 1];
       ++Start[P.B + 1];
@@ -124,15 +121,11 @@ public:
     // Fill, using Start[I] as row I's cursor: afterwards Start[I] is
     // the end of row I and the start of row I + 1.
     std::vector<uint32_t> Raw(Start[N]);
-    for (unsigned I = 0; I < N; ++I)
-      for (uint32_t J = Offsets[I]; J != Offsets[I + 1]; ++J)
-        Raw[Start[I]++] = Flat[J];
     for (const EdgePair &P : Pairs) {
       Raw[Start[P.A]++] = P.B;
       Raw[Start[P.B]++] = P.A;
     }
     std::vector<EdgePair>().swap(Pairs);
-    std::vector<uint32_t>().swap(Flat);
     // Keep each neighbor's first arrival per row, compacting in place.
     std::vector<uint32_t> Stamp(N, ~0u); ///< Last row that saw a node.
     uint32_t Out = 0, Begin = 0;
@@ -200,7 +193,7 @@ private:
   };
 
   std::vector<IGNode> Nodes;
-  std::vector<EdgePair> Pairs;   ///< Recorded since the last finalize.
+  std::vector<EdgePair> Pairs;   ///< Recorded, not yet packed.
   std::vector<uint32_t> Offsets; ///< Row starts, size numNodes()+1.
   std::vector<uint32_t> Flat;    ///< Concatenated neighbor rows.
 };

@@ -5,13 +5,14 @@
 //===----------------------------------------------------------------------===//
 //
 // The paper measures whole FORTRAN modules; this driver allocates every
-// function of a module, farming functions out across a fixed thread
-// pool. Each function is an independent allocation unit (allocateRegisters
-// mutates only its own Function; the Module's arrays and function table
-// are read-only during allocation), so any worker count produces
-// bit-identical output: futures are collected in function order. It is
-// the only module fan-out: AllocationService hands it its cache misses,
-// its shared pool and the optimizer as the per-function pre-step.
+// function of a module, serially on the caller or across every worker of
+// the caller's thread pool. Each function is an independent allocation
+// unit (allocateRegisters mutates only its own Function; the Module's
+// arrays and function table are read-only during allocation), so any
+// worker count produces bit-identical output: futures are collected in
+// function order. It is the only module fan-out: AllocationService hands
+// it its cache misses, its shared pool and the optimizer as the
+// per-function pre-step.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,9 +22,7 @@
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
-#include <algorithm>
 #include <future>
-#include <optional>
 #include <vector>
 
 using namespace ra;
@@ -71,9 +70,7 @@ ra::allocateModule(Module &M, const AllocatorConfig &C, ThreadPool *Pool,
       All[I] = I;
     Only = &All;
   }
-  unsigned Jobs = ThreadPool::resolveJobs(C.Jobs);
-  if (Pool)
-    Jobs = std::min(Jobs, Pool->numThreads());
+  unsigned Jobs = Pool ? Pool->numThreads() : 1;
   // Scheduling events go in the "sched" category: they describe how work
   // landed on workers, which varies with --jobs, so normalizedLog drops
   // them while trace viewers still show the fan-out.
@@ -94,8 +91,6 @@ ra::allocateModule(Module &M, const AllocatorConfig &C, ThreadPool *Pool,
       Result.Functions[I] = collectOne(F, C, [&] { return Allocate(F, C); });
     }
   } else {
-    std::optional<ThreadPool> OwnPool;
-    ThreadPool &P = Pool ? *Pool : OwnPool.emplace(Jobs);
     std::vector<std::future<AllocationResult>> Pending;
     Pending.reserve(Only->size());
     for (unsigned I : *Only) {
@@ -103,7 +98,7 @@ ra::allocateModule(Module &M, const AllocatorConfig &C, ThreadPool *Pool,
       if (trace::enabled())
         RA_TRACE_INSTANT("TaskQueued", "sched", "@" + F.name());
       Pending.push_back(
-          P.submit([&F, &C, &Allocate] { return Allocate(F, C); }));
+          Pool->submit([&F, &C, &Allocate] { return Allocate(F, C); }));
     }
     for (size_t J = 0; J < Only->size(); ++J) {
       Function &F = M.function((*Only)[J]);

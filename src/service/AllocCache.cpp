@@ -25,9 +25,7 @@ std::string ra::service::cacheStatsCsvRow(const CacheStats &S) {
 }
 
 AllocCache::AllocCache(uint64_t MaxEntries, uint64_t MaxBytes)
-    : MaxEntries(MaxEntries) {
-  Bytes.arm(/*DeadlineSeconds=*/0, MaxBytes);
-}
+    : MaxEntries(MaxEntries), MaxBytes(MaxBytes) {}
 
 uint64_t AllocCache::estimateBytes(const std::string &Key, const Value &V) {
   uint64_t N = Key.size() + sizeof(Entry);
@@ -67,7 +65,6 @@ bool AllocCache::lookup(const std::string &Key, Value &Out) {
 void AllocCache::evictTailLocked() {
   Entry &Victim = Lru.back();
   Index.erase(std::string_view(Victim.Key));
-  Bytes.release(Victim.Bytes);
   S.BytesInUse -= Victim.Bytes;
   --S.Entries;
   ++S.Evictions;
@@ -82,20 +79,16 @@ bool AllocCache::insert(const std::string &Key, const Value &V) {
   if (Index.count(std::string_view(Key)))
     return false; // first insertion won; values are identical by key
 
-  // Make room: entry-count bound first, then the byte ceiling. A
-  // tryCharge refusal latches the Budget token, so every retry after an
-  // eviction rearms it (rearm keeps the cumulative telemetry).
+  if (MaxBytes > 0 && Need > MaxBytes) {
+    ++S.Refusals;
+    RA_TRACE_COUNTER("cache.refusals", 1);
+    return false; // the entry alone exceeds the ceiling
+  }
+  // Make room: entry-count bound first, then the byte ceiling.
   while (MaxEntries > 0 && S.Entries >= MaxEntries && !Lru.empty())
     evictTailLocked();
-  while (!Bytes.tryCharge(Need)) {
-    Bytes.rearm();
-    if (Lru.empty()) {
-      ++S.Refusals;
-      RA_TRACE_COUNTER("cache.refusals", 1);
-      return false; // the entry alone exceeds the ceiling
-    }
+  while (MaxBytes > 0 && S.BytesInUse + Need > MaxBytes)
     evictTailLocked();
-  }
 
   Lru.push_front(Entry{Key, V, Need});
   Index.emplace(std::string_view(Lru.front().Key), Lru.begin());
@@ -115,8 +108,6 @@ CacheStats AllocCache::stats() const {
 
 void AllocCache::clear() {
   std::lock_guard<std::mutex> Lock(Mu);
-  for (const Entry &E : Lru)
-    Bytes.release(E.Bytes);
   Index.clear();
   Lru.clear();
   S.Entries = 0;

@@ -14,12 +14,10 @@
 /// Bounded two ways, both enforced on insert with LRU eviction:
 ///
 ///  * entry count (MaxEntries);
-///  * resident bytes, charged against a support/Budget token armed with
-///    the byte ceiling — the same governance primitive the allocator
-///    uses for interference matrices, so the cache's accounting (peak
-///    bytes, refusals) comes out of one audited mechanism. An entry
-///    that cannot fit even into an empty cache is *refused* (counted,
-///    never inserted) rather than evicting the world.
+///  * resident bytes (MaxBytes), counted in CacheStats::BytesInUse
+///    from each entry's estimateBytes. An entry that cannot fit even
+///    into an empty cache is *refused* (counted, never inserted) and
+///    evicts nothing.
 ///
 /// Hits, misses, insertions, evictions, refusals and byte totals are
 /// kept in CacheStats and mirrored to the Trace subsystem via the
@@ -35,7 +33,6 @@
 
 #include "ir/Function.h"
 #include "regalloc/Allocator.h"
-#include "support/Budget.h"
 
 #include <cstdint>
 #include <list>
@@ -95,8 +92,7 @@ public:
 
   /// The byte estimate insert() charges for one entry: key bytes plus
   /// the dominant owned allocations of the function clone and result.
-  /// An estimate, not an exact malloc census — the Budget charge is
-  /// governance, not an allocator.
+  /// An estimate, not an exact malloc census.
   static uint64_t estimateBytes(const std::string &Key, const Value &V);
 
 private:
@@ -115,8 +111,8 @@ private:
   LruList Lru; ///< Front = most recently used.
   /// Views into the list nodes' owned keys — list nodes never move.
   std::unordered_map<std::string_view, LruList::iterator> Index;
-  Budget Bytes; ///< Armed with (no deadline, MaxBytes).
   uint64_t MaxEntries;
+  uint64_t MaxBytes;
   CacheStats S;
 };
 

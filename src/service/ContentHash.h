@@ -23,12 +23,11 @@
 /// byte-identical sources, where the printed form is exactly stable.
 /// ServiceTest pins this contract in both directions.
 ///
-/// Config fields that cannot change the result are excluded: Jobs,
-/// proven byte-identical by the 1-vs-N determinism tests, and the three
+/// Config fields that cannot change the result are excluded: the three
 /// inert fields only perfbench still sets, which nothing in the
-/// allocator reads. Keying on them would only split the cache. Deadline and memory
-/// budgets are excluded too: only Converged results are ever inserted
-/// (AllocationService), and a governed run that converges is
+/// allocator reads. Keying on them would only split the cache. Deadline
+/// and memory budgets are excluded too: only Converged results are ever
+/// inserted (AllocationService), and a governed run that converges is
 /// byte-identical to the ungoverned run by construction — budget
 /// polling can abort work, never steer it.
 ///

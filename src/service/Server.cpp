@@ -45,10 +45,6 @@ bool RacdServer::handleFrame(MsgType T, const std::string &Payload,
     R.Source = std::move(Req.Source);
     R.Optimize = Req.Config.Optimize;
     R.UseCache = Req.Config.UseCache;
-    // Jobs=0 fans the request's functions out over the shared service
-    // pool, up to the pool's width; concurrent connections share that
-    // pool too. Output is identical at any width.
-    R.Alloc.Jobs = 0;
 
     ServiceReply Reply = Svc.run(R);
 

@@ -14,22 +14,20 @@ const char *const Budget::DeadlineExhaustedTag = "deadline";
 const char *const Budget::MemoryExhaustedTag = "memory";
 
 Status Budget::status() const {
-  const char *Tag = Exhausted.load(std::memory_order_relaxed);
-  if (!Tag)
+  if (!Exhausted)
     return Status();
   char Buf[192];
-  if (Tag == DeadlineExhaustedTag) {
+  if (Exhausted == DeadlineExhaustedTag) {
     std::snprintf(Buf, sizeof(Buf),
                   "deadline of %.6gs exceeded after %.6gs", DeadlineLimit,
-                  TrippedAfter.load(std::memory_order_relaxed));
+                  TrippedAfter);
     return Status::error(StatusCode::DeadlineExceeded, Buf);
   }
   std::snprintf(Buf, sizeof(Buf),
                 "memory budget of %llu bytes refused a %llu-byte charge "
                 "(%llu bytes held)",
                 (unsigned long long)ByteLimit,
-                (unsigned long long)RefusedBytes.load(
-                    std::memory_order_relaxed),
-                (unsigned long long)Current.load(std::memory_order_relaxed));
+                (unsigned long long)RefusedBytes,
+                (unsigned long long)Current);
   return Status::error(StatusCode::MemoryBudgetExceeded, Buf);
 }

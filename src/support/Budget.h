@@ -6,7 +6,7 @@
 ///
 /// \file
 /// A cooperative resource-governance token: a monotonic-clock deadline
-/// plus an atomic byte-accounting counter with a high-water mark.
+/// plus a byte-accounting counter with a high-water mark.
 ///
 /// The allocation pipeline never kills threads or unwinds mid-phase.
 /// Instead, every long-running loop polls `checkpoint()` — an amortized
@@ -24,6 +24,10 @@
 /// Cumulative telemetry — checkpoints served, peak bytes — survives a
 /// rearm so the final AllocationResult can report totals.
 ///
+/// One token governs one function's allocation, which runs on one
+/// thread, so the token is plain state: it is never shared between
+/// threads.
+///
 /// A default-constructed Budget is *ungoverned*: no deadline, no byte
 /// limit, checkpoints never trip. Pipeline code takes `Budget *` and
 /// treats nullptr as ungoverned too, which keeps the default
@@ -37,7 +41,7 @@
 
 #include "support/Status.h"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 
@@ -53,12 +57,12 @@ public:
   /// Arms the token. Zero disables the corresponding limit.
   ///
   /// \p DeadlineSeconds wall-clock allowance from *now* (monotonic).
-  /// \p MemoryBytes ceiling for concurrently-charged bytes.
+  /// \p MemoryBytes ceiling for bytes charged at once.
   void arm(double DeadlineSeconds, uint64_t MemoryBytes) {
     DeadlineLimit = DeadlineSeconds;
     ByteLimit = MemoryBytes;
     Start = Clock::now();
-    Exhausted.store(nullptr, std::memory_order_relaxed);
+    Exhausted = nullptr;
   }
 
   /// Opens a fresh deadline window from *now* and clears the exhausted
@@ -68,7 +72,7 @@ public:
   /// held, and telemetry stays cumulative.
   void rearm() {
     Start = Clock::now();
-    Exhausted.store(nullptr, std::memory_order_relaxed);
+    Exhausted = nullptr;
   }
 
   /// True when either limit is armed. Ungoverned tokens skip straight
@@ -79,8 +83,8 @@ public:
   /// every 64th (amortizing the syscall), except that a latched trip
   /// answers immediately. Returns true while within budget.
   bool checkpoint() {
-    uint64_t N = Checkpoints.fetch_add(1, std::memory_order_relaxed);
-    if (Exhausted.load(std::memory_order_relaxed))
+    uint64_t N = Checkpoints++;
+    if (Exhausted)
       return false;
     if (DeadlineLimit <= 0)
       return true;
@@ -93,8 +97,8 @@ public:
   /// noticed even when the amortized counter hasn't wrapped. Returns
   /// true when the token has tripped (either resource).
   bool expired() {
-    Checkpoints.fetch_add(1, std::memory_order_relaxed);
-    if (Exhausted.load(std::memory_order_relaxed))
+    ++Checkpoints;
+    if (Exhausted)
       return true;
     if (DeadlineLimit <= 0)
       return false;
@@ -102,46 +106,31 @@ public:
   }
 
   /// True when a limit has already been latched (no clock read).
-  bool exhausted() const {
-    return Exhausted.load(std::memory_order_relaxed) != nullptr;
-  }
+  bool exhausted() const { return Exhausted != nullptr; }
 
   /// Attempts to account \p Bytes against the byte limit. On success
   /// the charge is held until `release()`; the high-water mark tracks
-  /// the maximum concurrent charge. A refusal charges nothing and
+  /// the most bytes held at once. A refusal charges nothing and
   /// latches the token as memory-exhausted (recording the refused
   /// request so the diagnostic can name it). Ungoverned tokens always
   /// grant and still track the peak for telemetry.
   bool tryCharge(uint64_t Bytes) {
-    uint64_t Now = Current.fetch_add(Bytes, std::memory_order_relaxed) + Bytes;
-    if (ByteLimit > 0 && Now > ByteLimit) {
-      Current.fetch_sub(Bytes, std::memory_order_relaxed);
-      RefusedBytes.store(Bytes, std::memory_order_relaxed);
-      Exhausted.store(MemoryExhaustedTag, std::memory_order_relaxed);
+    if (ByteLimit > 0 && Current + Bytes > ByteLimit) {
+      RefusedBytes = Bytes;
+      Exhausted = MemoryExhaustedTag;
       return false;
     }
-    uint64_t Peak = PeakBytes.load(std::memory_order_relaxed);
-    while (Now > Peak &&
-           !PeakBytes.compare_exchange_weak(Peak, Now,
-                                            std::memory_order_relaxed))
-      ;
+    Current += Bytes;
+    PeakBytes = std::max(PeakBytes, Current);
     return true;
   }
 
   /// Returns \p Bytes previously granted by `tryCharge()`.
-  void release(uint64_t Bytes) {
-    Current.fetch_sub(Bytes, std::memory_order_relaxed);
-  }
+  void release(uint64_t Bytes) { Current -= Bytes; }
 
-  uint64_t checkpoints() const {
-    return Checkpoints.load(std::memory_order_relaxed);
-  }
-  uint64_t peakBytes() const {
-    return PeakBytes.load(std::memory_order_relaxed);
-  }
-  uint64_t currentBytes() const {
-    return Current.load(std::memory_order_relaxed);
-  }
+  uint64_t checkpoints() const { return Checkpoints; }
+  uint64_t peakBytes() const { return PeakBytes; }
+  uint64_t currentBytes() const { return Current; }
 
   /// Renders the latched trip as a Status naming the exhausted resource
   /// and both limit and actual, e.g.
@@ -165,8 +154,8 @@ private:
         std::chrono::duration<double>(Clock::now() - Start).count();
     if (Elapsed <= DeadlineLimit)
       return true;
-    TrippedAfter.store(Elapsed, std::memory_order_relaxed);
-    Exhausted.store(DeadlineExhaustedTag, std::memory_order_relaxed);
+    TrippedAfter = Elapsed;
+    Exhausted = DeadlineExhaustedTag;
     return false;
   }
 
@@ -174,12 +163,12 @@ private:
   uint64_t ByteLimit = 0;    ///< Bytes; 0 = no memory limit.
   Clock::time_point Start{}; ///< Window start (arm/rearm time).
 
-  std::atomic<const char *> Exhausted{nullptr};
-  std::atomic<uint64_t> Checkpoints{0};
-  std::atomic<uint64_t> Current{0};
-  std::atomic<uint64_t> PeakBytes{0};
-  std::atomic<uint64_t> RefusedBytes{0};
-  std::atomic<double> TrippedAfter{0};
+  const char *Exhausted = nullptr; ///< Latch tag; null while within budget.
+  uint64_t Checkpoints = 0;
+  uint64_t Current = 0;
+  uint64_t PeakBytes = 0;
+  uint64_t RefusedBytes = 0;
+  double TrippedAfter = 0;
 };
 
 /// RAII charge against a Budget: charges on construction (when granted)

@@ -6,14 +6,13 @@
 ///
 /// \file
 /// A fixed pool of worker threads with a futures-based submit API. The
-/// allocator's work units — whole functions in a module, and the two
-/// register-class graphs inside one function — are independent, so the
-/// pool imposes no ordering; callers that need deterministic output
-/// collect futures in submission order (see \c allocateModule).
+/// allocator's work units — whole functions in a module — are
+/// independent, so the pool imposes no ordering; callers that need
+/// deterministic output collect futures in submission order (see
+/// \c allocateModule).
 ///
-/// Submitting from inside a worker is not supported (a task that blocks
-/// on a future of the same pool can deadlock); the allocator keeps its
-/// nested per-class parallelism on plain threads instead.
+/// Submitting from inside a worker is not supported: a task that blocks
+/// on a future of the same pool can deadlock.
 ///
 //===----------------------------------------------------------------------===//
 

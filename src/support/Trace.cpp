@@ -9,8 +9,7 @@
 // take no lock — a stream is written by exactly one thread, and
 // endSession only reads streams after flipping Enabled off, by which
 // point the coordinating caller has joined or drained its workers (the
-// allocator's pools and helper threads never outlive the call that
-// spawned them).
+// module fan-out collects every future before it returns).
 //
 //===----------------------------------------------------------------------===//
 

@@ -201,9 +201,7 @@ private:
 
 /// RAII context label: events recorded by this thread inside the scope
 /// carry \p Ctx (e.g. "@dgefa" while that function allocates). Restores
-/// the previous label on exit. Threads helping with a scope's work set
-/// the parent's context plus a suffix (see Allocator.cpp's class-helper
-/// thread) so their events group deterministically.
+/// the previous label on exit.
 class ScopedContext {
 public:
   explicit ScopedContext(std::string Ctx) {

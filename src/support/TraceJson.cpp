@@ -154,8 +154,8 @@ Status ra::trace::writeChromeJson(const std::string &Path,
 
 std::string ra::trace::normalizedLog(const SessionLog &Log) {
   // Group by context, preserving each group's record order. A context's
-  // work happens on one thread (helpers get their own sub-context), so
-  // record order within a group is deterministic at any worker count.
+  // work happens on one thread, so record order within a group is
+  // deterministic at any worker count.
   std::vector<std::pair<std::string, std::vector<const Event *>>> Groups;
   auto GroupFor =
       [&Groups](const std::string &Ctx) -> std::vector<const Event *> & {

@@ -26,6 +26,7 @@
 #include "regalloc/BuildGraph.h"
 #include "sim/Simulator.h"
 #include "support/Budget.h"
+#include "support/ThreadPool.h"
 #include "workloads/MegaKernel.h"
 #include "workloads/RandomProgram.h"
 
@@ -318,9 +319,9 @@ TEST(AllocatorBudgetTest, ModuleUnderTinyBudgetsNeverFails) {
     buildRandomProgram(M, 9000 + S);
   AllocatorConfig C;
   C.Audit = true;
-  C.Jobs = 2;
   C.DeadlineSeconds = 1e-5;
-  ModuleAllocationResult R = allocateModule(M, C);
+  ThreadPool Pool(2);
+  ModuleAllocationResult R = allocateModule(M, C, &Pool);
   ASSERT_EQ(R.Functions.size(), M.numFunctions());
   for (unsigned I = 0; I < M.numFunctions(); ++I) {
     const AllocationResult &A = R.Functions[I];

@@ -69,7 +69,7 @@ TEST(ContentHashTest, ConfigTextIsPinned) {
 // holds no state, so there is no second value to flip Costs to; if it
 // gains one, it prices spills and must be keyed.
 #if defined(__GLIBCXX__) && UINTPTR_MAX == UINT64_MAX
-static_assert(sizeof(AllocatorConfig) == 120,
+static_assert(sizeof(AllocatorConfig) == 112,
               "AllocatorConfig changed: classify the new field below");
 static_assert(sizeof(FaultInjectOptions) == 48,
               "FaultInjectOptions changed: classify the new field below");
@@ -112,7 +112,6 @@ std::vector<ClassifiedField> classifiedFields() {
       {"CollectMetrics", K::Keyed,
        [](C A, bool &) { A.CollectMetrics = true; }},
       {"Optimize", K::Keyed, [](C, bool &Opt) { Opt = false; }},
-      {"Jobs", K::Neutral, [](C A, bool &) { A.Jobs = 4; }},
       {"ParallelGraph", K::Neutral,
        [](C A, bool &) {
          A.ParallelGraph = true;

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace ra;
 
 namespace {
@@ -145,6 +147,36 @@ TEST(ParserTest, ParsesControlFlowAndFloats) {
   ExecutionResult R = Sim.runVirtual(F, Mem);
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.FloatReturn, 10.5);
+}
+
+TEST(ParserTest, AcceptsLiteralsAtTheirLimits) {
+  // The extremes of int64_t, the smallest subnormal (underflow is not
+  // an error: the printer writes subnormals) and the largest array.
+  const char *Text = R"(
+    module {
+      array @big : int[4294967295]
+      func @f {
+      block entry:
+        %lo:int = movi -9223372036854775808
+        %hi:int = movi 9223372036854775807
+        %tiny:flt = movf 4.9406564584124654e-324
+        ret
+      }
+    }
+  )";
+  Module M, Again;
+  std::string Err;
+  ASSERT_TRUE(parseModule(Text, M, Err)) << Err;
+  // The printed literals parse back to the same values.
+  ASSERT_TRUE(parseModule(printModule(M), Again, Err)) << Err;
+  for (const Module *P : {&M, &Again}) {
+    EXPECT_EQ(P->array(0).Size, UINT32_MAX);
+    const std::vector<Instruction> &Insts = P->function(0).block(0).Insts;
+    EXPECT_EQ(Insts[0].Ops[1].Imm, std::numeric_limits<int64_t>::min());
+    EXPECT_EQ(Insts[1].Ops[1].Imm, std::numeric_limits<int64_t>::max());
+    EXPECT_EQ(Insts[2].Ops[1].FImm,
+              std::numeric_limits<double>::denorm_min());
+  }
 }
 
 struct ParserErrorCase {

@@ -40,6 +40,44 @@ const ParseCase ParseCases[] = {
      "line 2: expected 'array' or 'func'"},
     {"NegativeArraySize", "module {\n  array @a : int[-4]\n}\n",
      "line 2: negative array size"},
+    {"ArraySizePastUint32", "module {\n  array @x : int[4294967298]\n}\n",
+     "line 2: array size 4294967298 out of range"},
+    {"BareSign",
+     "module {\n"
+     "  func @f {\n"
+     "  block entry:\n"
+     "    %x:int = movi -\n"
+     "    ret\n"
+     "  }\n"
+     "}\n",
+     "line 4: malformed number '-'"},
+    {"IntegerPastInt64",
+     "module {\n"
+     "  func @f {\n"
+     "  block entry:\n"
+     "    %x:int = movi 99999999999999999999999\n"
+     "    ret\n"
+     "  }\n"
+     "}\n",
+     "line 4: integer literal '99999999999999999999999' out of range"},
+    {"FloatWithTwoPoints",
+     "module {\n"
+     "  func @f {\n"
+     "  block entry:\n"
+     "    %x:flt = movf 1.2.3\n"
+     "    ret\n"
+     "  }\n"
+     "}\n",
+     "line 4: malformed number '1.2.3'"},
+    {"FloatOverflow",
+     "module {\n"
+     "  func @f {\n"
+     "  block entry:\n"
+     "    %x:flt = movf 1e999\n"
+     "    ret\n"
+     "  }\n"
+     "}\n",
+     "line 4: float literal '1e999' out of range"},
     {"BadRegisterClass", "module {\n  array @a : bool[4]\n}\n",
      "line 2: expected register class 'int' or 'flt'"},
     {"DuplicateArray",

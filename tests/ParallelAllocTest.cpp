@@ -27,7 +27,6 @@
 #include "regalloc/SpillHeap.h"
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
-#include "support/Trace.h"
 #include "workloads/MegaKernel.h"
 #include "workloads/RandomProgram.h"
 #include "workloads/Workloads.h"
@@ -35,6 +34,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -113,25 +113,6 @@ TEST(InterferenceGraphCSRTest, NeighborsFollowInsertionOrder) {
   std::vector<uint32_t> N2(G.neighbors(2).begin(), G.neighbors(2).end());
   EXPECT_EQ(N2, (std::vector<uint32_t>{0, 4}));
   EXPECT_EQ(G.numEdges(), 4u);
-}
-
-TEST(InterferenceGraphCSRTest, AddEdgeAfterFinalizeRebuilds) {
-  InterferenceGraph G(4);
-  G.addEdge(0, 1);
-  G.finalize();
-  EXPECT_EQ(G.neighbors(0).size(), 1u);
-  G.addEdge(0, 2);
-  G.addEdge(1, 0); // duplicate of a packed edge, the other orientation
-  G.addEdge(3, 3); // self edge
-  G.finalize();
-  EXPECT_EQ(G.numEdges(), 2u);
-  EXPECT_EQ(G.degree(0), 2u);
-  EXPECT_EQ(G.degree(1), 1u);
-  EXPECT_EQ(G.degree(3), 0u);
-  std::vector<uint32_t> N0(G.neighbors(0).begin(), G.neighbors(0).end());
-  EXPECT_EQ(N0, (std::vector<uint32_t>{1, 2}));
-  std::vector<uint32_t> N1(G.neighbors(1).begin(), G.neighbors(1).end());
-  EXPECT_EQ(N1, (std::vector<uint32_t>{0}));
 }
 
 //===--------------------------------------------------------------------===//
@@ -387,10 +368,11 @@ struct ModuleSnapshot {
   }
 };
 
-ModuleSnapshot allocateSnapshot(uint64_t Salt, const AllocatorConfig &C) {
+ModuleSnapshot allocateSnapshot(uint64_t Salt, const AllocatorConfig &C,
+                                ThreadPool *Pool = nullptr) {
   Module M;
   buildWorkloadModule(M, Salt);
-  ModuleAllocationResult R = allocateModule(M, C);
+  ModuleAllocationResult R = allocateModule(M, C, Pool);
   ModuleSnapshot S;
   S.Success = R.allSucceeded();
   for (unsigned I = 0; I < M.numFunctions(); ++I) {
@@ -408,7 +390,6 @@ ModuleSnapshot allocateSnapshot(uint64_t Salt, const AllocatorConfig &C) {
 TEST(AllocateModuleTest, ParallelIsBitIdenticalToSerial) {
   AllocatorConfig C;
   C.Machine = MachineInfo(8, 6); // tight enough to force spills
-  C.Jobs = 1;
   ModuleSnapshot Serial = allocateSnapshot(5000, C);
   ASSERT_TRUE(Serial.Success);
   bool SawSpill = false;
@@ -417,8 +398,8 @@ TEST(AllocateModuleTest, ParallelIsBitIdenticalToSerial) {
   EXPECT_TRUE(SawSpill) << "workload spilled nothing; weak test";
 
   for (unsigned Jobs : {2u, 4u, 7u}) {
-    C.Jobs = Jobs;
-    ModuleSnapshot Parallel = allocateSnapshot(5000, C);
+    ThreadPool Pool(Jobs);
+    ModuleSnapshot Parallel = allocateSnapshot(5000, C, &Pool);
     EXPECT_TRUE(Serial == Parallel) << "jobs=" << Jobs;
   }
 }
@@ -426,8 +407,8 @@ TEST(AllocateModuleTest, ParallelIsBitIdenticalToSerial) {
 TEST(AllocateModuleTest, MatchesPerFunctionAllocateRegisters) {
   AllocatorConfig C;
   C.Machine = MachineInfo(7, 5);
-  C.Jobs = 3;
-  ModuleSnapshot Pooled = allocateSnapshot(9000, C);
+  ThreadPool Pool(3);
+  ModuleSnapshot Pooled = allocateSnapshot(9000, C, &Pool);
 
   Module M;
   buildWorkloadModule(M, 9000);
@@ -438,42 +419,6 @@ TEST(AllocateModuleTest, MatchesPerFunctionAllocateRegisters) {
     EXPECT_EQ(Pooled.Printed[I], printFunction(M, M.function(I)))
         << "function " << I;
   }
-}
-
-TEST(AllocateModuleTest, ParallelClassColoringIsIdentical) {
-  // mini.rand's Int and Float graphs both cross the class-helper
-  // threshold, so Float colors on the helper thread every pass (the run
-  // TSan watches; no fig5 routine is big enough in both classes). Its
-  // phases trace under "/flt-helper", and pass 1 must spill exactly
-  // what the two classes spill when colored one after the other here.
-  const MegaKernel &Rand = megaKernelTestFamily()[2];
-  ASSERT_EQ(Rand.Name, "mini.rand");
-  Module M1, M2;
-  Function &F1 = Rand.Build(M1);
-  Function &F2 = Rand.Build(M2);
-  AllocatorConfig C;
-  C.Audit = true;
-  trace::beginSession();
-  AllocationResult A = allocateRegisters(F1, C);
-  trace::SessionLog Log = trace::endSession();
-  ASSERT_EQ(A.Outcome, AllocOutcome::Converged) << A.Diag.toString();
-
-  unsigned HelperSelects = 0;
-  for (const trace::Event &E : Log.Events)
-    HelperSelects += E.Ctx == "@" + F1.name() + "/flt-helper" &&
-                     std::string(E.Name) == "Select";
-  EXPECT_EQ(HelperSelects, A.Stats.numPasses())
-      << "the Float class did not color on the helper thread every pass";
-
-  std::vector<std::string> Serial;
-  for (const ClassGraph &CG : passOneGraphs(F2)) {
-    ColoringResult R =
-        colorGraph(CG.Graph, C.Machine.numRegs(CG.Class), C.H);
-    for (uint32_t Node : R.Spilled)
-      Serial.push_back(F2.vreg(CG.NodeToVReg[Node]).Name);
-  }
-  ASSERT_FALSE(Serial.empty()) << "mini.rand must spill in pass 1";
-  EXPECT_EQ(A.Stats.Passes[0].SpilledNames, Serial);
 }
 
 TEST(AllocateModuleTest, WorkerExceptionFailsOnlyThatFunction) {
@@ -487,9 +432,12 @@ TEST(AllocateModuleTest, WorkerExceptionFailsOnlyThatFunction) {
     const std::string Victim = M.function(1).name();
 
     AllocatorConfig C;
-    C.Jobs = Jobs;
     C.FaultInject.ThrowInFunction = Victim;
-    ModuleAllocationResult R = allocateModule(M, C);
+    std::optional<ThreadPool> Pool;
+    if (Jobs > 1)
+      Pool.emplace(Jobs);
+    ModuleAllocationResult R =
+        allocateModule(M, C, Pool ? &*Pool : nullptr);
     ASSERT_EQ(R.Functions.size(), M.numFunctions());
     EXPECT_FALSE(R.allSucceeded());
 
@@ -524,11 +472,11 @@ TEST(AllocateModuleTest, WorkerExceptionDoesNotPoisonSiblingBudgets) {
     const std::string Victim = M.function(2).name();
 
     AllocatorConfig C;
-    C.Jobs = 4;
     C.DeadlineSeconds = 30;                 // generous: must not trip
     C.MemoryBudgetBytes = 1ull << 30;
     C.FaultInject.ThrowInFunction = Victim;
-    ModuleAllocationResult R = allocateModule(M, C);
+    ThreadPool Pool(4);
+    ModuleAllocationResult R = allocateModule(M, C, &Pool);
     ASSERT_EQ(R.Functions.size(), M.numFunctions());
 
     for (unsigned I = 0; I < M.numFunctions(); ++I) {

@@ -9,8 +9,8 @@
 //  * a cache hit reproduces the cold run byte for byte, under every
 //    allocator backend;
 //  * the cache honors both its bounds — LRU entry eviction and the
-//    Budget-charged byte ceiling (an entry that cannot fit is refused,
-//    never force-fitted);
+//    byte ceiling (an entry that cannot fit is refused, never
+//    force-fitted, and evicts nothing);
 //  * content keys are deliberately rename-SENSITIVE and exclude pure
 //    performance knobs;
 //  * concurrent clients hammering one service stay consistent;
@@ -272,6 +272,32 @@ TEST(ServiceTest, CacheCountersFlowIntoTraceSessions) {
   EXPECT_GT(Log.counter("cache.bytes"), 0.0);
 }
 
+// The service pool's width is the fan-out width: a default
+// AllocatorConfig carries no width of its own to cap it.
+TEST(ServiceTest, FansOutOverThePoolsFullWidth) {
+  Module Src;
+  uint32_t Arr = Src.newArray("a", 64, RegClass::Int);
+  for (unsigned I = 0; I < 4; ++I)
+    buildSum(Src, Arr, "sum" + std::to_string(I), "i");
+  ServiceConfig SC;
+  SC.Workers = 4;
+  AllocationService Svc(SC);
+  ServiceRequest R;
+  R.Source = printModule(Src);
+
+  trace::beginSession();
+  ServiceReply Reply = Svc.run(R);
+  trace::SessionLog Log = trace::endSession();
+  ASSERT_TRUE(Reply.S.ok()) << Reply.S.toString();
+  ASSERT_TRUE(Reply.MA.allSucceeded());
+  std::vector<std::string> FanOuts;
+  for (const trace::Event &E : Log.Events)
+    if (E.Kind == trace::EventKind::Span &&
+        std::string(E.Name) == "ModuleAlloc")
+      FanOuts.push_back(E.Detail);
+  EXPECT_EQ(FanOuts, std::vector<std::string>{"functions=4;jobs=4"});
+}
+
 // A worker that throws must fail only its own function, on the inline
 // path (one worker) and on the pooled path alike. Every sibling must
 // match the same function allocated by allocateModule outside the
@@ -301,7 +327,6 @@ TEST(ServiceTest, WorkerExceptionFailsOnlyThatFunction) {
     ServiceRequest R;
     R.Source = Source;
     R.Alloc = C;
-    R.Alloc.Jobs = Workers;
     ServiceReply Reply = Svc.run(R);
     ASSERT_TRUE(Reply.S.ok()) << Reply.S.toString();
     ASSERT_EQ(Reply.MA.Functions.size(), Ref.numFunctions());
@@ -371,11 +396,20 @@ TEST(AllocCacheTest, ByteCeilingRefusesOversizeEntries) {
   EXPECT_EQ(S.Entries, 0u);
   EXPECT_EQ(S.BytesInUse, 0u);
 
-  // The refusal must not poison the cache for entries that do fit:
-  // the Budget token is re-armed, smaller keys still insert.
+  // The refusal must not poison the cache for entries that do fit,
+  // and an oversize entry evicts nothing on its way to being refused.
   AllocCache Fits(/*MaxEntries=*/0, /*MaxBytes=*/OneEntry * 2);
   EXPECT_TRUE(Fits.insert("k1", V));
   EXPECT_EQ(Fits.stats().BytesInUse, OneEntry);
+  AllocCache::Value Big;
+  Big.A.ColorOf.assign(OneEntry, 0);
+  EXPECT_FALSE(Fits.insert("big", Big));
+  S = Fits.stats();
+  EXPECT_EQ(S.Refusals, 1u);
+  EXPECT_EQ(S.Evictions, 0u);
+  EXPECT_EQ(S.Entries, 1u);
+  AllocCache::Value Out;
+  EXPECT_TRUE(Fits.lookup("k1", Out));
 }
 
 TEST(AllocCacheTest, ByteCeilingEvictsUntilTheNewEntryFits) {
@@ -481,11 +515,9 @@ TEST(ContentHashTest, PurePerformanceKnobsDoNotChangeTheKey) {
                                   Heuristic::Briggs);
   const std::string Base = canonicalFunctionKey(M, M.function(0), C, true);
 
-  // Jobs is proven byte-identical elsewhere (ParallelAllocTest) and the
-  // ParallelGraph fields are inert; including them would shatter the
-  // cache across equivalent configurations.
+  // The ParallelGraph fields are inert; including them would shatter
+  // the cache across equivalent configurations.
   AllocatorConfig C2 = C;
-  C2.Jobs = 16;
   C2.ParallelGraph = true;
   C2.ParallelGraphJobs = 7;
   C2.ParallelGraphMinNodes = 0;

@@ -17,6 +17,7 @@
 #include "ir/IRParser.h"
 #include "regalloc/Allocator.h"
 #include "support/Status.h"
+#include "support/ThreadPool.h"
 #include "support/Trace.h"
 #include "workloads/MegaKernel.h"
 
@@ -28,6 +29,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -85,7 +87,9 @@ std::string maskVolatile(std::string S) {
 }
 
 /// Parses the canned golden input and allocates it under a session,
-/// returning the collected log (and the metrics CSV when requested).
+/// serially when \p Jobs is 1 and on a pool of \p Jobs workers
+/// otherwise, returning the collected log (and the metrics CSV when
+/// requested).
 trace::SessionLog tracedAllocation(unsigned Jobs,
                                    std::string *MetricsCsv = nullptr) {
   bool Ok = false;
@@ -98,12 +102,14 @@ trace::SessionLog tracedAllocation(unsigned Jobs,
 
   AllocatorConfig C;
   C.Machine = MachineInfo(4, 2); // tight: the canned loop must spill
-  C.Jobs = Jobs;
   C.Audit = true; // pin the AllocationAudit span independent of RA_AUDIT
   C.CollectMetrics = MetricsCsv != nullptr;
 
+  std::optional<ThreadPool> Pool;
+  if (Jobs > 1)
+    Pool.emplace(Jobs);
   trace::beginSession();
-  ModuleAllocationResult MA = allocateModule(M, C);
+  ModuleAllocationResult MA = allocateModule(M, C, Pool ? &*Pool : nullptr);
   trace::SessionLog Log = trace::endSession();
 
   for (const AllocationResult &A : MA.Functions)
@@ -276,13 +282,10 @@ uint64_t spanNsWithin(const trace::SessionLog &Log, const trace::Event &Pass,
 
 /// Allocates mini.rand under \p B, traced, and checks every PassRecord
 /// seconds field against the spans its phase scope recorded in that
-/// pass, to the nanosecond. mini.rand spills, and its two class graphs
-/// both cross the class-helper threshold, so under graph coloring the
-/// Float class's Simplify and Select spans come from the helper thread:
-/// \p HelperSpansPerPass of them per pass.
+/// pass, to the nanosecond. mini.rand spills, and both its class graphs
+/// are large; every span comes from the function's own context.
 void expectPhaseFieldsMatchSpans(Backend B, const char *Cat,
-                                 const char *SelectSpan,
-                                 unsigned HelperSpansPerPass) {
+                                 const char *SelectSpan) {
   Module M;
   Function &F = megaKernelTestFamily()[2].Build(M);
   AllocatorConfig C;
@@ -294,15 +297,12 @@ void expectPhaseFieldsMatchSpans(Backend B, const char *Cat,
   ASSERT_GE(A.Stats.numPasses(), 2u) << "mini.rand must spill";
 
   std::vector<const trace::Event *> Passes;
-  unsigned HelperSpans = 0;
   for (const trace::Event &E : Log.Events) {
     if (E.Kind == trace::EventKind::Span && !std::strcmp(E.Name, "Pass") &&
         !std::strcmp(E.Category, Cat))
       Passes.push_back(&E);
-    HelperSpans += E.Kind == trace::EventKind::Span &&
-                   E.Ctx == "@" + F.name() + "/flt-helper";
+    EXPECT_EQ(E.Ctx, "@" + F.name()) << E.Name;
   }
-  EXPECT_EQ(HelperSpans, HelperSpansPerPass * A.Stats.numPasses());
   ASSERT_EQ(Passes.size(), A.Stats.numPasses());
   for (unsigned P = 0; P < Passes.size(); ++P) {
     const PassRecord &Rec = A.Stats.Passes[P];
@@ -323,13 +323,12 @@ void expectPhaseFieldsMatchSpans(Backend B, const char *Cat,
 }
 
 TEST(Trace, ColoringPhaseFieldsAreTheirSpansToTheNanosecond) {
-  expectPhaseFieldsMatchSpans(Backend::GraphColoring, "regalloc", "Select",
-                              /*HelperSpansPerPass=*/2);
+  expectPhaseFieldsMatchSpans(Backend::GraphColoring, "regalloc", "Select");
 }
 
 TEST(Trace, LinearScanPhaseFieldsAreTheirSpansToTheNanosecond) {
   expectPhaseFieldsMatchSpans(Backend::LinearScan, "linearscan",
-                              "IntervalWalk", /*HelperSpansPerPass=*/0);
+                              "IntervalWalk");
 }
 
 //===--------------------------------------------------------------------===//

@@ -72,8 +72,8 @@ void report(const std::string &Path, const Status &S) {
   std::fprintf(stderr, "rac: %s: %s\n", Path.c_str(), S.toString().c_str());
 }
 
-/// rac's options: the shared ones in W, its own allocation field
-/// (Jobs) in C, and its output flags.
+/// rac's options: the shared ones in W (applied to C), and its output
+/// flags.
 struct Options {
   service::WireConfig W;
   AllocatorConfig C;
@@ -183,6 +183,7 @@ Status processFile(AllocationService &Svc, const std::string &Path,
 int main(int Argc, char **Argv) {
   std::vector<std::string> Paths;
   Options Opt;
+  unsigned Jobs = 1; ///< --jobs: the service pool's width.
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
@@ -190,7 +191,7 @@ int main(int Argc, char **Argv) {
     if (std::optional<Status> S = Opt.W.parseArg(Argc, Argv, I)) {
       Bad = *S;
     } else if (Arg == "--jobs" && I + 1 < Argc) {
-      Bad = parseDecimalFlag(Arg, Argv[++I], Opt.C.Jobs,
+      Bad = parseDecimalFlag(Arg, Argv[++I], Jobs,
                              ThreadPool::MaxThreads);
     } else if (Arg == "--run") {
       Opt.Run = true;
@@ -225,7 +226,7 @@ int main(int Argc, char **Argv) {
   }
 
   // The shared fields go through WireConfig::apply, as racd builds its
-  // config; apply leaves rac's own fields alone.
+  // config.
   if (Status S = Opt.W.apply(Opt.C); !S.ok()) {
     std::fprintf(stderr, "rac: %s\n", S.toString().c_str());
     return 1;
@@ -237,7 +238,7 @@ int main(int Argc, char **Argv) {
   // allocated once and served from the cache after that.
   ServiceConfig SC;
   SC.CacheEnabled = Opt.W.UseCache;
-  SC.Workers = Opt.C.Jobs;
+  SC.Workers = Jobs;
   AllocationService Svc(SC);
 
   std::string MetricsCsv;
