@@ -16,16 +16,11 @@
 #include "regalloc/Coloring.h"
 #include "regalloc/DegreeBuckets.h"
 #include "support/Rng.h"
-#include "support/Status.h"
-#include "support/ThreadPool.h"
-#include "support/Trace.h"
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
-#include <future>
-#include <string>
 
 using namespace ra;
 
@@ -121,101 +116,6 @@ void BM_DegreeBuckets(benchmark::State &State) {
 }
 BENCHMARK(BM_DegreeBuckets)->Arg(1024)->Arg(16384);
 
-//===--------------------------------------------------------------------===//
-// Random-graph throughput workload: many independent graphs colored
-// across a thread pool — the module-allocation shape, minus IR noise.
-// Reports graphs/sec per worker count and the speedup over one worker;
-// results are checked identical across worker counts.
-//===--------------------------------------------------------------------===//
-
-struct ThroughputRun {
-  double Seconds = 0;
-  double GraphsPerSec = 0;
-  std::vector<unsigned> SpillCounts; ///< determinism fingerprint
-};
-
-ThroughputRun runThroughput(std::vector<InterferenceGraph> &Graphs,
-                            Heuristic H, unsigned Threads) {
-  ThroughputRun R;
-  validateOrDie(Graphs.front(), 8, H); // sanity before the timed sweep
-  R.SpillCounts.resize(Graphs.size());
-  std::vector<ColoringResult> Results(Graphs.size());
-  {
-    RA_TRACE_PHASE(R.Seconds, "Throughput", "bench");
-    if (Threads <= 1) {
-      for (size_t I = 0; I < Graphs.size(); ++I)
-        Results[I] = colorGraph(Graphs[I], 8, H);
-    } else {
-      ThreadPool Pool(Threads);
-      std::vector<std::future<ColoringResult>> Pending;
-      Pending.reserve(Graphs.size());
-      for (InterferenceGraph &G : Graphs)
-        Pending.push_back(
-            Pool.submit([&G, H] { return colorGraph(G, 8, H); }));
-      for (size_t I = 0; I < Graphs.size(); ++I)
-        Results[I] = Pending[I].get();
-    }
-  }
-  R.GraphsPerSec = R.Seconds > 0 ? Graphs.size() / R.Seconds : 0;
-  for (size_t I = 0; I < Graphs.size(); ++I)
-    R.SpillCounts[I] = Results[I].Spilled.size();
-  return R;
-}
-
 } // namespace
 
-int main(int Argc, char **Argv) {
-  unsigned Jobs = 4;
-  unsigned NumGraphs = 48, NodesPerGraph = 3000;
-  int W = 1;
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    Status Bad;
-    if (Arg == "--jobs" && I + 1 < Argc)
-      Bad = parseDecimalFlag(Arg, Argv[++I], Jobs, ThreadPool::MaxThreads);
-    else if (Arg == "--graphs" && I + 1 < Argc)
-      Bad = parseDecimalFlag(Arg, Argv[++I], NumGraphs);
-    else
-      Argv[W++] = Argv[I];
-    if (!Bad.ok()) {
-      std::fprintf(stderr, "micro_coloring: %s\n", Bad.toString().c_str());
-      return 1;
-    }
-  }
-  Argc = W;
-  if (Jobs == 0)
-    Jobs = ThreadPool::resolveJobs(0);
-
-  std::vector<InterferenceGraph> Graphs;
-  Graphs.reserve(NumGraphs);
-  for (unsigned I = 0; I < NumGraphs; ++I)
-    Graphs.push_back(makeRandomGraph(NodesPerGraph, 12.0, 1000 + I));
-
-  std::printf("Random-graph throughput (%u graphs x %u nodes, k=8)\n",
-              NumGraphs, NodesPerGraph);
-  for (Heuristic H : {Heuristic::Chaitin, Heuristic::Briggs}) {
-    ThroughputRun Serial = runThroughput(Graphs, H, 1);
-    std::printf("  %-12s 1 thread : %8.1f graphs/sec\n",
-                heuristicName(H), Serial.GraphsPerSec);
-    for (unsigned T = 2; T <= Jobs; T *= 2) {
-      ThroughputRun Par = runThroughput(Graphs, H, T);
-      if (Par.SpillCounts != Serial.SpillCounts) {
-        std::fprintf(stderr,
-                     "FATAL: %u-thread coloring differs from serial\n", T);
-        return 1;
-      }
-      double Speedup =
-          Par.Seconds > 0 ? Serial.Seconds / Par.Seconds : 0;
-      std::printf("  %-12s %u threads: %8.1f graphs/sec (%.2fx, "
-                  "results identical)\n",
-                  heuristicName(H), T, Par.GraphsPerSec, Speedup);
-    }
-  }
-
-  benchmark::Initialize(&Argc, Argv);
-  if (benchmark::ReportUnrecognizedArguments(Argc, Argv))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -5,25 +5,19 @@
 # backends' memory images differ. The repository benchmark with its
 # end-to-end and per-layer metrics is perfbench/ (BENCHMARK.json).
 #
-#   usage: run_benches.sh [BUILD_DIR] [--jobs N]    (default: build)
+#   usage: run_benches.sh [BUILD_DIR]    (default: build)
 #
-# --jobs N caps micro_coloring's thread-pool sweep; default 8.
-#
-# Set RA_TRACE to a path
-# to additionally capture a Chrome/Perfetto trace of rac over the sample
-# programs; an unwritable trace path is a hard error (structured
-# diagnostic on stderr, non-zero exit), never a silent drop.
+# Set RA_TRACE to a path to additionally capture a Chrome/Perfetto
+# trace of rac over the sample programs; an unwritable trace path is a
+# hard error (structured diagnostic on stderr, non-zero exit), never a
+# silent drop.
 set -e
 
 BUILD_DIR=build
-JOBS=8
 while [ $# -gt 0 ]; do
   case "$1" in
-    --jobs)
-      [ $# -ge 2 ] || { echo "error: --jobs needs a value" >&2; exit 2; }
-      JOBS="$2"; shift 2 ;;
     -*)
-      echo "usage: run_benches.sh [BUILD_DIR] [--jobs N]" >&2; exit 2 ;;
+      echo "usage: run_benches.sh [BUILD_DIR]" >&2; exit 2 ;;
     *)
       BUILD_DIR="$1"; shift ;;
   esac
@@ -67,14 +61,7 @@ for src in "$script_dir"/bench/*.cpp; do
   fi
   found=1
   echo "==== $b ===="
-  # The scaling bench takes the thread-sweep cap; the figure benches
-  # are single-threaded by design.
-  case "$name" in
-    micro_coloring)
-      "$b" --jobs "$JOBS" ;;
-    *)
-      "$b" ;;
-  esac
+  "$b"
 done
 
 if [ "$found" -eq 0 ]; then

@@ -10,15 +10,16 @@ using namespace ra;
 
 namespace {
 
-/// Adds \p B's occurrences of the registers \p Tracked accepts to its
-/// local sets, noting each newly upward-exposed use in \p Exposed.
+/// Adds \p B's defs of the registers \p Tracked accepts to \p Kill.
+/// Each of them with an upward-exposed use is live into \p B: its bit
+/// is set in \p In and the pair is noted once in \p Exposed.
 template <typename TrackedT>
-void scanLocal(const BasicBlock &B, BitVector &UE, BitVector &Kill,
+void scanLocal(const BasicBlock &B, BitVector &In, BitVector &Kill,
                TrackedT Tracked,
                std::vector<Liveness::RegBlock> &Exposed) {
   for (const Instruction &I : B.Insts) {
     I.forEachUse([&](VRegId R) {
-      if (Tracked(R) && !Kill.test(R) && UE.testAndSet(R))
+      if (Tracked(R) && !Kill.test(R) && In.testAndSet(R))
         Exposed.push_back({R, B.Id});
     });
     if (I.hasDef() && Tracked(I.defReg()))
@@ -33,12 +34,11 @@ Liveness Liveness::compute(const Function &F, const CFG &G) {
   unsigned NB = F.numBlocks(), NR = F.numVRegs();
   L.LiveIn.assign(NB, BitVector(NR));
   L.LiveOut.assign(NB, BitVector(NR));
-  L.UEVar.assign(NB, BitVector(NR));
   L.VarKill.assign(NB, BitVector(NR));
 
   std::vector<RegBlock> Exposed;
   for (const BasicBlock &B : F.blocks())
-    scanLocal(B, L.UEVar[B.Id], L.VarKill[B.Id],
+    scanLocal(B, L.LiveIn[B.Id], L.VarKill[B.Id],
               [](VRegId) { return true; }, Exposed);
   L.search(G, Exposed);
   return L;
@@ -47,8 +47,6 @@ Liveness Liveness::compute(const Function &F, const CFG &G) {
 void Liveness::search(const CFG &G, const std::vector<RegBlock> &Exposed) {
   std::vector<uint32_t> Work;
   for (auto [R, Use] : Exposed) {
-    if (!LiveIn[Use].testAndSet(R))
-      continue; // already reached from another use
     Work.push_back(Use);
     while (!Work.empty()) {
       uint32_t B = Work.back();
@@ -72,7 +70,6 @@ void Liveness::update(const Function &F, const CFG &G,
   for (auto [R, Occ] : Occurs) {
     Changed.set(R);
     Blocks.set(Occ);
-    UEVar[Occ].reset(R);
     VarKill[Occ].reset(R);
     if (!LiveIn[Occ].testAndReset(R))
       continue;
@@ -89,7 +86,7 @@ void Liveness::update(const Function &F, const CFG &G,
   // Only the named blocks hold occurrences of the changed registers.
   std::vector<RegBlock> Exposed;
   Blocks.forEachSetBit([&](unsigned B) {
-    scanLocal(F.block(B), UEVar[B], VarKill[B],
+    scanLocal(F.block(B), LiveIn[B], VarKill[B],
               [&](VRegId R) { return Changed.test(R); }, Exposed);
   });
   search(G, Exposed);

@@ -17,18 +17,22 @@
 /// reaches a use without passing a def. The search walks exactly those
 /// paths, so every bit it sets is forced by the dataflow equations
 ///   LiveOut(B) = U LiveIn(S) over successors S,
-///   LiveIn(B)  = UEVar(B) U (LiveOut(B) - Defs(B)),
-/// and every bit they force is set: the result is their least fixpoint,
-/// the one round-robin iteration reaches, on unreachable blocks too.
-/// Each live bit costs one visit per predecessor edge, so beyond one
-/// pass over the instructions the search grows with the live bits, not
-/// with blocks x registers. Only zero-filling the dense sets does.
+///   LiveIn(B)  = UE(B) U (LiveOut(B) - Defs(B)),
+/// where UE(B) holds B's upward-exposed uses (used before any local
+/// def), and every bit they force is set: the result is their least
+/// fixpoint, the one round-robin iteration reaches, on unreachable
+/// blocks too. Each live bit costs one visit per predecessor edge, so
+/// beyond one pass over the instructions the search grows with the live
+/// bits, not with blocks x registers. Only zero-filling the dense sets
+/// does.
 ///
-/// The interference-graph builder walks each block backward from
-/// LiveOut, so only the block-boundary sets are stored here. A client
-/// that edits the occurrences of a few registers (the coalescer's
-/// operand rewrite) can re-solve just those registers with \c update
-/// instead of solving the whole function again.
+/// Only the block-boundary sets are public: the interference-graph
+/// builder walks each block backward from LiveOut. The per-block defs
+/// are kept for the search's stop test. An upward-exposed use sets its
+/// block's live-in bit during the instruction scan and is not stored
+/// apart. A client that edits the occurrences of a few registers (the
+/// coalescer's operand rewrite) can re-solve just those registers with
+/// \c update instead of solving the whole function again.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,18 +71,14 @@ public:
   const BitVector &liveIn(uint32_t B) const { return LiveIn[B]; }
   const BitVector &liveOut(uint32_t B) const { return LiveOut[B]; }
 
-  /// Upward-exposed uses of block \p B (used before any local def).
-  const BitVector &upwardExposed(uint32_t B) const { return UEVar[B]; }
-
-  /// Registers defined anywhere in block \p B.
-  const BitVector &defs(uint32_t B) const { return VarKill[B]; }
-
 private:
-  /// Marks each register live from its upward-exposed use in \p Exposed
-  /// backward to its defining blocks.
+  /// Marks each register live from its upward-exposed use in \p Exposed,
+  /// whose block already has it live-in, backward to its defining
+  /// blocks.
   void search(const CFG &G, const std::vector<RegBlock> &Exposed);
 
-  std::vector<BitVector> LiveIn, LiveOut, UEVar, VarKill;
+  std::vector<BitVector> LiveIn, LiveOut;
+  std::vector<BitVector> VarKill; ///< registers defined in each block
 };
 
 } // namespace ra

@@ -72,10 +72,14 @@ private:
     unsigned NB = F.numBlocks();
     EntryDefs.assign(NB, {});
     std::vector<uint32_t> ArrivedFor(NB, InvalidVReg), Rep(NB);
+    std::vector<uint32_t> DefinedBy(NB, InvalidVReg); // stamped per vreg
     std::vector<uint32_t> Work;
 
     for (size_t K = 0; K < LastDefs.size();) {
       const VRegId V = LastDefs[K].V;
+      size_t End = K;
+      for (; End < LastDefs.size() && LastDefs[End].V == V; ++End)
+        DefinedBy[LastDefs[End].Block] = V;
       auto Arrive = [&](uint32_t S, uint32_t D) {
         if (!LV.liveIn(S).test(V))
           return;
@@ -86,10 +90,10 @@ private:
         ArrivedFor[S] = V;
         Rep[S] = D;
         EntryDefs[S].push_back({V, D});
-        if (!LV.defs(S).test(V))
+        if (DefinedBy[S] != V)
           Work.push_back(S);
       };
-      for (; K < LastDefs.size() && LastDefs[K].V == V; ++K) {
+      for (; K < End; ++K) {
         const BlockDef &BD = LastDefs[K];
         if (!G.isReachable(BD.Block))
           continue; // unreachable blocks propagate nothing

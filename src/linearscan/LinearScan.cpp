@@ -28,8 +28,8 @@
 //
 // Termination: each re-enqueued tail starts strictly later than the cut
 // that produced it, and split decisions per range are bounded by
-// ScanOptions::MaxSplitsPerRange (the bound falls back to suffix
-// spilling), so the queue drains.
+// MaxRangeSplits (the bound falls back to suffix spilling), so the
+// queue drains.
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +46,11 @@
 using namespace ra;
 
 namespace {
+
+/// Safety bound on split decisions per live range; a range at the bound
+/// falls back to suffix spilling. Keeps the piece count, and with it
+/// termination, trivially bounded.
+constexpr unsigned MaxRangeSplits = 4;
 
 /// Concatenates two interval fragments of the same live range, \p A
 /// entirely before \p B, preserving the sorted/disjoint/non-touching
@@ -67,8 +72,8 @@ LiveInterval concatFragments(LiveInterval A, const LiveInterval &B) {
 class ClassWalker {
 public:
   ClassWalker(const std::vector<LiveInterval> &All, unsigned K,
-              const ScanOptions &Opts, ScanResult &Out)
-      : All(All), K(K), Opts(Opts), Out(Out) {
+              Budget *Governor, ScanResult &Out)
+      : All(All), K(K), Governor(Governor), Out(Out) {
     PendingOf.assign(All.size(), -1);
     SpillIdxOf.assign(All.size(), -1);
     SplitCount.assign(All.size(), 0);
@@ -87,7 +92,7 @@ public:
     Out.LiveRanges += Seeded;
 
     while (!Queue.empty()) {
-      if (Opts.Governor && !Opts.Governor->checkpoint())
+      if (Governor && !Governor->checkpoint())
         return; // over budget: abandon the walk, caller discards Out
       QueueEnt Q = Queue.top();
       Queue.pop();
@@ -197,7 +202,7 @@ private:
   /// (ties toward the lowest index), splits Cur there, and re-enqueues
   /// the tail. Returns the register for the (shrunk) head, or -1.
   int32_t trySecondChance(uint32_t Cur) {
-    if (SplitCount[Pieces[Cur].Parent] >= Opts.MaxSplitsPerRange)
+    if (SplitCount[Pieces[Cur].Parent] >= MaxRangeSplits)
       return -1;
     const SlotIndex Pos = li(Cur).start();
     constexpr SlotIndex NoHolder = ~SlotIndex(0);
@@ -296,7 +301,7 @@ private:
         }
         bool KeepInSet = false;
         if (AllowSplit && SpillIdxOf[Pieces[H].Parent] < 0 &&
-            SplitCount[Pieces[H].Parent] < Opts.MaxSplitsPerRange)
+            SplitCount[Pieces[H].Parent] < MaxRangeSplits)
           KeepInSet = truncateHolder(H, Cur);
         else
           fullSpillHolder(H);
@@ -480,7 +485,7 @@ private:
 
   const std::vector<LiveInterval> &All;
   unsigned K;
-  const ScanOptions &Opts;
+  Budget *Governor;
   ScanResult &Out;
 
   std::deque<LiveInterval> Arena; ///< Split fragments (stable addresses).
@@ -504,7 +509,7 @@ private:
 
 ScanResult ra::scanIntervals(const LiveIntervals &LI,
                              const MachineInfo &Machine,
-                             const ScanOptions &Opts) {
+                             Budget *Governor) {
   ScanResult Out;
   Out.ColorOf.assign(LI.numIntervals(), -1);
   {
@@ -513,7 +518,7 @@ ScanResult ra::scanIntervals(const LiveIntervals &LI,
     });
     for (unsigned Cls = 0; Cls < NumRegClasses; ++Cls) {
       RegClass RC = RegClass(Cls);
-      ClassWalker W(LI.intervals(), Machine.numRegs(RC), Opts, Out);
+      ClassWalker W(LI.intervals(), Machine.numRegs(RC), Governor, Out);
       W.run(RC);
     }
     // The classes interleave vreg ids; consumers (audit, simulator) want

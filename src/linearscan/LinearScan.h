@@ -52,19 +52,6 @@ namespace ra {
 
 class Budget;
 
-/// Walk policy knobs.
-struct ScanOptions {
-  /// Safety bound on split decisions per live range; a range at the
-  /// bound falls back to suffix spilling. Keeps the piece count — and
-  /// with it termination — trivially bounded.
-  unsigned MaxSplitsPerRange = 4;
-  /// Resource-governance token (support/Budget.h), or null for the
-  /// ungoverned default. The walk polls it per dequeued piece; a trip
-  /// abandons the walk mid-queue, leaving the ScanResult partial —
-  /// governed callers must check the token before trusting a result.
-  Budget *Governor = nullptr;
-};
-
 /// Outcome of one interval walk over both register classes.
 struct ScanResult {
   /// Physical register per vreg, or -1 (spilled this pass / empty
@@ -111,8 +98,11 @@ struct ScanResult {
 /// \p Machine. Interval costs must already be set (LiveIntervals::
 /// setCosts). Deterministic: pieces are visited in (start, vreg) order
 /// and ties in eviction weight break toward the lowest register index.
+/// \p Governor (support/Budget.h), when non-null, is polled per dequeued
+/// piece; a trip abandons the walk mid-queue, leaving the ScanResult
+/// partial, so governed callers must check it before trusting a result.
 ScanResult scanIntervals(const LiveIntervals &LI, const MachineInfo &Machine,
-                         const ScanOptions &Opts = ScanOptions());
+                         Budget *Governor = nullptr);
 
 } // namespace ra
 

@@ -78,9 +78,7 @@ bool ra::decideLinearScan(const Function &F, const AllocatorConfig &C,
   // The walk time lands in the record's select column (the decision
   // phase); linear scan has no simplify analogue.
   LI.setCosts(In.Costs);
-  ScanOptions SO;
-  SO.Governor = In.Gov;
-  ScanResult Scan = scanIntervals(LI, C.Machine, SO);
+  ScanResult Scan = scanIntervals(LI, C.Machine, In.Gov);
   if (In.Gov && In.Gov->expired())
     return false; // the walk was abandoned mid-queue
   Rec.LiveRanges = Scan.LiveRanges;

@@ -181,31 +181,28 @@ struct Option {
   Member M;
   const char *Flag;   ///< spelling that sets it (takes a value unless bool)
   const char *NoFlag; ///< bool only: spelling that clears it
-  const char *Alias;  ///< deprecated spelling of Flag
   const char *Help;
 };
 
 /// The only list of wire keys. render() writes them in this order.
 const Option Options[] = {
     {"allocator", &WireConfig::Allocator, "--allocator", nullptr,
-     "--heuristic", "chaitin|briggs|matula-beck|linear-scan (briggs)"},
-    {"int", &WireConfig::IntK, "--int", nullptr, nullptr,
-     "integer registers (16)"},
-    {"flt", &WireConfig::FltK, "--flt", nullptr, nullptr,
-     "float registers (8)"},
-    {"opt", &WireConfig::Optimize, nullptr, "--no-opt", nullptr,
+     "chaitin|briggs|matula-beck|linear-scan (briggs)"},
+    {"int", &WireConfig::IntK, "--int", nullptr, "integer registers (16)"},
+    {"flt", &WireConfig::FltK, "--flt", nullptr, "float registers (8)"},
+    {"opt", &WireConfig::Optimize, nullptr, "--no-opt",
      "skip LICM, strength reduction and value numbering"},
-    {"remat", &WireConfig::Remat, "--remat", nullptr, nullptr,
+    {"remat", &WireConfig::Remat, "--remat", nullptr,
      "rematerialize spilled constants"},
-    {"audit", &WireConfig::Audit, "--audit", "--no-audit", nullptr,
+    {"audit", &WireConfig::Audit, "--audit", "--no-audit",
      "run the post-allocation audit (on)"},
-    {"cache", &WireConfig::UseCache, "--cache", "--no-cache", nullptr,
+    {"cache", &WireConfig::UseCache, "--cache", "--no-cache",
      "serve repeated functions from the allocation cache (on)"},
-    {"print", &WireConfig::Print, "--print", nullptr, nullptr,
+    {"print", &WireConfig::Print, "--print", nullptr,
      "print each allocated function"},
     {"deadline_ms", &WireConfig::DeadlineMs, "--deadline-ms", nullptr,
-     nullptr, "per-function wall-clock budget (0 = unbounded)"},
-    {"mem_mb", &WireConfig::MemBudgetMb, "--mem-budget-mb", nullptr, nullptr,
+     "per-function wall-clock budget (0 = unbounded)"},
+    {"mem_mb", &WireConfig::MemBudgetMb, "--mem-budget-mb", nullptr,
      "per-function interference-graph memory budget (0 = unbounded)"},
 };
 
@@ -347,8 +344,7 @@ std::optional<Status> WireConfig::parseArg(int Argc, const char *const *Argv,
         this->*(*M) = spells(O.Flag, Arg);
         return Status();
       }
-    } else if ((spells(O.Flag, Arg) || spells(O.Alias, Arg)) &&
-               I + 1 < Argc) {
+    } else if (spells(O.Flag, Arg) && I + 1 < Argc) {
       return parseFlag(Arg, O.Key, Argv[++I]);
     }
   }
@@ -357,18 +353,13 @@ std::optional<Status> WireConfig::parseArg(int Argc, const char *const *Argv,
 
 std::string WireConfig::flagUsage() {
   std::string Out;
-  auto Line = [&](std::string Spelling, const std::string &Help) {
-    Spelling.resize(std::max<size_t>(Spelling.size(), 20), ' ');
-    Out += "  " + Spelling + " " + Help + "\n";
-  };
   for (const Option &O : Options) {
     std::string Spelling = O.Flag ? O.Flag : O.NoFlag;
     if (O.Flag && O.NoFlag)
       Spelling += std::string(", ") + O.NoFlag;
-    Line(Spelling + Metavar[O.M.index()], O.Help);
-    if (O.Alias)
-      Line(O.Alias + std::string(Metavar[O.M.index()]),
-           std::string("deprecated alias for ") + O.Flag);
+    Spelling += Metavar[O.M.index()];
+    Spelling.resize(std::max<size_t>(Spelling.size(), 20), ' ');
+    Out += "  " + Spelling + " " + O.Help + "\n";
   }
   return Out;
 }

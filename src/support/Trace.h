@@ -232,11 +232,6 @@ public:
   ScopedContext(const ScopedContext &) = delete;
   ScopedContext &operator=(const ScopedContext &) = delete;
 
-  /// The calling thread's current context label ("" outside any scope).
-  static std::string current() {
-    return enabled() ? detail::threadContext() : std::string();
-  }
-
 private:
   std::string Saved;
   bool Active = false;

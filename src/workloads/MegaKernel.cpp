@@ -6,13 +6,6 @@
 
 #include "workloads/MegaKernel.h"
 
-#include "analysis/CFG.h"
-#include "analysis/Dominators.h"
-#include "analysis/Liveness.h"
-#include "analysis/LoopInfo.h"
-#include "analysis/Renumber.h"
-#include "regalloc/SpillCost.h"
-#include "target/CostModel.h"
 #include "workloads/KernelBuilder.h"
 #include "workloads/RandomProgram.h"
 
@@ -148,17 +141,4 @@ const std::vector<MegaKernel> &ra::megaKernelTestFamily() {
        }},
   };
   return Family;
-}
-
-std::array<ClassGraph, NumRegClasses> ra::buildColoringGraphs(Function &F) {
-  CFG G = CFG::compute(F);
-  renumberLiveRanges(F, G);
-  Liveness LV = Liveness::compute(F, G);
-  auto Graphs = buildInterferenceGraphs(F, LV);
-  Dominators Doms = Dominators::compute(F, G);
-  LoopInfo Loops = LoopInfo::compute(F, G, Doms);
-  std::vector<double> Costs = computeSpillCosts(F, Loops, CostModel::rtpc());
-  for (ClassGraph &CG : Graphs)
-    setNodeCosts(F, Costs, CG);
-  return Graphs;
 }

@@ -36,8 +36,8 @@
 #define RA_WORKLOADS_MEGAKERNEL_H
 
 #include "ir/Module.h"
-#include "regalloc/BuildGraph.h"
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -76,13 +76,6 @@ Function &buildWideUnrolledLoop(Module &M, unsigned Lanes, unsigned Body,
 /// variable pools — irregular high-degree CSR stress.
 Function &buildRandomStress(Module &M, uint64_t Seed, unsigned Regions,
                             const std::string &Name);
-
-/// Build-phase replica for standalone coloring experiments: renumbers
-/// live ranges, computes liveness, builds both class graphs, fills
-/// loop-weighted spill costs, and finalizes the CSR layout. No
-/// coalescing — callers get exactly the graphs Simplify/Select would
-/// see on the first uncoalesced pass.
-std::array<ClassGraph, NumRegClasses> buildColoringGraphs(Function &F);
 
 } // namespace ra
 

@@ -158,9 +158,6 @@ TEST(LivenessTest, StraightLineAndBranch) {
   EXPECT_TRUE(LV.liveOut(D.Head).test(D.X));
   // Nothing is live into the entry.
   EXPECT_TRUE(LV.liveIn(D.Entry).none());
-  // Upward-exposed and kill sets for the body.
-  EXPECT_TRUE(LV.upwardExposed(D.Body).test(D.Y));
-  EXPECT_TRUE(LV.defs(D.Body).test(D.X));
 }
 
 TEST(LivenessTest, LiveInNeverContainsEntryDeadRegs) {

@@ -6,12 +6,12 @@
 //
 // Differential test for liveness: Liveness::compute, which searches
 // backward from each upward-exposed use one register at a time, must
-// produce exactly the four per-block sets (live-in, live-out,
-// upward-exposed uses, defs) of the round-robin fixpoint in
-// LivenessReference.cpp. Inputs: the Figure 5 routines raw and
-// optimized, the fuzz corpus, random programs, a 75-region stress
-// function, the largest mega kernel's CFG after renumbering, and
-// hand-built shapes where a search could stop too early or run too far.
+// produce exactly the per-block live-in and live-out sets of the
+// round-robin fixpoint in LivenessReference.cpp. Inputs: the Figure 5
+// routines raw and optimized, the fuzz corpus, random programs, a
+// 75-region stress function, the largest mega kernel's CFG after
+// renumbering, and hand-built shapes where a search could stop too
+// early or run too far.
 //
 //===----------------------------------------------------------------------===//
 

@@ -15,12 +15,12 @@ LivenessSets ra::computeLivenessReference(const Function &F, const CFG &G) {
   unsigned NB = F.numBlocks(), NR = F.numVRegs();
   L.LiveIn.assign(NB, BitVector(NR));
   L.LiveOut.assign(NB, BitVector(NR));
-  L.UpwardExposed.assign(NB, BitVector(NR));
-  L.Defs.assign(NB, BitVector(NR));
+  std::vector<BitVector> UpwardExposed(NB, BitVector(NR)),
+      Defs(NB, BitVector(NR));
 
   // Local sets: UpwardExposed collects uses not preceded by a local def.
   for (const BasicBlock &B : F.blocks()) {
-    BitVector &UE = L.UpwardExposed[B.Id], &Kill = L.Defs[B.Id];
+    BitVector &UE = UpwardExposed[B.Id], &Kill = Defs[B.Id];
     for (const Instruction &I : B.Insts) {
       I.forEachUse([&](VRegId R) {
         if (!Kill.test(R))
@@ -48,8 +48,8 @@ LivenessSets ra::computeLivenessReference(const Function &F, const CFG &G) {
       for (uint32_t S : G.succs(B))
         Out.unionWith(L.LiveIn[S]);
       In = Out;
-      In.subtract(L.Defs[B]);
-      In.unionWith(L.UpwardExposed[B]);
+      In.subtract(Defs[B]);
+      In.unionWith(UpwardExposed[B]);
       if (!(Out == L.LiveOut[B]) || !(In == L.LiveIn[B])) {
         std::swap(L.LiveOut[B], Out);
         std::swap(L.LiveIn[B], In);
@@ -66,10 +66,6 @@ std::string ra::livenessMismatch(const Liveness &LV, const LivenessSets &Ref) {
       return "liveIn of block " + std::to_string(B);
     if (!(LV.liveOut(B) == Ref.LiveOut[B]))
       return "liveOut of block " + std::to_string(B);
-    if (!(LV.upwardExposed(B) == Ref.UpwardExposed[B]))
-      return "upwardExposed of block " + std::to_string(B);
-    if (!(LV.defs(B) == Ref.Defs[B]))
-      return "defs of block " + std::to_string(B);
   }
   return "";
 }

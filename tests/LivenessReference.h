@@ -9,7 +9,7 @@
 /// which iterates the block-level dataflow equations over every block
 /// (reverse RPO, then the unreachable blocks) until no set changes.
 /// LivenessDiffTest and CoalesceDiffTest hold the per-register search in
-/// analysis/Liveness.cpp to the same four sets per block.
+/// analysis/Liveness.cpp to the same live-in and live-out sets per block.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,9 +22,9 @@
 
 namespace ra {
 
-/// The four per-block sets Liveness exposes, indexed by block id.
+/// The two per-block sets Liveness exposes, indexed by block id.
 struct LivenessSets {
-  std::vector<BitVector> LiveIn, LiveOut, UpwardExposed, Defs;
+  std::vector<BitVector> LiveIn, LiveOut;
 };
 
 /// Same sets as Liveness::compute, solved by round-robin iteration.

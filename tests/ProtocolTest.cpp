@@ -332,8 +332,7 @@ TEST(ProtocolTest, ParseArgReadsEverySharedSpelling) {
                         "5",        "--flt",       "3",       "--no-opt",
                         "--remat",  "--no-audit",  "--no-cache",
                         "--print",  "--deadline-ms", "1.5",
-                        "--mem-budget-mb", "7",    "--heuristic",
-                        "matula-beck", "--quiet"};
+                        "--mem-budget-mb", "7",    "--quiet"};
   const int Argc = int(sizeof(Argv) / sizeof(Argv[0]));
   WireConfig W;
   int I = 1;
@@ -344,8 +343,14 @@ TEST(ProtocolTest, ParseArgReadsEverySharedSpelling) {
     ASSERT_TRUE(S->ok()) << Argv[I] << ": " << S->toString();
   }
   EXPECT_EQ(std::string(Argv[I]), "--quiet") << "not a shared flag";
-  EXPECT_EQ(W.render(), "allocator=matula-beck int=5 flt=3 opt=0 remat=1 "
+  EXPECT_EQ(W.render(), "allocator=chaitin int=5 flt=3 opt=0 remat=1 "
                         "audit=0 cache=0 print=1 deadline_ms=1.5 mem_mb=7");
+
+  // The old --heuristic spelling of --allocator is not a shared flag.
+  const char *Old[] = {"rac", "--heuristic", "briggs"};
+  int K = 1;
+  EXPECT_FALSE(W.parseArg(3, Old, K).has_value());
+  EXPECT_EQ(K, 1);
 
   // The on spellings of the two-way switches, and a value flag with no
   // value after it, which is left for the caller to report.
@@ -370,7 +375,7 @@ TEST(ProtocolTest, ParseArgReadsEverySharedSpelling) {
 TEST(ProtocolTest, FlagUsageListsEverySpelling) {
   const std::string Usage = WireConfig::flagUsage();
   for (const char *Spelling :
-       {"--allocator NAME", "--heuristic NAME", "--int K", "--flt K",
+       {"--allocator NAME", "--int K", "--flt K",
         "--no-opt", "--remat", "--audit, --no-audit", "--cache, --no-cache",
         "--print", "--deadline-ms MS", "--mem-budget-mb MB"})
     EXPECT_NE(Usage.find(std::string("  ") + Spelling + " "),

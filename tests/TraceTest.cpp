@@ -210,21 +210,27 @@ TEST(Trace, CountersAggregateAcrossThreads) {
 
 TEST(Trace, ScopedContextNestsAndRestores) {
   trace::beginSession();
-  EXPECT_EQ(trace::ScopedContext::current(), "");
+  RA_TRACE_INSTANT("Before", "test");
   {
     trace::ScopedContext Outer(std::string("@outer"));
-    EXPECT_EQ(trace::ScopedContext::current(), "@outer");
+    RA_TRACE_INSTANT("Outer", "test");
     {
-      trace::ScopedContext Inner(std::string("@outer/helper"));
-      RA_TRACE_INSTANT("Inside", "test");
-      EXPECT_EQ(trace::ScopedContext::current(), "@outer/helper");
+      trace::ScopedContext Inner(std::string("@outer/inner"));
+      RA_TRACE_INSTANT("Inner", "test");
     }
-    EXPECT_EQ(trace::ScopedContext::current(), "@outer");
+    RA_TRACE_INSTANT("OuterAgain", "test");
   }
-  EXPECT_EQ(trace::ScopedContext::current(), "");
+  RA_TRACE_INSTANT("After", "test");
   trace::SessionLog Log = trace::endSession();
-  ASSERT_EQ(Log.Events.size(), 1u);
-  EXPECT_EQ(Log.Events[0].Ctx, "@outer/helper");
+  std::vector<std::pair<std::string, std::string>> Got;
+  for (const trace::Event &E : Log.Events)
+    Got.emplace_back(E.Name, E.Ctx);
+  EXPECT_EQ(Got, (std::vector<std::pair<std::string, std::string>>{
+                     {"Before", ""},
+                     {"Outer", "@outer"},
+                     {"Inner", "@outer/inner"},
+                     {"OuterAgain", "@outer"},
+                     {"After", ""}}));
 }
 
 /// Spins long enough for a phase to measure more than zero.
