@@ -72,7 +72,9 @@ private:
     unsigned NB = F.numBlocks();
     EntryDefs.assign(NB, {});
     std::vector<uint32_t> ArrivedFor(NB, InvalidVReg), Rep(NB);
-    std::vector<uint32_t> DefinedBy(NB, InvalidVReg); // stamped per vreg
+    // Stamped per vreg: the blocks that define it, and those it is live
+    // into.
+    std::vector<uint32_t> DefinedBy(NB, InvalidVReg), LiveInOf(NB, InvalidVReg);
     std::vector<uint32_t> Work;
 
     for (size_t K = 0; K < LastDefs.size();) {
@@ -80,8 +82,10 @@ private:
       size_t End = K;
       for (; End < LastDefs.size() && LastDefs[End].V == V; ++End)
         DefinedBy[LastDefs[End].Block] = V;
+      for (uint32_t B : LV.liveInBlocks(V))
+        LiveInOf[B] = V;
       auto Arrive = [&](uint32_t S, uint32_t D) {
-        if (!LV.liveIn(S).test(V))
+        if (LiveInOf[S] != V)
           return;
         if (ArrivedFor[S] == V) {
           Webs.unite(Rep[S], D);

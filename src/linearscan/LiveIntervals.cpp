@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// One backward walk per block, seeded from the dataflow live-out set.
+// One backward walk per block, seeded from the dataflow live-out list.
 // Blocks are processed in reverse layout order and every new segment
 // starts at or before all segments already recorded, so segments are
 // appended in descending order and reversed once at the end — the whole
@@ -77,8 +77,8 @@ LiveIntervals LiveIntervals::compute(const Function &F, const Liveness &LV,
   for (uint32_t BId = F.numBlocks(); BId-- > 0;) {
     const BasicBlock &BB = F.block(BId);
     SlotIndex From = Num.blockFrom(BId), To = Num.blockTo(BId);
-    LV.liveOut(BId).forEachSetBit(
-        [&](unsigned R) { B.addRange(R, From, To); });
+    for (VRegId R : LV.liveOut(BId))
+      B.addRange(R, From, To);
     for (unsigned Idx = BB.Insts.size(); Idx-- > 0;) {
       const Instruction &I = BB.Insts[Idx];
       if (I.hasDef())

@@ -128,7 +128,8 @@ void computeAreaAndDepth(const Function &F, const LoopInfo &Loops,
                          std::vector<unsigned> &DepthOf) {
   Area.assign(F.numVRegs(), 0);
   DepthOf.assign(F.numVRegs(), 0);
-  // Visited once per instruction: the set walks only its non-zero words.
+  // Visited once per instruction: the set walks and clears only its
+  // non-zero words.
   TwoLevelBitSet Live(F.numVRegs());
   for (const BasicBlock &B : F.blocks()) {
     unsigned Depth = Loops.depth(B.Id);
@@ -324,8 +325,10 @@ AllocationResult runPasses(Function &F, const AllocatorConfig &C,
             RM.CoalescedInto = CC.Into;
             Result.Metrics.push_back(std::move(RM));
           }
-        if (CS.CopiesRemoved != 0)
+        if (CS.CopiesRemoved != 0) {
+          RA_TRACE_SPAN("RenumberCompact", Cat);
           renumberLiveRanges(F, G); // compact ids merged away
+        }
       }
       // Charge the graphs' node arrays *before* they exist, and let the
       // build charge its edge pairs as they grow: refusing either turns

@@ -20,8 +20,9 @@ namespace {
 /// \p AddInterference(Def, Live) for each def against each live range
 /// live just after it (excluding a Copy's source), in ascending order of
 /// the live range. Polls \p Gov once per block and stops the walk when
-/// the budget trips. The live set visits only its non-zero words, so a
-/// def costs its live ranges, not the register count.
+/// the budget trips. The live set visits and clears only its non-zero
+/// words, so a def costs its live ranges and a block its live-out list,
+/// not the register count.
 template <typename CallableT>
 void forEachInterference(const Function &F, const Liveness &LV,
                          CallableT AddInterference, Budget *Gov = nullptr) {

@@ -48,10 +48,13 @@ std::vector<VRegPair> interferingCopyPairs(const Function &F,
   for (unsigned R = 0; R < NR; ++R)
     Offset[R + 1] += Offset[R];
 
+  // A register is live at the current point of block B's backward walk
+  // iff its stamp is B: reseeding a block costs its live-out list.
   std::vector<VRegPair> Interfering;
-  BitVector LiveNow;
+  std::vector<uint32_t> LiveAt(NR, ~0u);
   for (const BasicBlock &B : F.blocks()) {
-    LiveNow = LV.liveOut(B.Id);
+    for (VRegId R : LV.liveOut(B.Id))
+      LiveAt[R] = B.Id;
     for (auto It = B.Insts.rbegin(), E = B.Insts.rend(); It != E; ++It) {
       const Instruction &I = *It;
       if (I.hasDef()) {
@@ -59,12 +62,12 @@ std::vector<VRegPair> interferingCopyPairs(const Function &F,
         VRegId CopySrc = I.isCopy() ? I.Ops[1].Reg : InvalidVReg;
         for (uint32_t K = Offset[D]; K != Offset[D + 1]; ++K) {
           VRegId P = Copies[K].second;
-          if (P != CopySrc && LiveNow.test(P))
+          if (P != CopySrc && LiveAt[P] == B.Id)
             Interfering.push_back({std::min(D, P), std::max(D, P)});
         }
-        LiveNow.reset(D);
+        LiveAt[D] = ~0u;
       }
-      I.forEachUse([&](VRegId U) { LiveNow.set(U); });
+      I.forEachUse([&](VRegId U) { LiveAt[U] = B.Id; });
     }
   }
   std::sort(Interfering.begin(), Interfering.end());

@@ -12,8 +12,9 @@
 ///
 /// The interference walk and the metrics walk keep their live set in
 /// one: both visit the set once per instruction while only a few
-/// registers are live, where a dense BitVector scan would touch all
-/// N/64 words each time. This is the idea of Briggs & Torczon's sparse
+/// registers are live, where a dense bit vector scan would touch all
+/// N/64 words each time, and both reseed it from a block's live-out
+/// list at every block. This is the idea of Briggs & Torczon's sparse
 /// set ("An Efficient Representation for Sparse Sets", LOPLAS 1993)
 /// with the ascending visit order that keeps neighbor rows stable.
 ///
@@ -21,8 +22,6 @@
 
 #ifndef RA_SUPPORT_TWOLEVELBITSET_H
 #define RA_SUPPORT_TWOLEVELBITSET_H
-
-#include "support/BitVector.h"
 
 #include <algorithm>
 #include <cassert>
@@ -62,15 +61,24 @@ public:
       Summary[W / WordBits] &= ~(uint64_t(1) << (W % WordBits));
   }
 
-  /// Becomes a copy of \p Other, which must have the same size.
-  void assign(const BitVector &Other) {
-    assert(Other.size() == NumBits && "size mismatch");
-    std::span<const uint64_t> Src = Other.words();
-    std::fill(Summary.begin(), Summary.end(), 0);
-    for (unsigned W = 0, E = Words.size(); W != E; ++W) {
-      Words[W] = Src[W];
-      if (Src[W])
-        Summary[W / WordBits] |= uint64_t(1) << (W % WordBits);
+  /// Becomes the set of \p Bits, best given in ascending order. Clearing
+  /// visits only the non-zero words, so a small set costs its own words,
+  /// not the range's.
+  void assign(std::span<const uint32_t> Bits) {
+    for (unsigned S = 0, SE = Summary.size(); S != SE; ++S) {
+      for (uint64_t NonZero = Summary[S]; NonZero; NonZero &= NonZero - 1)
+        Words[S * WordBits + __builtin_ctzll(NonZero)] = 0;
+      Summary[S] = 0;
+    }
+    for (size_t K = 0, E = Bits.size(); K != E;) {
+      unsigned W = Bits[K] / WordBits;
+      uint64_t Word = 0;
+      for (; K != E && Bits[K] / WordBits == W; ++K) {
+        assert(Bits[K] < NumBits && "bit index out of range");
+        Word |= uint64_t(1) << (Bits[K] % WordBits);
+      }
+      Words[W] |= Word;
+      Summary[W / WordBits] |= uint64_t(1) << (W % WordBits);
     }
   }
 

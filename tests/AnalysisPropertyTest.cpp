@@ -14,6 +14,7 @@
 
 #include "analysis/CFG.h"
 #include "analysis/Dominators.h"
+#include "LivenessReference.h"
 #include "analysis/Liveness.h"
 #include "analysis/LoopInfo.h"
 #include "ir/IRBuilder.h"
@@ -163,10 +164,11 @@ TEST_P(AnalysisSeeds, LivenessMatchesInstructionLevelFixpoint) {
     }
   }
 
+  LivenessSets Sets = denseSets(F, LV);
   for (uint32_t B = 0; B < F.numBlocks(); ++B) {
-    EXPECT_TRUE(LV.liveIn(B) == LiveBefore[B][0])
+    EXPECT_TRUE(Sets.LiveIn[B] == LiveBefore[B][0])
         << "seed " << GetParam() << " live-in of block " << B;
-    EXPECT_TRUE(LV.liveOut(B) ==
+    EXPECT_TRUE(Sets.LiveOut[B] ==
                 LiveBefore[B][F.block(B).Insts.size()])
         << "seed " << GetParam() << " live-out of block " << B;
   }

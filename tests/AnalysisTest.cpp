@@ -150,14 +150,16 @@ TEST(LivenessTest, StraightLineAndBranch) {
   CFG G = CFG::compute(*D.F);
   Liveness LV = Liveness::compute(*D.F, G);
   // x and y are live into the loop head (used in the body), as is i/n.
-  EXPECT_TRUE(LV.liveIn(D.Head).test(D.X));
-  EXPECT_TRUE(LV.liveIn(D.Head).test(D.Y));
-  EXPECT_TRUE(LV.liveIn(D.Head).test(D.I));
-  EXPECT_TRUE(LV.liveIn(D.Head).test(D.N));
+  EXPECT_TRUE(LV.isLiveIn(D.Head, D.X));
+  EXPECT_TRUE(LV.isLiveIn(D.Head, D.Y));
+  EXPECT_TRUE(LV.isLiveIn(D.Head, D.I));
+  EXPECT_TRUE(LV.isLiveIn(D.Head, D.N));
   // x is live out of the loop (returned); y is not used after the loop.
-  EXPECT_TRUE(LV.liveOut(D.Head).test(D.X));
+  std::span<const VRegId> Out = LV.liveOut(D.Head);
+  EXPECT_TRUE(std::binary_search(Out.begin(), Out.end(), D.X));
   // Nothing is live into the entry.
-  EXPECT_TRUE(LV.liveIn(D.Entry).none());
+  for (VRegId R = 0; R < D.F->numVRegs(); ++R)
+    EXPECT_FALSE(LV.isLiveIn(D.Entry, R)) << "vreg " << R;
 }
 
 TEST(LivenessTest, LiveInNeverContainsEntryDeadRegs) {
@@ -168,7 +170,8 @@ TEST(LivenessTest, LiveInNeverContainsEntryDeadRegs) {
     Liveness LV = Liveness::compute(F, G);
     // Verified programs define everything before use, so nothing can be
     // live into the entry block.
-    EXPECT_TRUE(LV.liveIn(F.entry()).none()) << "seed " << Seed;
+    for (VRegId R = 0; R < F.numVRegs(); ++R)
+      EXPECT_FALSE(LV.isLiveIn(F.entry(), R)) << "seed " << Seed;
   }
 }
 

@@ -12,7 +12,8 @@
 // Inputs: the Figure 5 routines raw and optimized, the fuzz corpus,
 // random programs, a 75-region stress function and mega.ramp.10k. Each
 // is allocated by Chaitin, Briggs, Matula-Beck and linear scan on the
-// RT/PC files (16 int, 8 float) and on a 4 + 3 file, and each
+// RT/PC files (16 int, 8 float) and on a 4 + 3 file; mega.rand.16k, the
+// largest CFG, only by Briggs on the RT/PC files. Each
 // allocation is audited as it stands and after seeded corruptions: a
 // color copied from a value live out of the same block, a color copied
 // from a random value of its class, a color outside the file, two piece
@@ -149,8 +150,7 @@ void auditCorruptions(const Function &F, const AllocationResult &A, Rng &R,
   Liveness LV = Liveness::compute(F, G);
   for (unsigned Try = 0; Try < 8; ++Try) {
     uint32_t B = uint32_t(R.nextBelow(F.numBlocks()));
-    std::vector<VRegId> Out;
-    LV.liveOut(B).forEachSetBit([&](unsigned X) { Out.push_back(X); });
+    std::span<const VRegId> Out = LV.liveOut(B);
     if (Out.size() < 2)
       continue;
     VRegId X = Out[R.nextBelow(Out.size())], Y = Out[R.nextBelow(Out.size())];
@@ -385,6 +385,25 @@ TEST(AuditDiffTest, MegaRamp) {
   Module M;
   Function &F = It->Build(M);
   checkAllocations(F, 10, It->Name, V);
+  expectBothVerdicts(V);
+}
+
+TEST(AuditDiffTest, MegaRandom) {
+  // The benchmark's largest CFG (2,095 blocks): one Briggs allocation on
+  // the RT/PC files, audited as is and after the seeded corruptions.
+  const std::vector<MegaKernel> &Family = megaKernelFamily();
+  auto It = std::find_if(Family.begin(), Family.end(), [](const MegaKernel &K) {
+    return K.Name == "mega.rand.16k";
+  });
+  ASSERT_NE(It, Family.end());
+  Module M;
+  Function &F = It->Build(M);
+  AllocatorConfig C;
+  AllocationResult A = allocateRegisters(F, C);
+  ASSERT_TRUE(A.Success) << A.Diag.toString();
+  Verdicts V;
+  Rng R(16);
+  auditCorruptions(F, A, R, It->Name + " briggs", V);
   expectBothVerdicts(V);
 }
 

@@ -250,14 +250,13 @@ TEST(AuditTest, CatchesTwoLiveInsSharingARegisterAtBlockEntry) {
           const uint32_t Top = S.TopSlot[B];
           for (size_t J = 0; J < A.Pieces.size(); ++J) {
             PieceAssignment &P = A.Pieces[J];
-            if (!(P.From <= Top && Top < P.To) ||
-                !S.LV.liveIn(B).test(P.Reg))
+            if (!(P.From <= Top && Top < P.To) || !S.LV.isLiveIn(B, P.Reg))
               continue;
-            int Found = S.LV.liveIn(B).findFirst();
-            for (; Found >= 0; Found = S.LV.liveIn(B).findNext(Found)) {
-              VRegId W = VRegId(Found);
+            for (VRegId W = 0; W < S.F.numVRegs(); ++W) {
+              if (W == P.Reg || !S.LV.isLiveIn(B, W))
+                continue;
               int32_t Held = regAt(A, W, Top);
-              if (W == P.Reg || Held < 0 || Held == int32_t(P.PhysReg) ||
+              if (Held < 0 || Held == int32_t(P.PhysReg) ||
                   S.F.regClass(W) != S.F.regClass(P.Reg))
                 continue;
               P.PhysReg = uint32_t(Held);

@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 //
 // Differential test for interference graph construction: every input is
-// built twice from one liveness solution, once by buildInterferenceGraphs
-// (two-level live set, raw pairs merged by finalize) and once by the
-// matrix-based reference in BuildGraphReference.cpp. The two must agree
+// built twice, once by buildInterferenceGraphs (two-level live set, raw
+// pairs merged by finalize) over the production Liveness, and once by the
+// matrix-based reference in BuildGraphReference.cpp over the round-robin
+// liveness reference. The two must agree
 // on the node numbering both ways, the NoSpill and ExternalId of every
 // node, every degree, the edge count, and every node's neighbor
 // *sequence*: simplify's bucket order, and so the colorings, follow it.
@@ -45,14 +46,14 @@ using namespace ra;
 
 namespace {
 
-/// Builds \p F's graphs both ways from one liveness solution and
-/// requires identical graphs. Returns false (after reporting) on the
+/// Builds \p F's graphs both ways, each from its own liveness solver,
+/// and requires identical graphs. Returns false (after reporting) on the
 /// first difference.
 bool sameGraphs(const Function &F, const std::string &What) {
   CFG G = CFG::compute(F);
-  Liveness LV = Liveness::compute(F, G);
-  auto Ref = buildInterferenceGraphsReference(F, LV);
-  auto New = buildInterferenceGraphs(F, LV);
+  LivenessSets RefLV = computeLivenessReference(F, G);
+  auto Ref = buildInterferenceGraphsReference(F, RefLV);
+  auto New = buildInterferenceGraphs(F, Liveness::compute(F, G));
   for (unsigned C = 0; C < NumRegClasses; ++C) {
     const MatrixClassGraph &R = Ref[C];
     const ClassGraph &N = New[C];
@@ -90,7 +91,7 @@ bool sameGraphs(const Function &F, const std::string &What) {
   }
   // Conservative coalescing reads each vreg's degree off these rows, so
   // it must equal the vreg's row count in the all-vreg matrix.
-  TriangularBitMatrix Matrix = buildInterferenceMatrix(F, LV);
+  TriangularBitMatrix Matrix = buildInterferenceMatrix(F, RefLV);
   std::vector<unsigned> MatrixDegree(F.numVRegs(), 0);
   for (VRegId B = 0; B < F.numVRegs(); ++B) // row by row: the bits in order
     for (VRegId A = 0; A < B; ++A)

@@ -14,11 +14,11 @@ namespace {
 /// \p AddInterference(Def, Live) for each def against each live range
 /// live just after it (excluding a Copy's source).
 template <typename CallableT>
-void forEachInterference(const Function &F, const Liveness &LV,
+void forEachInterference(const Function &F, const LivenessSets &LV,
                          CallableT AddInterference) {
   BitVector LiveNow;
   for (const BasicBlock &B : F.blocks()) {
-    LiveNow = LV.liveOut(B.Id);
+    LiveNow = LV.LiveOut[B.Id];
     for (auto It = B.Insts.rbegin(), E = B.Insts.rend(); It != E; ++It) {
       const Instruction &I = *It;
       if (I.hasDef()) {
@@ -39,7 +39,8 @@ void forEachInterference(const Function &F, const Liveness &LV,
 } // namespace
 
 std::array<MatrixClassGraph, NumRegClasses>
-ra::buildInterferenceGraphsReference(const Function &F, const Liveness &LV) {
+ra::buildInterferenceGraphsReference(const Function &F,
+                                     const LivenessSets &LV) {
   std::array<MatrixClassGraph, NumRegClasses> Out;
 
   // Dense node numbering per class, in ascending vreg order so node ids
@@ -73,7 +74,7 @@ ra::buildInterferenceGraphsReference(const Function &F, const Liveness &LV) {
 }
 
 TriangularBitMatrix ra::buildInterferenceMatrix(const Function &F,
-                                                const Liveness &LV) {
+                                                const LivenessSets &LV) {
   TriangularBitMatrix M(F.numVRegs());
   forEachInterference(F, LV, [&](VRegId D, VRegId L) {
     if (F.regClass(D) == F.regClass(L))

@@ -12,15 +12,18 @@
 /// rows. BuildGraphDiffTest holds buildInterferenceGraphs in
 /// regalloc/BuildGraph.cpp to the same nodes, degrees, edge counts and
 /// neighbor sequences. The same walk fills the all-vreg matrix that the
-/// coalescing reference and CoalesceTest read.
+/// coalescing reference and CoalesceTest read. Both read the round-robin
+/// solver's sets (LivenessReference.h), not the production Liveness, so
+/// they stay independent of it.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RA_TESTS_BUILDGRAPHREFERENCE_H
 #define RA_TESTS_BUILDGRAPHREFERENCE_H
 
-#include "regalloc/BuildGraph.h"
+#include "LivenessReference.h"
 #include "TriangularBitMatrix.h"
+#include "regalloc/BuildGraph.h"
 
 namespace ra {
 
@@ -105,13 +108,13 @@ struct MatrixClassGraph {
 /// Same contract as buildInterferenceGraphs (ungoverned), built with a
 /// dense live set and the triangular matrix.
 std::array<MatrixClassGraph, NumRegClasses>
-buildInterferenceGraphsReference(const Function &F, const Liveness &LV);
+buildInterferenceGraphsReference(const Function &F, const LivenessSets &LV);
 
 /// Builds a whole-function interference matrix over *all* vregs (both
 /// classes; only same-class pairs are set), for O(1) interference tests
 /// and neighbor counts.
 TriangularBitMatrix buildInterferenceMatrix(const Function &F,
-                                            const Liveness &LV);
+                                            const LivenessSets &LV);
 
 } // namespace ra
 

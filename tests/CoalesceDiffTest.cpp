@@ -293,62 +293,70 @@ TEST(CoalesceDiffTest, HandBuiltFunctions) {
   }
 }
 
-/// Liveness::update against a fresh solve: as a coalescing round does,
-/// merge up to 32 disjoint same-class register pairs by renaming, drop
-/// the self-copies that leaves (and those the input already had), and
-/// re-solve only the registers whose occurrences changed, given each
-/// block they occur in before or after the edit.
+/// Liveness::update against a fresh solve on \p F, renumbered: as a
+/// coalescing round does, merge up to 32 disjoint same-class register
+/// pairs by renaming, drop the self-copies that leaves (and those the
+/// input already had), and re-solve only the registers whose occurrences
+/// changed, given each block they occur in before or after the edit.
+void updateMatchesFreshSolve(Function &F, uint64_t Seed,
+                             const std::string &What) {
+  renumberLiveRanges(F, CFG::compute(F));
+  CFG G = CFG::compute(F);
+  Liveness LV = Liveness::compute(F, G);
+  Rng R(Seed + 1000);
+  unsigned NR = F.numVRegs();
+  for (unsigned Step = 0; Step < 4; ++Step) {
+    std::vector<VRegId> Into(NR);
+    std::vector<bool> Changed(NR, false);
+    for (VRegId V = 0; V < NR; ++V)
+      Into[V] = V;
+    for (unsigned Pair = 0; Pair < 32; ++Pair) {
+      VRegId From = R.nextBelow(NR);
+      VRegId To = R.nextBelow(NR);
+      if (From == To || Changed[From] || Changed[To] ||
+          F.regClass(From) != F.regClass(To))
+        continue;
+      Into[From] = To;
+      Changed[From] = Changed[To] = true;
+    }
+    // Copies that the renaming turns into self-copies are dropped.
+    for (const BasicBlock &B : F.blocks())
+      for (const Instruction &I : B.Insts)
+        if (I.isCopy() && Into[I.Ops[0].Reg] == Into[I.Ops[1].Reg])
+          Changed[I.Ops[0].Reg] = Changed[I.Ops[1].Reg] = true;
+    std::vector<Liveness::RegBlock> Occurs;
+    for (const BasicBlock &B : F.blocks())
+      for (const Instruction &I : B.Insts)
+        for (const Operand &O : I.Ops)
+          if (O.isReg() && Changed[O.Reg]) {
+            Occurs.push_back({O.Reg, B.Id});
+            Occurs.push_back({Into[O.Reg], B.Id});
+          }
+
+    for (BasicBlock &B : F.blocks()) {
+      for (Instruction &I : B.Insts)
+        for (Operand &O : I.Ops)
+          if (O.isReg())
+            O.Reg = Into[O.Reg];
+      std::erase_if(B.Insts, [&](const Instruction &I) {
+        return I.isCopy() && I.Ops[0].Reg == I.Ops[1].Reg;
+      });
+    }
+    LV.update(F, G, Occurs);
+    ASSERT_EQ(livenessMismatch(F, LV, computeLivenessReference(F, G)), "")
+        << What << " step " << Step;
+  }
+}
+
 TEST(CoalesceDiffTest, LivenessUpdateMatchesFreshSolve) {
   for (uint64_t Seed = 0; Seed < 60; ++Seed) {
     Module M;
-    Function &F = buildRandomProgram(M, Seed);
-    renumberLiveRanges(F, CFG::compute(F));
-    CFG G = CFG::compute(F);
-    Liveness LV = Liveness::compute(F, G);
-    Rng R(Seed + 1000);
-    unsigned NR = F.numVRegs();
-    for (unsigned Step = 0; Step < 4; ++Step) {
-      std::vector<VRegId> Into(NR);
-      std::vector<bool> Changed(NR, false);
-      for (VRegId V = 0; V < NR; ++V)
-        Into[V] = V;
-      for (unsigned Pair = 0; Pair < 32; ++Pair) {
-        VRegId From = R.nextBelow(NR);
-        VRegId To = R.nextBelow(NR);
-        if (From == To || Changed[From] || Changed[To] ||
-            F.regClass(From) != F.regClass(To))
-          continue;
-        Into[From] = To;
-        Changed[From] = Changed[To] = true;
-      }
-      // Copies that the renaming turns into self-copies are dropped.
-      for (const BasicBlock &B : F.blocks())
-        for (const Instruction &I : B.Insts)
-          if (I.isCopy() && Into[I.Ops[0].Reg] == Into[I.Ops[1].Reg])
-            Changed[I.Ops[0].Reg] = Changed[I.Ops[1].Reg] = true;
-      std::vector<Liveness::RegBlock> Occurs;
-      for (const BasicBlock &B : F.blocks())
-        for (const Instruction &I : B.Insts)
-          for (const Operand &O : I.Ops)
-            if (O.isReg() && Changed[O.Reg]) {
-              Occurs.push_back({O.Reg, B.Id});
-              Occurs.push_back({Into[O.Reg], B.Id});
-            }
-
-      for (BasicBlock &B : F.blocks()) {
-        for (Instruction &I : B.Insts)
-          for (Operand &O : I.Ops)
-            if (O.isReg())
-              O.Reg = Into[O.Reg];
-        std::erase_if(B.Insts, [&](const Instruction &I) {
-          return I.isCopy() && I.Ops[0].Reg == I.Ops[1].Reg;
-        });
-      }
-      LV.update(F, G, Occurs);
-      ASSERT_EQ(livenessMismatch(LV, computeLivenessReference(F, G)), "")
-          << "seed " << Seed << " step " << Step;
-    }
+    ASSERT_NO_FATAL_FAILURE(updateMatchesFreshSolve(
+        buildRandomProgram(M, Seed), Seed, "seed " + std::to_string(Seed)));
   }
+  Module M;
+  updateMatchesFreshSolve(buildRandomStress(M, 20260808, 75, "stress75"), 75,
+                          "stress75");
 }
 
 } // namespace

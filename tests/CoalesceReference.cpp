@@ -7,7 +7,6 @@
 #include "CoalesceReference.h"
 #include "BuildGraphReference.h"
 
-#include "analysis/Liveness.h"
 #include "support/UnionFind.h"
 
 #include <algorithm>
@@ -18,8 +17,8 @@ unsigned ra::coalesceOnePassReference(Function &F, const CFG &G,
                                       CoalescePolicy Policy,
                                       const std::optional<MachineInfo> &Machine,
                                       std::vector<CoalescedCopy> *Merges) {
-  Liveness LV = Liveness::compute(F, G);
-  TriangularBitMatrix Matrix = buildInterferenceMatrix(F, LV);
+  TriangularBitMatrix Matrix =
+      buildInterferenceMatrix(F, computeLivenessReference(F, G));
   unsigned NR = F.numVRegs();
 
   // Degrees per vreg, needed by the conservative test.

@@ -9,13 +9,13 @@
 // semantics exactly, a merge must preserve every interference the two
 // ranges had (mapped onto the surviving root), copies whose operands
 // interfere must never be merged, and the Briggs conservative test must
-// refuse merges that would create a significant-degree node.
+// refuse merges that would create a significant-degree node, counting a
+// neighbor of both operands once.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BuildGraphReference.h"
 
-#include "analysis/Liveness.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
 #include "regalloc/Coalesce.h"
@@ -142,8 +142,8 @@ TEST(CoalesceTest, MergePreservesEveryInterferenceOfBothRanges) {
 
   // Interference before, keyed by name so the check survives the merge.
   CFG G = CFG::compute(F);
-  Liveness Before = Liveness::compute(F, G);
-  TriangularBitMatrix MBefore = buildInterferenceMatrix(F, Before);
+  TriangularBitMatrix MBefore =
+      buildInterferenceMatrix(F, computeLivenessReference(F, G));
   std::map<std::string, VRegId> IdOf;
   for (VRegId R = 0; R < F.numVRegs(); ++R)
     IdOf[F.vreg(R).Name] = R;
@@ -163,8 +163,8 @@ TEST(CoalesceTest, MergePreservesEveryInterferenceOfBothRanges) {
     return Name;
   };
 
-  Liveness After = Liveness::compute(F, G);
-  TriangularBitMatrix MAfter = buildInterferenceMatrix(F, After);
+  TriangularBitMatrix MAfter =
+      buildInterferenceMatrix(F, computeLivenessReference(F, G));
   for (VRegId X = 0; X < MBefore.numNodes(); ++X)
     for (VRegId Y = X + 1; Y < MBefore.numNodes(); ++Y) {
       if (!MBefore.test(X, Y))
@@ -255,6 +255,49 @@ TEST(CoalesceTest, ConservativeRefusesSignificantDegreeMerge) {
   EXPECT_EQ(Conservative.CopiesRemoved, 0u)
       << "merge would create a node with k significant neighbors";
   EXPECT_EQ(countCopies(FC), 1u);
+}
+
+TEST(CoalesceTest, ConservativeCountsASharedNeighborOnce) {
+  // n interferes with both s and d, so its degree is 2, and nothing else
+  // interferes with either: the merged node has one significant
+  // neighbor. At k = 2 that is k - 1, so Briggs' test must merge; were
+  // n counted once for s and once for d, it would see k and refuse. At
+  // k = 1 the one neighbor is already k, and the test must refuse.
+  auto BuildCase = [](Module &M) -> Function & {
+    Function &F = M.newFunction("f");
+    IRBuilder B(M, F);
+    B.setInsertPoint(B.newBlock("entry"));
+    VRegId N = F.newVReg(RegClass::Int, "n");
+    B.movI(1, N);
+    VRegId S = F.newVReg(RegClass::Int, "s");
+    B.movI(3, S); // n live: s -- n
+    VRegId D = F.newVReg(RegClass::Int, "d");
+    B.copy(S, D); // s's last use; n live: d -- n
+    B.ret(B.add(D, N));
+    return F;
+  };
+
+  Module M2;
+  Function &F2 = BuildCase(M2);
+  CFG G2 = CFG::compute(F2);
+  TriangularBitMatrix Matrix =
+      buildInterferenceMatrix(F2, computeLivenessReference(F2, G2));
+  ASSERT_TRUE(Matrix.test(0, 1) && Matrix.test(0, 2) && !Matrix.test(1, 2))
+      << "n must be the one neighbor that s and d share";
+  CoalesceStats AtK2 = coalesceAll(F2, G2, CoalescePolicy::Conservative,
+                                   MachineInfo(2, 2));
+  EXPECT_EQ(AtK2.CopiesRemoved, 1u)
+      << "one shared significant neighbor is k - 1 at k = 2";
+  EXPECT_EQ(countCopies(F2), 0u);
+
+  Module M1;
+  Function &F1 = BuildCase(M1);
+  CFG G1 = CFG::compute(F1);
+  CoalesceStats AtK1 = coalesceAll(F1, G1, CoalescePolicy::Conservative,
+                                   MachineInfo(1, 1));
+  EXPECT_EQ(AtK1.CopiesRemoved, 0u)
+      << "one shared significant neighbor is k at k = 1";
+  EXPECT_EQ(countCopies(F1), 1u);
 }
 
 } // namespace

@@ -53,7 +53,8 @@ void expectIntervalsMatchDataflow(const Function &F,
     const BasicBlock &BB = F.block(B);
     // LiveAfter of the block's last instruction is the dataflow LiveOut.
     std::vector<bool> LiveAfter(F.numVRegs(), false);
-    LV.liveOut(B).forEachSetBit([&](unsigned R) { LiveAfter[R] = true; });
+    for (VRegId R : LV.liveOut(B))
+      LiveAfter[R] = true;
 
     for (unsigned Idx = BB.Insts.size(); Idx-- > 0;) {
       const Instruction &I = BB.Insts[Idx];
@@ -79,7 +80,7 @@ void expectIntervalsMatchDataflow(const Function &F,
     }
     // The replayed entry state must close the loop with the solver.
     for (VRegId R = 0; R < F.numVRegs(); ++R)
-      EXPECT_EQ(LiveAfter[R], LV.liveIn(B).test(R))
+      EXPECT_EQ(LiveAfter[R], LV.isLiveIn(B, R))
           << Context << ": block " << B << " live-in disagrees for "
           << F.vreg(R).Name;
   }

@@ -42,7 +42,8 @@ namespace {
 Liveness sameLiveness(const Function &F, const std::string &What) {
   CFG G = CFG::compute(F);
   Liveness LV = Liveness::compute(F, G);
-  std::string Diff = livenessMismatch(LV, computeLivenessReference(F, G));
+  std::string Diff =
+      livenessMismatch(F, LV, computeLivenessReference(F, G));
   EXPECT_EQ(Diff, "") << What;
   return LV;
 }
@@ -203,7 +204,7 @@ TEST(LivenessDiffTest, HandBuiltFunctions) {
     IRBuilder B(M, F);
     auto [Reg, Block] = C.Build(B);
     Liveness LV = sameLiveness(F, C.Name);
-    EXPECT_TRUE(LV.liveIn(Block).test(Reg)) << C.Name;
+    EXPECT_TRUE(LV.isLiveIn(Block, Reg)) << C.Name;
   }
 }
 

@@ -6,6 +6,8 @@
 
 #include "LivenessReference.h"
 
+#include <algorithm>
+#include <functional>
 #include <utility>
 
 using namespace ra;
@@ -60,11 +62,38 @@ LivenessSets ra::computeLivenessReference(const Function &F, const CFG &G) {
   return L;
 }
 
-std::string ra::livenessMismatch(const Liveness &LV, const LivenessSets &Ref) {
+LivenessSets ra::denseSets(const Function &F, const Liveness &LV) {
+  LivenessSets L;
+  unsigned NB = F.numBlocks(), NR = F.numVRegs();
+  L.LiveIn.assign(NB, BitVector(NR));
+  L.LiveOut.assign(NB, BitVector(NR));
+  for (VRegId R = 0; R < NR; ++R)
+    for (uint32_t B : LV.liveInBlocks(R))
+      L.LiveIn[B].set(R);
+  for (uint32_t B = 0; B < NB; ++B)
+    for (VRegId R : LV.liveOut(B))
+      L.LiveOut[B].set(R);
+  return L;
+}
+
+std::string ra::livenessMismatch(const Function &F, const Liveness &LV,
+                                 const LivenessSets &Ref) {
+  auto Ascending = [](auto List) {
+    return std::adjacent_find(List.begin(), List.end(),
+                              std::greater_equal<>()) == List.end();
+  };
+  for (VRegId R = 0; R < F.numVRegs(); ++R)
+    if (!Ascending(LV.liveInBlocks(R)))
+      return "live-in blocks of vreg " + std::to_string(R) +
+             " not ascending";
+  for (uint32_t B = 0; B < F.numBlocks(); ++B)
+    if (!Ascending(LV.liveOut(B)))
+      return "liveOut of block " + std::to_string(B) + " not ascending";
+  LivenessSets Sets = denseSets(F, LV);
   for (uint32_t B = 0; B < Ref.LiveIn.size(); ++B) {
-    if (!(LV.liveIn(B) == Ref.LiveIn[B]))
+    if (!(Sets.LiveIn[B] == Ref.LiveIn[B]))
       return "liveIn of block " + std::to_string(B);
-    if (!(LV.liveOut(B) == Ref.LiveOut[B]))
+    if (!(Sets.LiveOut[B] == Ref.LiveOut[B]))
       return "liveOut of block " + std::to_string(B);
   }
   return "";

@@ -17,12 +17,13 @@
 #define RA_TESTS_LIVENESSREFERENCE_H
 
 #include "analysis/Liveness.h"
+#include "support/BitVector.h"
 
 #include <string>
 
 namespace ra {
 
-/// The two per-block sets Liveness exposes, indexed by block id.
+/// Liveness's two sets, one bit set per block, indexed by block id.
 struct LivenessSets {
   std::vector<BitVector> LiveIn, LiveOut;
 };
@@ -30,9 +31,14 @@ struct LivenessSets {
 /// Same sets as Liveness::compute, solved by round-robin iteration.
 LivenessSets computeLivenessReference(const Function &F, const CFG &G);
 
-/// Empty when \p LV holds exactly \p Ref's sets; otherwise names the
-/// first block and set that differ.
-std::string livenessMismatch(const Liveness &LV, const LivenessSets &Ref);
+/// \p LV's live-in and live-out lists as per-block bit sets over
+/// \p F's vregs.
+LivenessSets denseSets(const Function &F, const Liveness &LV);
+
+/// Empty when \p LV holds exactly \p Ref's sets, every list ascending
+/// without repeats; otherwise names the first list or set that differs.
+std::string livenessMismatch(const Function &F, const Liveness &LV,
+                             const LivenessSets &Ref);
 
 } // namespace ra
 

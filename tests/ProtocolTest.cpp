@@ -478,6 +478,11 @@ TEST(ProtocolTest, HandleFrameServesWarmRepliesStatsAndShutdown) {
   }
 }
 
+// Sanitizers map memory of their own per thread, so the VmSize bound in
+// AcceptLoopJoinsFinishedConnections holds only in a plain build.
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+#define RA_BOUND_VMSIZE 1
+
 /// This process's virtual memory size in kB (VmSize in /proc/self/status),
 /// or 0 where that file does not exist.
 uint64_t vmSizeKb() {
@@ -488,6 +493,7 @@ uint64_t vmSizeKb() {
       return std::stoull(Line.substr(7));
   return 0;
 }
+#endif
 
 TEST(ProtocolTest, AcceptLoopJoinsFinishedConnections) {
   AllocationService Svc;
@@ -511,10 +517,22 @@ TEST(ProtocolTest, AcceptLoopJoinsFinishedConnections) {
   // and the connection threads' malloc arena.
   for (int I = 0; I < 4; ++I)
     serveOne();
+#ifdef RA_BOUND_VMSIZE
   const uint64_t Before = vmSizeKb();
+#endif
   for (int I = 0; I < 64; ++I)
     serveOne();
+#ifdef RA_BOUND_VMSIZE
+  // Each exited thread left unjoined keeps its stack mapped: 64 of them
+  // grew VmSize by about 590 MB. Joined, growth stays near zero, but
+  // when two connection threads overlap the second may open a malloc
+  // arena, which reserves 64 MB; the bound leaves room for a few.
   const uint64_t After = vmSizeKb();
+  if (Before != 0) {
+    EXPECT_LT(After, Before + (uint64_t(256) << 10))
+        << "VmSize grew from " << Before << " kB to " << After << " kB";
+  }
+#endif
 
   // Stop the way racc --shutdown does, from a connection thread.
   int Fd = -1;
@@ -525,19 +543,6 @@ TEST(ProtocolTest, AcceptLoopJoinsFinishedConnections) {
   EXPECT_EQ(T, MsgType::ShutdownAck);
   ::close(Fd);
   Loop.join();
-
-  // Each exited thread left unjoined keeps its stack mapped: 64 of them
-  // grew VmSize by about 590 MB. Joined, growth stays near zero, but
-  // when two connection threads overlap the second may open a malloc
-  // arena, which reserves 64 MB; the bound leaves room for a few.
-  // Sanitizers map memory of their own per thread, so the bound holds
-  // only in a plain build.
-#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
-  if (Before != 0) {
-    EXPECT_LT(After, Before + (uint64_t(256) << 10))
-        << "VmSize grew from " << Before << " kB to " << After << " kB";
-  }
-#endif
 }
 
 } // namespace

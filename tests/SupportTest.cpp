@@ -138,13 +138,17 @@ TEST(TwoLevelBitSetTest, RandomOpsMatchBitVector) {
     for (unsigned Op = 0; Op < 1500; ++Op) {
       unsigned Kind = unsigned(R.nextBelow(10));
       if (Kind == 0) {
-        // Assign a fresh vector: empty, sparse, or half full.
+        // Assign a fresh set: empty, sparse, or half full.
         BitVector Src(Size);
         double Density = std::array{0.0, 0.001, 0.02, 0.5}[R.nextBelow(4)];
         for (unsigned I = 0; I < Size; ++I)
           if (R.nextBool(Density))
             Src.set(I);
-        S.assign(Src);
+        // Ascending, as the live-out lists come, or in reverse.
+        std::vector<unsigned> Bits = setBits(Src);
+        if (R.nextBool(0.5))
+          std::reverse(Bits.begin(), Bits.end());
+        S.assign(Bits);
         Ref = Src;
       } else if (Size != 0) {
         // Cluster most picks in a few words so resets empty them.

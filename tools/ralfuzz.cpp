@@ -11,8 +11,9 @@
 // coloring heuristics and the linear-scan backend — and checks each
 // result three independent ways:
 //
-//   1. the post-allocation audit (AllocationAudit.h) re-proves the
-//      assignment from scratch;
+//   1. the post-allocation audit (AllocationAudit.h), run inside every
+//      allocation and once more here, re-proves the assignment from
+//      scratch;
 //   2. the IR verifier accepts the rewritten function;
 //   3. the simulator is a differential oracle: the allocated run must
 //      reproduce the golden run's memory image and return values.
@@ -30,7 +31,7 @@
 // config in header comments) is dumped, and the tool exits 1.
 //
 //   ralfuzz [--seeds N] [--start S] [--allocators A,B,...]
-//           [--audit|--no-audit] [--fault-inject] [--chaos]
+//           [--fault-inject] [--chaos]
 //           [--seed-timeout-ms N] [--max-instructions N] [--out FILE]
 //           [--emit-corpus DIR] [--quiet]
 //
@@ -39,8 +40,6 @@
 //   --allocators L  comma-separated allocator list (chaitin, briggs,
 //                   matula-beck, linear-scan);
 //                   default chaitin,briggs,linear-scan
-//   --audit         run the in-allocator audit too (default on)
-//   --no-audit      rely on this tool's external checks only
 //   --fault-inject  deliberately miscolor / fail convergence and demand
 //                   a Degraded-but-still-correct fallback allocation
 //   --chaos         draw a per-seed resource-chaos plan (tiny deadlines,
@@ -163,7 +162,6 @@ ChaosPlan deriveChaos(uint64_t Seed) {
 /// How each (case, allocator) trial is checked — shared by the fuzz
 /// loop, the watchdog thread, and minimization.
 struct RunPolicy {
-  bool Audit = true;
   bool FaultInject = false;
   bool Chaos = false;
   ChaosPlan Plan;
@@ -198,7 +196,7 @@ FuzzCase deriveCase(uint64_t Seed) {
 /// image and return values for cross-allocator comparison.
 bool runOne(const FuzzCase &FC, AllocatorChoice AC, const RunPolicy &P,
             std::string &Failure, CapturedRun *Cap = nullptr) {
-  const bool Audit = P.Audit, FaultInject = P.FaultInject;
+  const bool FaultInject = P.FaultInject;
   auto Fail = [&](std::string Msg) {
     Failure = std::string(AC.name()) + " int=" +
               std::to_string(FC.IntK) + " flt=" + std::to_string(FC.FltK) +
@@ -236,7 +234,7 @@ bool runOne(const FuzzCase &FC, AllocatorChoice AC, const RunPolicy &P,
   C.H = AC.H;
   C.Machine = MachineInfo(FC.IntK, FC.FltK);
   C.MaxPasses = 64; // Matula-Beck-style worst cases need headroom
-  C.Audit = Audit || FaultInject || P.Chaos; // faults must be caught
+  C.Audit = true; // faults must be caught, and every result re-proved
   if (P.Chaos) {
     C.DeadlineSeconds = P.Plan.DeadlineSeconds;
     C.MemoryBudgetBytes = P.Plan.MemoryBudgetBytes;
@@ -611,7 +609,7 @@ bool dumpCorpusFile(const std::string &Path, const FuzzCase &FC) {
 void usage(const char *Prog) {
   std::fprintf(stderr,
                "usage: %s [--seeds N] [--start S] [--allocators A,B,...]\n"
-               "       [--audit|--no-audit] [--fault-inject] [--chaos]\n"
+               "       [--fault-inject] [--chaos]\n"
                "       [--service] [--seed-timeout-ms N]\n"
                "       [--max-instructions N]\n"
                "       [--out FILE] [--emit-corpus DIR] [--quiet]\n"
@@ -649,7 +647,7 @@ bool parseAllocatorList(const std::string &List,
 
 int main(int Argc, char **Argv) {
   uint64_t Seeds = 1000, Start = 0;
-  bool Audit = true, FaultInject = false, Chaos = false, Quiet = false;
+  bool FaultInject = false, Chaos = false, Quiet = false;
   bool Service = false;
   uint64_t SeedTimeoutMs = 0, MaxInstructions = 1ull << 32;
   std::string OutPath = "ralfuzz-repro.ral";
@@ -668,10 +666,6 @@ int main(int Argc, char **Argv) {
         usage(Argv[0]);
         return 1;
       }
-    } else if (Arg == "--audit") {
-      Audit = true;
-    } else if (Arg == "--no-audit") {
-      Audit = false;
     } else if (Arg == "--fault-inject") {
       FaultInject = true;
     } else if (Arg == "--chaos") {
@@ -739,7 +733,6 @@ int main(int Argc, char **Argv) {
   for (uint64_t S = Start; S < Start + Seeds; ++S) {
     FuzzCase FC = deriveCase(S);
     RunPolicy P;
-    P.Audit = Audit;
     P.FaultInject = FaultInject;
     P.Chaos = Chaos;
     if (Chaos)
@@ -831,10 +824,9 @@ int main(int Argc, char **Argv) {
                  "watchdog\n",
                  (unsigned long long)Skipped, Skipped == 1 ? "" : "s");
   std::printf("ralfuzz: %llu seeds x %zu allocators, %llu allocations "
-              "clean (%s%s%s; %s)\n",
+              "clean (audited%s%s; %s)\n",
               (unsigned long long)Seeds, Allocs.size(),
               (unsigned long long)Trials,
-              Audit ? "audited" : "unaudited",
               FaultInject ? ", fault-injected" : "",
               Chaos ? ", chaos" : "", Names.c_str());
   if (Service) {
