@@ -8,9 +8,9 @@
 // backend against the linear-scan backend, one row per routine, with
 // first-pass spills, estimated spill cost, simulated dynamic cycles and
 // allocation wall time per backend. Every allocation is audited, and
-// both runs must produce identical memory images — the bench doubles as
-// a differential check. Feeds the "Allocation backends" comparison
-// table in EXPERIMENTS.md.
+// compareRuns holds both runs to the virtual-register reference run and
+// to each other — the bench doubles as a differential check. Feeds the
+// "Allocation backends" comparison table in EXPERIMENTS.md.
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +35,8 @@ struct BackendRun {
   double SpillCost = 0;
   uint64_t Cycles = 0;
   double AllocSeconds = 0;
+  ExecutionResult Run;
+  std::optional<MemoryImage> Mem;
 };
 
 double allocSeconds(const AllocationStats &S) {
@@ -45,8 +47,7 @@ double allocSeconds(const AllocationStats &S) {
   return T;
 }
 
-BackendRun runBackend(const Workload &W, Backend B, const char *Label,
-                      std::optional<MemoryImage> &MemOut) {
+BackendRun runBackend(const Workload &W, Backend B, const char *Label) {
   Module M;
   Function &F = W.Build(M);
   optimizeFunction(F);
@@ -61,23 +62,27 @@ BackendRun runBackend(const Workload &W, Backend B, const char *Label,
     std::exit(1);
   }
 
-  Simulator Sim(M, CostModel::rtpc());
-  MemoryImage Mem(M);
-  W.Init(M, Mem);
-  ExecutionResult R = Sim.runAllocated(F, A, Mem);
-  if (!R.Ok) {
-    std::fprintf(stderr, "%s: %s run trapped: %s\n", W.Routine.c_str(),
-                 Label, R.Error.c_str());
-    std::exit(1);
-  }
-
   BackendRun Out;
+  Out.Mem.emplace(M);
+  W.Init(M, *Out.Mem);
+  Out.Run = Simulator(M).runAllocated(F, A, *Out.Mem);
   Out.Spills = A.Stats.firstPassSpills();
   Out.SpillCost = A.Stats.firstPassSpillCost();
-  Out.Cycles = R.Cycles;
+  Out.Cycles = Out.Run.Cycles;
   Out.AllocSeconds = allocSeconds(A.Stats);
-  MemOut.emplace(std::move(Mem));
   return Out;
+}
+
+/// Exits 1 when \p Got differs from \p Ref, naming both runs.
+void check(const Module &M, const Workload &W, const char *RefLabel,
+           const ExecutionResult &Ref, const MemoryImage &RefMem,
+           const char *Label, const BackendRun &Got) {
+  std::string Diff = compareRuns(M, Ref, RefMem, Got.Run, *Got.Mem);
+  if (!Diff.empty()) {
+    std::fprintf(stderr, "%s: %s against %s: %s\n", W.Routine.c_str(),
+                 Label, RefLabel, Diff.c_str());
+    std::exit(1);
+  }
 }
 
 } // namespace
@@ -92,15 +97,20 @@ int main() {
 
   BackendRun TotalGC, TotalLS;
   for (const Workload &W : allWorkloads()) {
-    std::optional<MemoryImage> MemGC, MemLS;
-    BackendRun GC =
-        runBackend(W, Backend::GraphColoring, "graph-coloring", MemGC);
-    BackendRun LS = runBackend(W, Backend::LinearScan, "linear-scan", MemLS);
-    if (!(*MemGC == *MemLS)) {
-      std::fprintf(stderr, "%s: backends produced different memory "
-                           "images\n", W.Routine.c_str());
-      std::exit(1);
-    }
+    // The virtual-register run of the same optimized function is the
+    // reference both backends must reproduce.
+    Module M;
+    Function &F = W.Build(M);
+    optimizeFunction(F);
+    MemoryImage RefMem(M);
+    W.Init(M, RefMem);
+    ExecutionResult Ref = Simulator(M).runVirtual(F, RefMem);
+
+    BackendRun GC = runBackend(W, Backend::GraphColoring, "graph-coloring");
+    BackendRun LS = runBackend(W, Backend::LinearScan, "linear-scan");
+    check(M, W, "virtual", Ref, RefMem, "graph-coloring", GC);
+    check(M, W, "virtual", Ref, RefMem, "linear-scan", LS);
+    check(M, W, "graph-coloring", GC.Run, *GC.Mem, "linear-scan", LS);
 
     T.addRow({W.Routine, Table::withCommas(GC.Spills),
               Table::withCommas(LS.Spills),

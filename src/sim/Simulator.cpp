@@ -11,10 +11,12 @@
 #include "analysis/Liveness.h"
 #include "linearscan/LiveInterval.h"
 
-#include <cstring>
-
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <functional>
 #include <utility>
 
 using namespace ra;
@@ -46,6 +48,81 @@ const std::vector<int64_t> &MemoryImage::intArray(uint32_t Id) const {
 const std::vector<double> &MemoryImage::floatArray(uint32_t Id) const {
   assert(Id < FloatData.size() && "array id out of range");
   return FloatData[Id];
+}
+
+std::optional<MemoryImage::Difference>
+MemoryImage::firstDifference(const MemoryImage &Other) const {
+  auto Mismatch = [](const auto &L, const auto &R,
+                     auto Same) -> std::optional<size_t> {
+    auto [I, J] = std::mismatch(L.begin(), L.end(), R.begin(), R.end(), Same);
+    if (I == L.end() && J == R.end())
+      return std::nullopt;
+    return size_t(I - L.begin());
+  };
+  uint32_t Arrays = std::min(IntData.size(), Other.IntData.size());
+  for (uint32_t A = 0; A < Arrays; ++A) {
+    auto I = Mismatch(IntData[A], Other.IntData[A], std::equal_to<>());
+    if (!I)
+      I = Mismatch(FloatData[A], Other.FloatData[A], doubleSemanticallyEqual);
+    if (I)
+      return Difference{A, *I};
+  }
+  if (IntData.size() != Other.IntData.size())
+    return Difference{Arrays, 0};
+  return std::nullopt;
+}
+
+std::string ra::compareRuns(const Module &M, const ExecutionResult &Ref,
+                            const MemoryImage &RefMem,
+                            const ExecutionResult &Got,
+                            const MemoryImage &GotMem) {
+  for (auto [R, Who] : {std::pair{&Ref, "reference"}, {&Got, "checked"}})
+    if (!R->Ok)
+      return std::string(Who) +
+             (R->Diag.code() == StatusCode::DeadlineExceeded
+                  ? " run hung: "
+                  : " run trapped: ") +
+             R->Error;
+
+  // Round-trip precision, so +0.0 and -0.0 (and 1 ulp) print apart.
+  auto Text = [](double V) {
+    char Buf[32];
+    std::snprintf(Buf, sizeof(Buf), "%.17g", V);
+    return std::string(Buf);
+  };
+  auto Differs = [](const std::string &What, const std::string &L,
+                    const std::string &R) {
+    return What + " differs: reference " + L + ", checked " + R;
+  };
+  auto Presence = [](bool B) { return B ? "present" : "absent"; };
+  if (Ref.HasIntReturn != Got.HasIntReturn)
+    return Differs("int return", Presence(Ref.HasIntReturn),
+                   Presence(Got.HasIntReturn));
+  if (Ref.IntReturn != Got.IntReturn)
+    return Differs("int return", std::to_string(Ref.IntReturn),
+                   std::to_string(Got.IntReturn));
+  if (Ref.HasFloatReturn != Got.HasFloatReturn)
+    return Differs("float return", Presence(Ref.HasFloatReturn),
+                   Presence(Got.HasFloatReturn));
+  if (!MemoryImage::doubleSemanticallyEqual(Ref.FloatReturn, Got.FloatReturn))
+    return Differs("float return", Text(Ref.FloatReturn),
+                   Text(Got.FloatReturn));
+
+  std::optional<MemoryImage::Difference> D = RefMem.firstDifference(GotMem);
+  if (!D)
+    return "";
+  assert(D->Array < M.numArrays() && "memory images not shaped by M");
+  const ArrayInfo &AI = M.array(D->Array);
+  auto Element = [&](const MemoryImage &Mem) -> std::string {
+    if (AI.Elem == RegClass::Int) {
+      const std::vector<int64_t> &V = Mem.intArray(D->Array);
+      return D->Index < V.size() ? std::to_string(V[D->Index]) : "nothing";
+    }
+    const std::vector<double> &V = Mem.floatArray(D->Array);
+    return D->Index < V.size() ? Text(V[D->Index]) : "nothing";
+  };
+  return Differs(AI.Name + "[" + std::to_string(D->Index) + "]",
+                 Element(RefMem), Element(GotMem));
 }
 
 ExecutionResult Simulator::runVirtual(const Function &F, MemoryImage &Mem,

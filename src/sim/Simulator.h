@@ -14,8 +14,8 @@
 ///    AllocationResult onto the target's finite register files, and
 ///    spill slots become real memory.
 ///
-/// Running the same program in both modes and comparing array memory and
-/// return values validates an allocation end-to-end; comparing cycle
+/// Running the same program in both modes and comparing the two runs
+/// with compareRuns validates an allocation end-to-end; comparing cycle
 /// counts between two allocators yields the paper's dynamic columns.
 ///
 //===----------------------------------------------------------------------===//
@@ -29,6 +29,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,29 +46,28 @@ public:
   const std::vector<int64_t> &intArray(uint32_t Id) const;
   const std::vector<double> &floatArray(uint32_t Id) const;
 
-  /// Semantic equality of all array contents: floats compare by bit
-  /// pattern — except that any NaN equals any NaN. Plain operator==
-  /// would make two runs computing the identical NaN diverge (NaN !=
-  /// NaN), while strict bitwise comparison is too strong the other way:
-  /// with two NaN operands, x*y propagates whichever one the compiler's
+  /// Where two images first differ. An Index past one image's end
+  /// means the array's sizes differ.
+  struct Difference {
+    uint32_t Array;
+    size_t Index;
+  };
+
+  /// The first differing element in array-id then index order, or
+  /// nullopt when all elements agree (floats by doubleSemanticallyEqual).
+  /// The one element walk behind operator== and compareRuns.
+  std::optional<Difference> firstDifference(const MemoryImage &Other) const;
+  bool operator==(const MemoryImage &Other) const {
+    return !firstDifference(Other);
+  }
+
+  /// Bit-equal, or both NaN (of any payload/sign). Plain == would make
+  /// two runs computing the identical NaN diverge (NaN != NaN), while
+  /// strict bitwise comparison is too strong the other way: with two
+  /// NaN operands, x*y propagates whichever one the compiler's
   /// instruction scheduling happens to read first, so the payload/sign
   /// of a computed NaN is not a property a differential oracle (golden
   /// run vs allocated run) may rely on.
-  bool operator==(const MemoryImage &Other) const {
-    if (IntData != Other.IntData || FloatData.size() != Other.FloatData.size())
-      return false;
-    for (size_t A = 0; A < FloatData.size(); ++A) {
-      const std::vector<double> &L = FloatData[A], &R = Other.FloatData[A];
-      if (L.size() != R.size())
-        return false;
-      for (size_t I = 0; I < L.size(); ++I)
-        if (!doubleSemanticallyEqual(L[I], R[I]))
-          return false;
-    }
-    return true;
-  }
-
-  /// Bit-equal, or both NaN (of any payload/sign).
   static bool doubleSemanticallyEqual(double L, double R) {
     if (std::isnan(L) || std::isnan(R))
       return std::isnan(L) && std::isnan(R);
@@ -141,6 +141,21 @@ private:
   const Module &M;
   CostModel CM;
 };
+
+/// The one run-comparison oracle: checks a run (\p Got, \p GotMem)
+/// against a reference run of the same program (\p Ref, \p RefMem).
+/// Both images must be shaped by \p M's arrays, which name them.
+/// Returns an empty string when the runs agree; otherwise it describes
+/// the first difference, checked in this order:
+///  1. either run did not finish (a trap and an instruction-budget hang
+///     are told apart);
+///  2. HasIntReturn, then IntReturn;
+///  3. HasFloatReturn, then FloatReturn by doubleSemanticallyEqual
+///     (+0.0 and -0.0 differ, any two NaNs agree);
+///  4. memory: the first differing element, named by array and index.
+std::string compareRuns(const Module &M, const ExecutionResult &Ref,
+                        const MemoryImage &RefMem, const ExecutionResult &Got,
+                        const MemoryImage &GotMem);
 
 } // namespace ra
 

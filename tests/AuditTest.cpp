@@ -354,7 +354,6 @@ TEST(AuditTest, MiscolorFaultDegradesToCorrectFallback) {
   Simulator Sim(M);
   MemoryImage GoldenMem(M);
   ExecutionResult Golden = Sim.runVirtual(F, GoldenMem);
-  ASSERT_TRUE(Golden.Ok);
 
   AllocatorConfig C;
   C.Machine = MachineInfo(4, 3);
@@ -371,10 +370,7 @@ TEST(AuditTest, MiscolorFaultDegradesToCorrectFallback) {
   // the same results as the virtual golden run.
   MemoryImage Mem(M);
   ExecutionResult R = Sim.runAllocated(F, A, Mem);
-  ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_EQ(R.IntReturn, Golden.IntReturn);
-  EXPECT_EQ(R.FloatReturn, Golden.FloatReturn);
-  EXPECT_TRUE(Mem == GoldenMem);
+  EXPECT_EQ(compareRuns(M, Golden, GoldenMem, R, Mem), "");
 }
 
 TEST(AuditTest, NonConvergenceFaultDegrades) {

@@ -258,12 +258,8 @@ TEST_P(RoundTrip, WorkloadPrintsParsesAndRunsTheSame) {
   W->Init(M2, Mem2);
   ExecutionResult R1 = S1.runVirtual(F, Mem1);
   ExecutionResult R2 = S2.runVirtual(*F2, Mem2);
-  ASSERT_TRUE(R1.Ok) << R1.Error;
-  ASSERT_TRUE(R2.Ok) << R2.Error;
+  EXPECT_EQ(compareRuns(M, R1, Mem1, R2, Mem2), "");
   EXPECT_EQ(R1.Cycles, R2.Cycles);
-  EXPECT_EQ(R1.IntReturn, R2.IntReturn);
-  EXPECT_EQ(R1.FloatReturn, R2.FloatReturn);
-  EXPECT_TRUE(Mem1 == Mem2);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRoutines, RoundTrip, [] {
@@ -286,9 +282,7 @@ TEST(RoundTripRandom, RandomProgramsSurviveTextRoundTrip) {
     MemoryImage Mem1(M), Mem2(M2);
     ExecutionResult R1 = S1.runVirtual(F, Mem1);
     ExecutionResult R2 = S2.runVirtual(F2, Mem2);
-    ASSERT_TRUE(R1.Ok && R2.Ok);
-    EXPECT_EQ(R1.IntReturn, R2.IntReturn) << "seed " << Seed;
-    EXPECT_TRUE(Mem1 == Mem2) << "seed " << Seed;
+    EXPECT_EQ(compareRuns(M, R1, Mem1, R2, Mem2), "") << "seed " << Seed;
   }
 }
 

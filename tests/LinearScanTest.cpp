@@ -207,7 +207,6 @@ TEST(LinearScanAllocTest, WorkloadsAllocateAuditAndMatchGolden) {
     MemoryImage Golden(M);
     W.Init(M, Golden);
     ExecutionResult G = Sim.runVirtual(F, Golden);
-    ASSERT_TRUE(G.Ok) << W.Routine;
 
     AllocatorConfig C = linearScanConfig();
     AllocationResult A = allocateRegisters(F, C);
@@ -219,8 +218,7 @@ TEST(LinearScanAllocTest, WorkloadsAllocateAuditAndMatchGolden) {
     MemoryImage Mem(M);
     W.Init(M, Mem);
     ExecutionResult R = Sim.runAllocated(F, A, Mem);
-    ASSERT_TRUE(R.Ok) << W.Routine << ": " << R.Error;
-    EXPECT_TRUE(Mem == Golden) << W.Routine;
+    EXPECT_EQ(compareRuns(M, G, Golden, R, Mem), "") << W.Routine;
   }
 }
 
@@ -241,7 +239,6 @@ TEST(LinearScanAllocTest, CorpusAllocatesUnderSmallFiles) {
       Simulator Sim(M);
       MemoryImage Golden(M);
       ExecutionResult G = Sim.runVirtual(F, Golden);
-      ASSERT_TRUE(G.Ok) << Name;
 
       AllocatorConfig C = linearScanConfig(4, 3);
       AllocationResult A = allocateRegisters(F, C);
@@ -250,9 +247,7 @@ TEST(LinearScanAllocTest, CorpusAllocatesUnderSmallFiles) {
 
       MemoryImage Mem(M);
       ExecutionResult R = Sim.runAllocated(F, A, Mem);
-      ASSERT_TRUE(R.Ok) << Name << ": " << R.Error;
-      EXPECT_TRUE(Mem == Golden) << Name;
-      EXPECT_EQ(R.IntReturn, G.IntReturn) << Name;
+      EXPECT_EQ(compareRuns(M, G, Golden, R, Mem), "") << Name;
     }
   }
 }
@@ -298,9 +293,8 @@ TEST(LinearScanAllocTest, AgreesWithGraphColoringOnWorkloads) {
     W.Init(M2, Mem2);
     ExecutionResult R1 = S1.runAllocated(F1, A1, Mem1);
     ExecutionResult R2 = S2.runAllocated(F2, A2, Mem2);
-    ASSERT_TRUE(R1.Ok && R2.Ok) << W.Routine;
-    EXPECT_TRUE(Mem1 == Mem2) << W.Routine << ": backends diverged";
-    EXPECT_EQ(R1.IntReturn, R2.IntReturn) << W.Routine;
+    EXPECT_EQ(compareRuns(M1, R1, Mem1, R2, Mem2), "")
+        << W.Routine << ": backends diverged";
   }
 }
 
@@ -418,7 +412,6 @@ TEST(LinearScanAllocTest, PieceTableIsWellFormedOnRandomPrograms) {
     Simulator Sim(M);
     MemoryImage Golden(M);
     ExecutionResult G = Sim.runVirtual(F, Golden);
-    ASSERT_TRUE(G.Ok) << "seed " << Seed;
 
     AllocatorConfig C = linearScanConfig(4, 4);
     AllocationResult A = allocateRegisters(F, C);
@@ -455,12 +448,11 @@ TEST(LinearScanAllocTest, PieceTableIsWellFormedOnRandomPrograms) {
     EXPECT_TRUE(auditAllocation(F, A).empty()) << "seed " << Seed;
     MemoryImage Mem(M);
     ExecutionResult R = Sim.runAllocated(F, A, Mem);
-    ASSERT_TRUE(R.Ok) << "seed " << Seed << ": " << R.Error;
     // The differential is the real oracle: a missing inter-piece move
     // leaves the value in the old register and diverges the image. A
     // cut inside a lifetime hole legitimately executes zero moves, so
     // SplitMoves itself carries no lower bound here.
-    EXPECT_TRUE(Mem == Golden) << "seed " << Seed;
+    EXPECT_EQ(compareRuns(M, G, Golden, R, Mem), "") << "seed " << Seed;
   }
   EXPECT_GT(PiecedAllocations, 0u)
       << "expected at least one converged piece-publishing allocation "

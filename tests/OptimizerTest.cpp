@@ -37,7 +37,6 @@ TEST_P(OptimizerWorkload, PreservesSemanticsAndVerifies) {
   MemoryImage Golden(M);
   W->Init(M, Golden);
   ExecutionResult GoldenRun = Sim.runVirtual(F, Golden);
-  ASSERT_TRUE(GoldenRun.Ok) << GoldenRun.Error;
 
   OptStats S = optimizeFunction(F);
   (void)S;
@@ -47,10 +46,8 @@ TEST_P(OptimizerWorkload, PreservesSemanticsAndVerifies) {
   MemoryImage Mem(M);
   W->Init(M, Mem);
   ExecutionResult Run = Sim.runVirtual(F, Mem);
-  ASSERT_TRUE(Run.Ok) << Run.Error;
-  EXPECT_TRUE(Mem == Golden) << "optimization changed program results";
-  EXPECT_EQ(Run.IntReturn, GoldenRun.IntReturn);
-  EXPECT_EQ(Run.FloatReturn, GoldenRun.FloatReturn);
+  EXPECT_EQ(compareRuns(M, GoldenRun, Golden, Run, Mem), "")
+      << "optimization changed program results";
 
   // Optimized code must still allocate and still compute the same
   // results through physical registers.
@@ -61,8 +58,7 @@ TEST_P(OptimizerWorkload, PreservesSemanticsAndVerifies) {
   MemoryImage Mem2(M);
   W->Init(M, Mem2);
   ExecutionResult Run2 = Sim.runAllocated(F, A, Mem2);
-  ASSERT_TRUE(Run2.Ok) << Run2.Error;
-  EXPECT_TRUE(Mem2 == Golden);
+  EXPECT_EQ(compareRuns(M, GoldenRun, Golden, Run2, Mem2), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRoutines, OptimizerWorkload, [] {
@@ -142,7 +138,6 @@ TEST(OptimizerUnits, StrengthReducesAddressComputation) {
   Simulator Sim(M);
   MemoryImage Golden(M);
   ExecutionResult G = Sim.runVirtual(F, Golden);
-  ASSERT_TRUE(G.Ok);
 
   unsigned Created = reduceStrength(F);
   EXPECT_EQ(Created, 1u);
@@ -154,8 +149,7 @@ TEST(OptimizerUnits, StrengthReducesAddressComputation) {
 
   MemoryImage Mem(M);
   ExecutionResult R = Sim.runVirtual(F, Mem);
-  ASSERT_TRUE(R.Ok);
-  EXPECT_TRUE(Mem == Golden);
+  EXPECT_EQ(compareRuns(M, G, Golden, R, Mem), "");
 }
 
 TEST(OptimizerUnits, StructuredLoopsAlreadyHavePreheaders) {
@@ -426,8 +420,8 @@ TEST(ConservativeCoalesceTest, EndToEndEquivalentToAggressive) {
     W->Init(M2, Mem2);
     ExecutionResult R1 = S1.runAllocated(F1, A1, Mem1);
     ExecutionResult R2 = S2.runAllocated(F2, A2, Mem2);
-    ASSERT_TRUE(R1.Ok && R2.Ok) << Name;
-    EXPECT_TRUE(Mem1 == Mem2) << Name << ": policies must agree on results";
+    EXPECT_EQ(compareRuns(M1, R1, Mem1, R2, Mem2), "")
+        << Name << ": policies must agree on results";
   }
 }
 

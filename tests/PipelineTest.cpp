@@ -84,9 +84,7 @@ TEST_P(PipelineTest, SumLoopMatchesVirtualRun) {
 
   MemoryImage Mem(P.M);
   ExecutionResult Run = Sim.runAllocated(*P.F, A, Mem);
-  ASSERT_TRUE(Run.Ok) << Run.Error;
-  EXPECT_EQ(Run.IntReturn, Golden.IntReturn);
-  EXPECT_TRUE(Mem == GoldenMem);
+  EXPECT_EQ(compareRuns(P.M, Golden, GoldenMem, Run, Mem), "");
 }
 
 TEST_P(PipelineTest, TightRegisterFileForcesSpillsButStaysCorrect) {
@@ -94,7 +92,6 @@ TEST_P(PipelineTest, TightRegisterFileForcesSpillsButStaysCorrect) {
   Simulator Sim(P.M);
   MemoryImage GoldenMem(P.M);
   ExecutionResult Golden = Sim.runVirtual(*P.F, GoldenMem);
-  ASSERT_TRUE(Golden.Ok) << Golden.Error;
 
   AllocatorConfig C;
   C.H = GetParam();
@@ -104,9 +101,7 @@ TEST_P(PipelineTest, TightRegisterFileForcesSpillsButStaysCorrect) {
 
   MemoryImage Mem(P.M);
   ExecutionResult Run = Sim.runAllocated(*P.F, A, Mem);
-  ASSERT_TRUE(Run.Ok) << Run.Error;
-  EXPECT_EQ(Run.IntReturn, Golden.IntReturn);
-  EXPECT_TRUE(Mem == GoldenMem);
+  EXPECT_EQ(compareRuns(P.M, Golden, GoldenMem, Run, Mem), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllHeuristics, PipelineTest,

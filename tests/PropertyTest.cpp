@@ -23,29 +23,25 @@ using namespace ra;
 
 namespace {
 
-struct Golden {
-  int64_t IntReturn = 0;
-  double FloatReturn = 0;
-  uint64_t Instructions = 0;
+/// One seed's program and its virtual-register reference run, which
+/// every transformed run of the program must match.
+class RandomPrograms : public ::testing::TestWithParam<uint64_t> {
+protected:
+  void SetUp() override {
+    Function &F = buildRandomProgram(RefM, GetParam(), C);
+    EXPECT_TRUE(verifyFunction(RefM, F).empty()) << "seed " << GetParam();
+    RefMem.emplace(RefM);
+    Ref = Simulator(RefM).runVirtual(F, *RefMem);
+  }
+
+  RandomProgramConfig C;
+  Module RefM;
+  std::optional<MemoryImage> RefMem;
+  ExecutionResult Ref;
 };
-
-Golden runGolden(uint64_t Seed, const RandomProgramConfig &C) {
-  Module M;
-  Function &F = buildRandomProgram(M, Seed, C);
-  EXPECT_TRUE(verifyFunction(M, F).empty()) << "seed " << Seed;
-  Simulator Sim(M);
-  MemoryImage Mem(M);
-  ExecutionResult R = Sim.runVirtual(F, Mem);
-  EXPECT_TRUE(R.Ok) << "seed " << Seed << ": " << R.Error;
-  return {R.IntReturn, R.FloatReturn, R.Instructions};
-}
-
-class RandomPrograms : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RandomPrograms, AllocationIsTransparentAtEveryFileSize) {
   uint64_t Seed = GetParam();
-  RandomProgramConfig C;
-  Golden G = runGolden(Seed, C);
 
   for (Heuristic H :
        {Heuristic::Chaitin, Heuristic::Briggs, Heuristic::MatulaBeck}) {
@@ -64,18 +60,14 @@ TEST_P(RandomPrograms, AllocationIsTransparentAtEveryFileSize) {
       Simulator Sim(M);
       MemoryImage Mem(M);
       ExecutionResult R = Sim.runAllocated(F, A, Mem);
-      ASSERT_TRUE(R.Ok) << R.Error;
-      EXPECT_EQ(R.IntReturn, G.IntReturn)
+      EXPECT_EQ(compareRuns(M, Ref, *RefMem, R, Mem), "")
           << "seed " << Seed << " " << heuristicName(H) << " k=" << K;
-      EXPECT_EQ(R.FloatReturn, G.FloatReturn);
     }
   }
 }
 
 TEST_P(RandomPrograms, OptimizerIsTransparent) {
   uint64_t Seed = GetParam();
-  RandomProgramConfig C;
-  Golden G = runGolden(Seed, C);
 
   Module M;
   Function &F = buildRandomProgram(M, Seed, C);
@@ -85,14 +77,11 @@ TEST_P(RandomPrograms, OptimizerIsTransparent) {
   Simulator Sim(M);
   MemoryImage Mem(M);
   ExecutionResult R = Sim.runVirtual(F, Mem);
-  ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_EQ(R.IntReturn, G.IntReturn) << "seed " << Seed;
-  EXPECT_EQ(R.FloatReturn, G.FloatReturn) << "seed " << Seed;
+  EXPECT_EQ(compareRuns(M, Ref, *RefMem, R, Mem), "") << "seed " << Seed;
 }
 
 TEST_P(RandomPrograms, BriggsFirstPassSpillsSubsetOfChaitin) {
   uint64_t Seed = GetParam();
-  RandomProgramConfig C;
 
   Module M1, M2;
   Function &F1 = buildRandomProgram(M1, Seed, C);
@@ -119,8 +108,6 @@ TEST_P(RandomPrograms, BriggsFirstPassSpillsSubsetOfChaitin) {
 
 TEST_P(RandomPrograms, OptimizedProgramsAllocateAndMatch) {
   uint64_t Seed = GetParam();
-  RandomProgramConfig C;
-  Golden G = runGolden(Seed, C);
 
   Module M;
   Function &F = buildRandomProgram(M, Seed, C);
@@ -133,9 +120,7 @@ TEST_P(RandomPrograms, OptimizedProgramsAllocateAndMatch) {
   Simulator Sim(M);
   MemoryImage Mem(M);
   ExecutionResult R = Sim.runAllocated(F, A, Mem);
-  ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_EQ(R.IntReturn, G.IntReturn) << "seed " << Seed;
-  EXPECT_EQ(R.FloatReturn, G.FloatReturn) << "seed " << Seed;
+  EXPECT_EQ(compareRuns(M, Ref, *RefMem, R, Mem), "") << "seed " << Seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPrograms,

@@ -60,7 +60,6 @@ TEST_P(WorkloadPipeline, AllocatedRunMatchesVirtualRun) {
   MemoryImage Golden(M);
   W->Init(M, Golden);
   ExecutionResult GoldenRun = Sim.runVirtual(F, Golden);
-  ASSERT_TRUE(GoldenRun.Ok) << GoldenRun.Error;
 
   AllocatorConfig C;
   C.H = GetParam().H;
@@ -73,10 +72,8 @@ TEST_P(WorkloadPipeline, AllocatedRunMatchesVirtualRun) {
   MemoryImage Mem(M);
   W->Init(M, Mem);
   ExecutionResult Run = Sim.runAllocated(F, A, Mem);
-  ASSERT_TRUE(Run.Ok) << Run.Error;
-  EXPECT_TRUE(Mem == Golden) << "allocated code changed program results";
-  EXPECT_EQ(Run.IntReturn, GoldenRun.IntReturn);
-  EXPECT_EQ(Run.FloatReturn, GoldenRun.FloatReturn);
+  EXPECT_EQ(compareRuns(M, GoldenRun, Golden, Run, Mem), "")
+      << "allocated code changed program results";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -184,8 +181,7 @@ TEST(WorkloadFunctional, QuicksortSortsAndAllocatedRunsMatch) {
     initQuicksortMemory(M2, Mem);
     Simulator Sim2(M2);
     ExecutionResult R2 = Sim2.runAllocated(F2, A, Mem);
-    ASSERT_TRUE(R2.Ok) << R2.Error;
-    EXPECT_EQ(Mem.intArray(M2.findArray("data")), Expect)
+    EXPECT_EQ(compareRuns(M, R, Golden, R2, Mem), "")
         << "k=" << K << " allocation broke sorting";
   }
 }

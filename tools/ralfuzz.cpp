@@ -222,12 +222,6 @@ bool runOne(const FuzzCase &FC, AllocatorChoice AC, const RunPolicy &P,
   SimOptions SO{.MaxInstructions = P.MaxInstructions};
   MemoryImage GoldenMem(M);
   ExecutionResult Golden = Sim.runVirtual(F, GoldenMem, SO);
-  if (!Golden.Ok)
-    return Fail(std::string(Golden.Diag.code() ==
-                                    StatusCode::DeadlineExceeded
-                                ? "golden (virtual) run hung: "
-                                : "golden (virtual) run trapped: ") +
-                Golden.Error);
 
   AllocatorConfig C;
   C.B = AC.B;
@@ -279,22 +273,9 @@ bool runOne(const FuzzCase &FC, AllocatorChoice AC, const RunPolicy &P,
   // Check 3: differential oracle against the golden run.
   MemoryImage Mem(M);
   ExecutionResult R = Sim.runAllocated(F, A, Mem, SO);
-  if (!R.Ok)
-    return Fail(std::string(R.Diag.code() == StatusCode::DeadlineExceeded
-                                ? "allocated run hung: "
-                                : "allocated run trapped: ") +
-                R.Error);
-  if (R.HasIntReturn != Golden.HasIntReturn ||
-      R.IntReturn != Golden.IntReturn)
-    return Fail("int return diverged: golden " +
-                std::to_string(Golden.IntReturn) + ", allocated " +
-                std::to_string(R.IntReturn));
-  if (R.HasFloatReturn != Golden.HasFloatReturn ||
-      !MemoryImage::doubleSemanticallyEqual(R.FloatReturn,
-                                            Golden.FloatReturn))
-    return Fail("float return diverged");
-  if (!(Mem == GoldenMem))
-    return Fail("memory image diverged after allocation");
+  std::string Diff = compareRuns(M, Golden, GoldenMem, R, Mem);
+  if (!Diff.empty())
+    return Fail("allocated run vs golden: " + Diff);
   if (Cap) {
     Cap->Mem = std::move(Mem);
     Cap->R = R;
@@ -386,30 +367,19 @@ bool runSeed(const FuzzCase &FC, const std::vector<AllocatorChoice> &Allocs,
   // return values. (Each run already matched the virtual golden run, so
   // a disagreement here means the goldens diverged too — checking
   // pairwise keeps the oracle independent of that argument and names
-  // the exact pair in the failure.)
+  // the exact pair in the failure.) Every run's module has the same
+  // arrays, so one rebuilt copy names them.
+  Module M;
+  buildRandomProgram(M, FC.Seed, FC.Shape);
   for (size_t I = 0; I < Allocs.size(); ++I)
     for (size_t J = I + 1; J < Allocs.size(); ++J) {
-      auto Pair = [&] {
-        return std::string(Allocs[I].name()) + " vs " + Allocs[J].name() +
-               " int=" + std::to_string(FC.IntK) +
-               " flt=" + std::to_string(FC.FltK);
-      };
       const CapturedRun &A = Runs[I], &B = Runs[J];
-      if (A.R.HasIntReturn != B.R.HasIntReturn ||
-          A.R.IntReturn != B.R.IntReturn) {
-        Failure = Pair() + ": int return diverged across backends (" +
-                  std::to_string(A.R.IntReturn) + " vs " +
-                  std::to_string(B.R.IntReturn) + ")";
-        return false;
-      }
-      if (A.R.HasFloatReturn != B.R.HasFloatReturn ||
-          !MemoryImage::doubleSemanticallyEqual(A.R.FloatReturn,
-                                                B.R.FloatReturn)) {
-        Failure = Pair() + ": float return diverged across backends";
-        return false;
-      }
-      if (!(*A.Mem == *B.Mem)) {
-        Failure = Pair() + ": memory image diverged across backends";
+      std::string Diff = compareRuns(M, A.R, *A.Mem, B.R, *B.Mem);
+      if (!Diff.empty()) {
+        Failure = std::string(Allocs[I].name()) + " vs " + Allocs[J].name() +
+                  " int=" + std::to_string(FC.IntK) +
+                  " flt=" + std::to_string(FC.FltK) +
+                  ": backends diverged: " + Diff;
         return false;
       }
     }
