@@ -10,7 +10,9 @@
 // optimistic heuristic (New), with percentage improvements, plus the
 // whole-program dynamic improvement measured by the cycle-counting
 // simulator. Sixteen integer registers, eight floating-point — the
-// IBM RT/PC configuration.
+// IBM RT/PC configuration. Every allocated run is checked against the
+// routine's virtual-register run with compareRuns; any difference exits
+// 1.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <string>
 
 using namespace ra;
 
@@ -42,6 +45,15 @@ RoutineResult measure(const Workload &W) {
   RoutineResult R;
   R.Timed = W.Timed;
   CostModel CM = CostModel::rtpc();
+
+  // The virtual-register run of the optimized routine: both
+  // heuristics' allocated runs must reproduce it.
+  Module RefM;
+  Function &RefF = W.Build(RefM);
+  optimizeFunction(RefF);
+  MemoryImage RefMem(RefM);
+  W.Init(RefM, RefMem);
+  ExecutionResult Ref = Simulator(RefM, CM).runVirtual(RefF, RefMem);
 
   for (Heuristic H : {Heuristic::Chaitin, Heuristic::Briggs}) {
     Module M;
@@ -62,9 +74,12 @@ RoutineResult measure(const Workload &W) {
     MemoryImage Mem(M);
     W.Init(M, Mem);
     ExecutionResult Run = Sim.runAllocated(F, A, Mem);
-    if (!Run.Ok)
-      std::fprintf(stderr, "simulation trapped for %s: %s\n",
-                   W.Routine.c_str(), Run.Error.c_str());
+    std::string Diff = compareRuns(RefM, Ref, RefMem, Run, Mem);
+    if (!Diff.empty()) {
+      std::fprintf(stderr, "%s (%s): %s\n", W.Routine.c_str(),
+                   heuristicName(H), Diff.c_str());
+      std::exit(1);
+    }
 
     if (H == Heuristic::Chaitin) {
       R.SpilledOld = A.Stats.firstPassSpills();

@@ -11,7 +11,9 @@
 // integers. The paper's findings to reproduce: both methods agree at 16
 // registers, the optimistic method wins increasingly as the file
 // shrinks, and an inadequate register set costs real time (27% slower
-// and 17% more code at 8 registers, old method).
+// and 17% more code at 8 registers, old method). Every allocated run is
+// checked against the virtual-register run with compareRuns; any
+// difference exits 1.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +25,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
+#include <string>
 
 using namespace ra;
 
@@ -40,7 +44,27 @@ struct Config {
   double Seconds = 0;
 };
 
-Config measure(unsigned K, Heuristic H) {
+/// One simulated sort's instruction ceiling: the sort runs past the
+/// default 2^32 instructions.
+const SimOptions SortRun{.MaxInstructions = 1ull << 33};
+
+/// The virtual-register run of the optimized sort; every allocation's
+/// run must reproduce it.
+struct Reference {
+  Module M;
+  std::optional<MemoryImage> Mem;
+  ExecutionResult Run;
+
+  Reference() {
+    Function &F = buildQuicksort(M, SortN);
+    optimizeFunction(F);
+    Mem.emplace(M);
+    initQuicksortMemory(M, *Mem);
+    Run = Simulator(M).runVirtual(F, *Mem, SortRun);
+  }
+};
+
+Config measure(unsigned K, Heuristic H, const Reference &Ref) {
   Config R;
   Module M;
   Function &F = buildQuicksort(M, SortN);
@@ -64,10 +88,13 @@ Config measure(unsigned K, Heuristic H) {
   MemoryImage Mem(M);
   initQuicksortMemory(M, Mem);
   Simulator Sim(M);
-  ExecutionResult Run = Sim.runAllocated(F, A, Mem, SimOptions{.MaxInstructions = 1ull << 33});
-  if (!Run.Ok)
-    std::fprintf(stderr, "simulation trapped at k=%u: %s\n", K,
-                 Run.Error.c_str());
+  ExecutionResult Run = Sim.runAllocated(F, A, Mem, SortRun);
+  std::string Diff = compareRuns(Ref.M, Ref.Run, *Ref.Mem, Run, Mem);
+  if (!Diff.empty()) {
+    std::fprintf(stderr, "%s at k=%u: %s\n", heuristicName(H), K,
+                 Diff.c_str());
+    std::exit(1);
+  }
   R.Seconds = double(Run.Cycles) / ClockHz;
   return R;
 }
@@ -83,9 +110,10 @@ int main() {
            "Pct.", "Object Old", "New", "Pct.", "Time Old", "New",
            "Pct."});
 
+  const Reference Ref;
   for (unsigned K : {16u, 14u, 12u, 10u, 8u}) {
-    Config Old = measure(K, Heuristic::Chaitin);
-    Config New = measure(K, Heuristic::Briggs);
+    Config Old = measure(K, Heuristic::Chaitin, Ref);
+    Config New = measure(K, Heuristic::Briggs, Ref);
     T.addRow({std::to_string(K), Table::withCommas(Old.Spilled),
               Table::withCommas(New.Spilled),
               Table::pctImprovement(Old.Spilled, New.Spilled),

@@ -7,7 +7,8 @@
 // Quickstart: write a small function in the textual IR, run it, then
 // allocate registers with Chaitin's heuristic and with the paper's
 // optimistic heuristic and compare. Shows the three API layers a user
-// touches: parse (or IRBuilder), allocateRegisters, Simulator.
+// touches: parse (or IRBuilder), allocateRegisters, Simulator (with
+// compareRuns to check an allocated run against the virtual one).
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 #include "sim/Simulator.h"
 
 #include <cstdio>
+#include <string>
 
 using namespace ra;
 
@@ -72,6 +74,10 @@ int main() {
     Mem.floatArray(M.findArray("y"))[I] = 2.0;
   }
   ExecutionResult Golden = Sim.runVirtual(F, Mem);
+  if (!Golden.Ok) {
+    std::fprintf(stderr, "virtual run trapped: %s\n", Golden.Error.c_str());
+    return 1;
+  }
   std::printf("virtual run: result %.2f in %llu cycles\n",
               Golden.FloatReturn, (unsigned long long)Golden.Cycles);
 
@@ -86,6 +92,11 @@ int main() {
     C.H = H;
     C.Machine = MachineInfo(3, 3); // very constrained, forces spills
     AllocationResult A = allocateRegisters(F2, C);
+    if (!A.Success) {
+      std::fprintf(stderr, "%s: allocation failed: %s\n", heuristicName(H),
+                   A.Diag.toString().c_str());
+      return 1;
+    }
 
     MemoryImage Mem2(M2);
     for (unsigned I = 0; I < 64; ++I) {
@@ -94,6 +105,12 @@ int main() {
     }
     Simulator Sim2(M2);
     ExecutionResult Run = Sim2.runAllocated(F2, A, Mem2);
+    // The allocated code must compute exactly what the virtual run did.
+    std::string Diff = compareRuns(M2, Golden, Mem, Run, Mem2);
+    if (!Diff.empty()) {
+      std::fprintf(stderr, "%s: %s\n", heuristicName(H), Diff.c_str());
+      return 1;
+    }
     std::printf("%-8s: result %.2f, %u pass(es), %u live ranges "
                 "spilled, %llu cycles (%llu spill)\n",
                 heuristicName(H), Run.FloatReturn, A.Stats.numPasses(),
@@ -108,7 +125,10 @@ int main() {
   Function &F3 = *M3.findFunction("sdot");
   AllocatorConfig C;
   C.Machine = MachineInfo(3, 3);
-  allocateRegisters(F3, C);
+  if (!allocateRegisters(F3, C).Success) {
+    std::fprintf(stderr, "allocation failed\n");
+    return 1;
+  }
   std::printf("%s", printFunction(M3, F3).c_str());
   return 0;
 }

@@ -23,7 +23,9 @@ using namespace ra;
 
 namespace {
 
-void report(Heuristic H) {
+/// Prints one heuristic's allocation; false when the allocation failed
+/// or its simulated run trapped.
+bool report(Heuristic H) {
   const Workload *W = findWorkload("SVD");
   Module M;
   Function &F = W->Build(M);
@@ -32,6 +34,11 @@ void report(Heuristic H) {
   AllocatorConfig C;
   C.H = H;
   AllocationResult A = allocateRegisters(F, C);
+  if (!A.Success) {
+    std::fprintf(stderr, "%s: allocation failed: %s\n", heuristicName(H),
+                 A.Diag.toString().c_str());
+    return false;
+  }
 
   std::printf("=== %s ===\n", heuristicName(H));
   std::printf("passes: %u, coalesced copies: %u\n", A.Stats.numPasses(),
@@ -54,11 +61,17 @@ void report(Heuristic H) {
   MemoryImage Mem(M);
   W->Init(M, Mem);
   ExecutionResult Run = Sim.runAllocated(F, A, Mem);
+  if (!Run.Ok) {
+    std::fprintf(stderr, "%s: simulation trapped: %s\n", heuristicName(H),
+                 Run.Error.c_str());
+    return false;
+  }
   std::printf("simulated: %llu cycles (%llu in spill code, %llu spill "
               "ops), result %.6f\n\n",
               (unsigned long long)Run.Cycles,
               (unsigned long long)Run.SpillCycles,
               (unsigned long long)Run.SpillOps, Run.FloatReturn);
+  return true;
 }
 
 } // namespace
@@ -67,7 +80,5 @@ int main() {
   std::printf("SVD case study (Figure 1 structure): how deferring the\n"
               "spill decision cleans up the simplification phase's bad "
               "choices.\n\n");
-  report(Heuristic::Chaitin);
-  report(Heuristic::Briggs);
-  return 0;
+  return report(Heuristic::Chaitin) && report(Heuristic::Briggs) ? 0 : 1;
 }

@@ -11,6 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <utility>
+
 using namespace ra;
 
 namespace {
@@ -200,6 +204,125 @@ TEST(MemoryImageTest, TypedStorageAndEquality) {
   EXPECT_TRUE(M1 == M2);
   M1.floatArray(B)[0] = 0.5;
   EXPECT_FALSE(M1 == M2);
+}
+
+//===--------------------------------------------------------------------===//
+// compareRuns: one case per difference it names, in its order.
+//===--------------------------------------------------------------------===//
+
+/// Two finished runs over a module with one int and one float array;
+/// each case sets the fields it needs by hand.
+struct RunPair {
+  Module M;
+  uint32_t Ints = M.newArray("ints", 4, RegClass::Int);
+  uint32_t Flts = M.newArray("flts", 4, RegClass::Float);
+  MemoryImage RefMem{M}, GotMem{M};
+  ExecutionResult Ref, Got;
+
+  RunPair() { Ref.Ok = Got.Ok = true; }
+  std::string compare() const {
+    return compareRuns(M, Ref, RefMem, Got, GotMem);
+  }
+};
+
+double nanWithPayload(uint64_t Bits) {
+  double D;
+  std::memcpy(&D, &Bits, sizeof(D));
+  EXPECT_TRUE(std::isnan(D));
+  return D;
+}
+
+TEST(CompareRunsTest, AgreeingRunsGiveEmptyString) {
+  Fixture T;
+  uint32_t A = T.M.newArray("a", 2, RegClass::Int);
+  VRegId Idx = T.B.movI(1);
+  VRegId V = T.B.movI(9);
+  T.B.store(A, Idx, V);
+  T.B.ret(V);
+  Simulator Sim(T.M);
+  MemoryImage RefMem(T.M), GotMem(T.M);
+  ExecutionResult Ref = Sim.runVirtual(*T.F, RefMem);
+  ExecutionResult Got = Sim.runVirtual(*T.F, GotMem);
+  EXPECT_EQ(compareRuns(T.M, Ref, RefMem, Got, GotMem), "");
+  EXPECT_EQ(RunPair().compare(), "");
+}
+
+TEST(CompareRunsTest, TellsATrapFromAHang) {
+  Fixture Trap, Hang;
+  Trap.B.div(Trap.B.movI(1), Trap.B.movI(0));
+  Trap.B.ret();
+  uint32_t Loop = Hang.B.newBlock("loop");
+  Hang.B.jmp(Loop);
+  Hang.B.setInsertPoint(Loop);
+  Hang.B.jmp(Loop);
+  MemoryImage TrapMem(Trap.M), HangMem(Hang.M);
+  ExecutionResult Trapped = Simulator(Trap.M).runVirtual(*Trap.F, TrapMem);
+  ExecutionResult Hung = Simulator(Hang.M).runVirtual(
+      *Hang.F, HangMem, SimOptions{.MaxInstructions = 1000});
+
+  EXPECT_EQ(compareRuns(Trap.M, Trapped, TrapMem, Hung, HangMem),
+            "reference run trapped: " + Trapped.Error);
+  EXPECT_EQ(compareRuns(Trap.M, Hung, HangMem, Trapped, TrapMem),
+            "reference run hung: " + Hung.Error);
+  RunPair P;
+  EXPECT_EQ(compareRuns(P.M, P.Ref, P.RefMem, Trapped, P.GotMem),
+            "checked run trapped: " + Trapped.Error);
+  EXPECT_EQ(compareRuns(P.M, P.Ref, P.RefMem, Hung, P.GotMem),
+            "checked run hung: " + Hung.Error);
+}
+
+TEST(CompareRunsTest, IntReturnPresenceThenValue) {
+  RunPair P;
+  P.GotMem.intArray(P.Ints)[0] = 1; // reported only after the returns
+  P.Ref.HasIntReturn = true;
+  P.Ref.IntReturn = P.Got.IntReturn = 5;
+  EXPECT_EQ(P.compare(),
+            "int return differs: reference present, checked absent");
+  P.Got.HasIntReturn = true;
+  P.Got.IntReturn = 7;
+  EXPECT_EQ(P.compare(), "int return differs: reference 5, checked 7");
+}
+
+TEST(CompareRunsTest, FloatReturnPresenceThenSignedZero) {
+  RunPair P;
+  P.GotMem.floatArray(P.Flts)[0] = 1; // reported only after the returns
+  P.Got.HasFloatReturn = true;
+  EXPECT_EQ(P.compare(),
+            "float return differs: reference absent, checked present");
+  P.Ref.HasFloatReturn = true;
+  P.Got.FloatReturn = -0.0;
+  EXPECT_EQ(P.compare(), "float return differs: reference 0, checked -0");
+}
+
+TEST(CompareRunsTest, NaNsWithDifferentPayloadsAgree) {
+  RunPair P;
+  P.Ref.HasFloatReturn = P.Got.HasFloatReturn = true;
+  P.Ref.FloatReturn = nanWithPayload(0x7FF8000000000001ull);
+  P.Got.FloatReturn = nanWithPayload(0xFFF8000000000002ull);
+  P.RefMem.floatArray(P.Flts)[1] = nanWithPayload(0x7FF0000000000003ull);
+  P.GotMem.floatArray(P.Flts)[1] = nanWithPayload(0x7FF8000000000000ull);
+  EXPECT_EQ(P.compare(), "");
+}
+
+TEST(CompareRunsTest, NaNAgainstANumberDiffers) {
+  RunPair P;
+  P.Ref.HasFloatReturn = P.Got.HasFloatReturn = true;
+  P.Ref.FloatReturn = 1.5;
+  P.Got.FloatReturn = std::nan("");
+  EXPECT_EQ(P.compare(), "float return differs: reference 1.5, checked nan");
+  std::swap(P.Ref.FloatReturn, P.Got.FloatReturn);
+  EXPECT_EQ(P.compare(), "float return differs: reference nan, checked 1.5");
+}
+
+TEST(CompareRunsTest, NamesTheFirstDifferingArrayElement) {
+  RunPair P;
+  P.GotMem.floatArray(P.Flts)[3] = 0.5;
+  EXPECT_EQ(P.compare(), "flts[3] differs: reference 0, checked 0.5");
+  P.GotMem.intArray(P.Ints)[2] = -4; // a lower array id is reported first
+  EXPECT_EQ(P.compare(), "ints[2] differs: reference 0, checked -4");
+  P.GotMem.intArray(P.Ints)[2] = 0;
+  P.GotMem.floatArray(P.Flts)[3] = -0.0; // memory keeps the zero's sign
+  EXPECT_EQ(P.compare(), "flts[3] differs: reference 0, checked -0");
 }
 
 } // namespace
