@@ -33,9 +33,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "AuditReference.h"
+#include "Corpus.h"
 
 #include "analysis/Liveness.h"
-#include "ir/IRParser.h"
 #include "opt/Optimizer.h"
 #include "regalloc/AllocationAudit.h"
 #include "support/Rng.h"
@@ -46,9 +46,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 
 using namespace ra;
 
@@ -285,25 +282,12 @@ TEST(AuditDiffTest, Figure5Routines) {
 }
 
 TEST(AuditDiffTest, Corpus) {
-  std::vector<std::filesystem::path> Files;
-  for (const auto &E : std::filesystem::directory_iterator(
-           std::string(RA_TESTS_DIR) + "/corpus"))
-    if (E.path().extension() == ".ral")
-      Files.push_back(E.path());
-  std::sort(Files.begin(), Files.end());
-  ASSERT_FALSE(Files.empty());
   Verdicts V;
   uint64_t Seed = 100;
-  for (const std::filesystem::path &P : Files) {
-    std::ifstream In(P);
-    std::stringstream Text;
-    Text << In.rdbuf();
-    Module M;
-    std::string Error;
-    ASSERT_TRUE(parseModule(Text.str(), M, Error)) << P << ": " << Error;
-    for (unsigned I = 0; I < M.numFunctions(); ++I)
-      checkAllocations(M.function(I), Seed++, P.filename().string(), V);
-  }
+  forEachCorpusFunction(
+      [&](Module &, Function &F, const std::string &File) {
+        checkAllocations(F, Seed++, File, V);
+      });
   expectBothVerdicts(V);
 }
 

@@ -25,9 +25,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "BuildGraphReference.h"
+#include "Corpus.h"
 
 #include "analysis/Renumber.h"
-#include "ir/IRParser.h"
 #include "opt/Optimizer.h"
 #include "regalloc/SpillInserter.h"
 #include "support/Rng.h"
@@ -38,9 +38,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 
 using namespace ra;
 
@@ -140,24 +137,11 @@ TEST(BuildGraphDiffTest, Figure5Routines) {
 }
 
 TEST(BuildGraphDiffTest, Corpus) {
-  std::vector<std::filesystem::path> Files;
-  for (const auto &E : std::filesystem::directory_iterator(
-           std::string(RA_TESTS_DIR) + "/corpus"))
-    if (E.path().extension() == ".ral")
-      Files.push_back(E.path());
-  std::sort(Files.begin(), Files.end());
-  ASSERT_FALSE(Files.empty());
   uint64_t Seed = 100;
-  for (const std::filesystem::path &P : Files) {
-    std::ifstream In(P);
-    std::stringstream Text;
-    Text << In.rdbuf();
-    Module M;
-    std::string Error;
-    ASSERT_TRUE(parseModule(Text.str(), M, Error)) << P << ": " << Error;
-    for (unsigned I = 0; I < M.numFunctions(); ++I)
-      checkBothPasses(M.function(I), Seed++, P.filename().string());
-  }
+  forEachCorpusFunction(
+      [&](Module &, Function &F, const std::string &File) {
+        checkBothPasses(F, Seed++, File);
+      });
 }
 
 TEST(BuildGraphDiffTest, RandomPrograms) {

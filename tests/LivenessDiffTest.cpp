@@ -15,11 +15,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Corpus.h"
 #include "LivenessReference.h"
 
 #include "analysis/Renumber.h"
 #include "ir/IRBuilder.h"
-#include "ir/IRParser.h"
 #include "opt/Optimizer.h"
 #include "workloads/MegaKernel.h"
 #include "workloads/RandomProgram.h"
@@ -28,10 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <functional>
-#include <sstream>
 
 using namespace ra;
 
@@ -59,23 +56,10 @@ TEST(LivenessDiffTest, Figure5Routines) {
 }
 
 TEST(LivenessDiffTest, Corpus) {
-  std::vector<std::filesystem::path> Files;
-  for (const auto &E : std::filesystem::directory_iterator(
-           std::string(RA_TESTS_DIR) + "/corpus"))
-    if (E.path().extension() == ".ral")
-      Files.push_back(E.path());
-  std::sort(Files.begin(), Files.end());
-  ASSERT_FALSE(Files.empty());
-  for (const std::filesystem::path &P : Files) {
-    std::ifstream In(P);
-    std::stringstream Text;
-    Text << In.rdbuf();
-    Module M;
-    std::string Error;
-    ASSERT_TRUE(parseModule(Text.str(), M, Error)) << P << ": " << Error;
-    for (unsigned I = 0; I < M.numFunctions(); ++I)
-      sameLiveness(M.function(I), P.filename().string());
-  }
+  forEachCorpusFunction(
+      [](Module &, Function &F, const std::string &File) {
+        sameLiveness(F, File);
+      });
 }
 
 TEST(LivenessDiffTest, RandomPrograms) {

@@ -19,10 +19,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Corpus.h"
 #include "RenumberReference.h"
 
 #include "ir/IRBuilder.h"
-#include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "opt/Optimizer.h"
 #include "regalloc/Coalesce.h"
@@ -35,10 +35,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <functional>
-#include <sstream>
 
 using namespace ra;
 
@@ -128,24 +125,11 @@ TEST(RenumberDiffTest, Figure5Routines) {
 }
 
 TEST(RenumberDiffTest, Corpus) {
-  std::vector<std::filesystem::path> Files;
-  for (const auto &E : std::filesystem::directory_iterator(
-           std::string(RA_TESTS_DIR) + "/corpus"))
-    if (E.path().extension() == ".ral")
-      Files.push_back(E.path());
-  std::sort(Files.begin(), Files.end());
-  ASSERT_FALSE(Files.empty());
   uint64_t Seed = 100;
-  for (const std::filesystem::path &P : Files) {
-    std::ifstream In(P);
-    std::stringstream Text;
-    Text << In.rdbuf();
-    Module M;
-    std::string Error;
-    ASSERT_TRUE(parseModule(Text.str(), M, Error)) << P << ": " << Error;
-    for (unsigned I = 0; I < M.numFunctions(); ++I)
-      checkAllStages(M, M.function(I), Seed++, P.filename().string());
-  }
+  forEachCorpusFunction(
+      [&](Module &M, Function &F, const std::string &File) {
+        checkAllStages(M, F, Seed++, File);
+      });
 }
 
 TEST(RenumberDiffTest, RandomPrograms) {
