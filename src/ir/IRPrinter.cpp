@@ -60,6 +60,8 @@ std::string operandText(const Module &M, const Function &F, const Operand &O) {
   case Operand::Kind::FloatImm:
     return floatLit(O.FImm);
   case Operand::Kind::Array:
+    if (O.Array >= M.numArrays())
+      return "@<bad:" + std::to_string(O.Array) + ">";
     return "@" + M.array(O.Array).Name;
   case Operand::Kind::Block:
     return blockName(F, O.Block);
@@ -73,10 +75,13 @@ std::string ra::printInstruction(const Module &M, const Function &F,
                                  const Instruction &I) {
   std::string Out;
   unsigned FirstSrc = 0;
-  if (I.hasDef()) {
-    Out += regName(F, I.defReg());
+  if (I.hasDef() && !I.Ops.empty()) {
+    const Operand &Def = I.Ops[0];
+    Out += operandText(M, F, Def);
     Out += ":";
-    Out += regClassName(F.regClass(I.defReg()));
+    Out += Def.isReg() && Def.Reg < F.numVRegs()
+               ? regClassName(F.regClass(Def.Reg))
+               : "<bad>";
     Out += " = ";
     FirstSrc = 1;
   }
@@ -87,12 +92,13 @@ std::string ra::printInstruction(const Module &M, const Function &F,
   }
 
   // Memory operations print with array-subscript syntax.
-  if (I.Op == Opcode::Load || I.Op == Opcode::FLoad) {
+  if ((I.Op == Opcode::Load || I.Op == Opcode::FLoad) && I.Ops.size() == 3) {
     Out += " " + operandText(M, F, I.Ops[1]) + "[" +
            operandText(M, F, I.Ops[2]) + "]";
     return Out;
   }
-  if (I.Op == Opcode::Store || I.Op == Opcode::FStore) {
+  if ((I.Op == Opcode::Store || I.Op == Opcode::FStore) &&
+      I.Ops.size() == 3) {
     Out += " " + operandText(M, F, I.Ops[1]) + "[" +
            operandText(M, F, I.Ops[2]) + "], " + operandText(M, F, I.Ops[0]);
     return Out;

@@ -345,6 +345,61 @@ TEST(VerifierTest, CatchesBadBlockReference) {
   EXPECT_FALSE(verifyFunction(M, F).empty());
 }
 
+/// A one-block function whose \p Op names register numVRegs() + 1000
+/// and a valid spill slot.
+std::vector<std::string> verifySpillOfOutOfRangeRegister(Opcode Op) {
+  Module M;
+  Function &F = M.newFunction("bad");
+  IRBuilder B(M, F);
+  B.setInsertPoint(B.newBlock("entry"));
+  unsigned Slot = F.newSpillSlot(RegClass::Int);
+  B.emit({Op, {Operand::reg(F.numVRegs() + 1000), Operand::intImm(Slot)}});
+  B.ret();
+  return verifyFunction(M, F);
+}
+
+TEST(VerifierTest, CatchesOutOfRangeSpillLoadRegister) {
+  auto Errors = verifySpillOfOutOfRangeRegister(Opcode::SpillLd);
+  ASSERT_EQ(Errors.size(), 1u);
+  EXPECT_NE(Errors[0].find("register id out of range"), std::string::npos)
+      << Errors[0];
+}
+
+TEST(VerifierTest, CatchesOutOfRangeSpillStoreRegister) {
+  auto Errors = verifySpillOfOutOfRangeRegister(Opcode::SpillSt);
+  ASSERT_EQ(Errors.size(), 1u);
+  EXPECT_NE(Errors[0].find("register id out of range"), std::string::npos)
+      << Errors[0];
+}
+
+// The message quotes the bad instruction, so printing it must not trip
+// an assertion on the operand that is wrong.
+TEST(VerifierTest, QuotesMalformedInstructionsWithoutAborting) {
+  const VRegId X = 0, Bad = 1000;
+  const std::pair<Instruction, const char *> Cases[] = {
+      {{Opcode::MovI, {Operand::reg(Bad), Operand::intImm(1)}},
+       "'%<bad:1000>:<bad> = movi 1': register id out of range"},
+      {{Opcode::MovI, {}}, "'movi': expected 2 operands, found 0"},
+      {{Opcode::Load, {Operand::reg(X), Operand::array(7), Operand::reg(X)}},
+       "'%x.0:int = load @<bad:7>[%x.0]': array id out of range"},
+      {{Opcode::Load, {Operand::reg(X), Operand::array(0)}},
+       "'%x.0:int = load @a': expected 3 operands, found 2"},
+  };
+  for (const auto &[Inst, Error] : Cases) {
+    Module M;
+    M.newArray("a", 4, RegClass::Int);
+    Function &F = M.newFunction("bad");
+    IRBuilder B(M, F);
+    B.setInsertPoint(B.newBlock("entry"));
+    ASSERT_EQ(B.movI(1, B.iReg("x")), X);
+    B.emit(Inst);
+    B.ret();
+    auto Errors = verifyFunction(M, F);
+    ASSERT_EQ(Errors.size(), 1u) << Error;
+    EXPECT_NE(Errors[0].find(Error), std::string::npos) << Errors[0];
+  }
+}
+
 TEST(VerifierTest, AcceptsAllWorkloads) {
   for (const Workload &W : allWorkloads()) {
     Module M;
