@@ -6,9 +6,15 @@
 ///
 /// \file
 /// Structural and type checks over modules: operand signatures per
-/// opcode, register-class agreement, terminator placement, in-range
-/// block/array/slot references, and a forward definite-assignment
-/// dataflow proving every use is preceded by a definition on all paths.
+/// opcode, register-class agreement, terminator placement and in-range
+/// register/block/array/slot references. A function that passes them is
+/// then checked for definite assignment: no use may be reached from the
+/// entry along a path without a def of its register. That is liveness's
+/// own question, so the check asks analysis/Liveness whether the
+/// register is live into the entry block, and only then walks forward
+/// to name the uses. The checks are built in ra_analysis
+/// (analysis/Verifier.cpp); this header stays in ir/ with the IR it
+/// checks.
 ///
 //===----------------------------------------------------------------------===//
 
