@@ -6,6 +6,8 @@
 
 #include "ir/IRParser.h"
 
+#include "support/Trace.h"
+
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -619,6 +621,7 @@ private:
 } // namespace
 
 bool ra::parseModule(const std::string &Text, Module &M, std::string &Error) {
+  RA_TRACE_SPAN("Parse", "ir");
   std::vector<Token> Tokens;
   Lexer L(Text, Error);
   if (!L.run(Tokens))

@@ -15,7 +15,8 @@
 //    performance knobs;
 //  * concurrent clients hammering one service stay consistent;
 //  * a worker exception fails only its own function;
-//  * cache counters flow into an active Trace session.
+//  * cache counters flow into an active Trace session, and the front
+//    end's Parse and Verify spans hold the verifier's liveness solves.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +30,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -296,6 +299,57 @@ TEST(ServiceTest, FansOutOverThePoolsFullWidth) {
         std::string(E.Name) == "ModuleAlloc")
       FanOuts.push_back(E.Detail);
   EXPECT_EQ(FanOuts, std::vector<std::string>{"functions=4;jobs=4"});
+}
+
+// The front end records Parse, then Verify; the Liveness solve the
+// verifier makes for each function nests inside Verify, and no Liveness
+// span of the request sits at the top level of its thread.
+TEST(ServiceTest, VerifierLivenessNestsUnderTheVerifySpan) {
+  Module Src;
+  uint32_t Arr = Src.newArray("a", 64, RegClass::Int);
+  for (unsigned I = 0; I < 3; ++I)
+    buildSum(Src, Arr, "sum" + std::to_string(I), "i");
+  AllocationService Svc;
+  ServiceRequest R;
+  R.Source = printModule(Src);
+
+  trace::beginSession();
+  ServiceReply Reply = Svc.run(R);
+  trace::SessionLog Log = trace::endSession();
+  ASSERT_TRUE(Reply.S.ok()) << Reply.S.toString();
+
+  std::vector<const trace::Event *> Spans;
+  for (const trace::Event &E : Log.Events)
+    if (E.Kind == trace::EventKind::Span)
+      Spans.push_back(&E);
+  auto Named = [&](const char *Name) {
+    std::vector<const trace::Event *> Out;
+    for (const trace::Event *E : Spans)
+      if (!std::strcmp(E->Name, Name))
+        Out.push_back(E);
+    return Out;
+  };
+  auto Inside = [](const trace::Event *In, const trace::Event *Out) {
+    return In != Out && In->Tid == Out->Tid && In->StartNs >= Out->StartNs &&
+           In->StartNs + In->DurNs <= Out->StartNs + Out->DurNs;
+  };
+  std::vector<const trace::Event *> Parse = Named("Parse"),
+                                    Verify = Named("Verify");
+  ASSERT_EQ(Parse.size(), 1u);
+  ASSERT_EQ(Verify.size(), 1u);
+  EXPECT_STREQ(Parse[0]->Category, "ir");
+  EXPECT_STREQ(Verify[0]->Category, "ir");
+  EXPECT_LE(Parse[0]->StartNs + Parse[0]->DurNs, Verify[0]->StartNs);
+  unsigned UnderVerify = 0;
+  for (const trace::Event *L : Named("Liveness")) {
+    UnderVerify += Inside(L, Verify[0]);
+    EXPECT_TRUE(std::any_of(Spans.begin(), Spans.end(),
+                            [&](const trace::Event *P) {
+                              return Inside(L, P);
+                            }))
+        << "a Liveness span at the top level";
+  }
+  EXPECT_EQ(UnderVerify, 3u);
 }
 
 // A worker that throws must fail only its own function, on the inline
