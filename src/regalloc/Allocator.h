@@ -116,11 +116,11 @@ struct AllocatorConfig {
   /// reloading them (off by default: the paper's allocator predates
   /// rematerialization; turn on to measure the refinement).
   bool Rematerialize = false;
-  /// Inert: read only by perfbench; deleted by ROADMAP item 7.
+  /// Inert: read only by perfbench; deleted by ROADMAP item 5.
   bool ParallelGraph = false;
-  /// Inert: read only by perfbench; deleted by ROADMAP item 7.
+  /// Inert: read only by perfbench; deleted by ROADMAP item 5.
   unsigned ParallelGraphJobs = 0;
-  /// Inert: read only by perfbench; deleted by ROADMAP item 7.
+  /// Inert: read only by perfbench; deleted by ROADMAP item 5.
   unsigned ParallelGraphMinNodes = 2048;
   /// Run the independent post-allocation audit (AllocationAudit.h) on
   /// every allocation. An audit failure triggers the spill-everything

@@ -48,11 +48,11 @@ const char *heuristicName(Heuristic H);
 /// Controls for colorGraph. Select is always the paper's one sequential
 /// pass over the coloring stack.
 struct SelectOptions {
-  /// Inert: read only by perfbench; deleted by ROADMAP item 7.
+  /// Inert: read only by perfbench; deleted by ROADMAP item 5.
   bool Parallel = false;
-  /// Inert: read only by perfbench; deleted by ROADMAP item 7.
+  /// Inert: read only by perfbench; deleted by ROADMAP item 5.
   unsigned Threads = 0;
-  /// Inert: read only by perfbench; deleted by ROADMAP item 7.
+  /// Inert: read only by perfbench; deleted by ROADMAP item 5.
   unsigned MinNodes = 2048;
 
   /// Resource-governance token (support/Budget.h), or null for the
@@ -62,7 +62,7 @@ struct SelectOptions {
   Budget *Governor = nullptr;
 };
 
-/// Inert: read only by perfbench; deleted by ROADMAP item 7.
+/// Inert: read only by perfbench; deleted by ROADMAP item 5.
 struct SelectRound {
   uint32_t Conflicts = 0;
 };
@@ -90,7 +90,7 @@ struct ColoringResult {
   /// phase scopes that record the "Simplify" and "Select" spans.
   double SimplifySeconds = 0, SelectSeconds = 0;
 
-  /// Inert, always empty: read only by perfbench; deleted by ROADMAP item 7.
+  /// Inert, always empty: read only by perfbench; deleted by ROADMAP item 5.
   std::vector<SelectRound> SelectRounds;
 
   bool success() const { return Spilled.empty(); }
