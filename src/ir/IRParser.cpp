@@ -294,6 +294,7 @@ private:
     F = &M.newFunction(Name);
     RegsByName.clear();
     BlocksByName.clear();
+    SlotClasses.clear();
 
     // Pre-scan: declare blocks in order so the first one is the entry and
     // forward branch references resolve.
@@ -335,6 +336,9 @@ private:
       if (!parseInstruction(CurBlock))
         return false;
     }
+    // A slot no instruction names keeps the int class.
+    for (std::optional<RegClass> RC : SlotClasses)
+      F->newSpillSlot(RC.value_or(RegClass::Int));
     return expectPunct('}');
   }
 
@@ -423,14 +427,16 @@ private:
     return std::nullopt;
   }
 
-  /// Grows the function's spill-slot table so that \p Slot exists with
-  /// class \p RC (textual spill code may name slots in any order).
-  bool ensureSpillSlot(int64_t Slot, RegClass RC) {
+  /// Records that \p Slot holds class \p RC. Textual spill code may name
+  /// slots in any order; the table is built when the function ends.
+  bool noteSpillSlot(int64_t Slot, RegClass RC) {
     if (Slot < 0)
       return fail("negative spill slot");
-    while (F->numSpillSlots() <= unsigned(Slot))
-      F->newSpillSlot(RC);
-    if (F->spillSlotClass(unsigned(Slot)) != RC)
+    if (SlotClasses.size() <= uint64_t(Slot))
+      SlotClasses.resize(Slot + 1);
+    if (!SlotClasses[Slot])
+      SlotClasses[Slot] = RC;
+    if (*SlotClasses[Slot] != RC)
       return fail("spill slot " + std::to_string(Slot) +
                   " used with two classes");
     return true;
@@ -561,7 +567,7 @@ private:
       int64_t Slot;
       if (!parseIntLit(Slot))
         return false;
-      if (!ensureSpillSlot(Slot, F->regClass(I.defReg())))
+      if (!noteSpillSlot(Slot, F->regClass(I.defReg())))
         return false;
       I.Ops.push_back(Operand::intImm(Slot));
       return true;
@@ -569,9 +575,9 @@ private:
     case Opcode::SpillSt: {
       int64_t Slot;
       VRegId Val;
-      if (!parseIntLit(Slot) || !Comma() || !parseUseReg(Val))
+      if (!parseUseReg(Val) || !Comma() || !parseIntLit(Slot))
         return false;
-      if (!ensureSpillSlot(Slot, F->regClass(Val)))
+      if (!noteSpillSlot(Slot, F->regClass(Val)))
         return false;
       I.Ops.push_back(Operand::reg(Val));
       I.Ops.push_back(Operand::intImm(Slot));
@@ -616,6 +622,7 @@ private:
   Function *F = nullptr;
   std::map<std::string, VRegId> RegsByName;
   std::map<std::string, uint32_t> BlocksByName;
+  std::vector<std::optional<RegClass>> SlotClasses;
 };
 
 } // namespace

@@ -18,24 +18,34 @@
 
 using namespace ra;
 
-void ra::forEachCorpusFunction(
-    const std::function<void(Module &, Function &, const std::string &)>
-        &Fn) {
-  std::vector<std::filesystem::path> Files;
+std::vector<std::string> ra::corpusFileNames() {
+  std::vector<std::string> Names;
   for (const auto &E : std::filesystem::directory_iterator(
            std::string(RA_TESTS_DIR) + "/corpus"))
     if (E.path().extension() == ".ral")
-      Files.push_back(E.path());
-  std::sort(Files.begin(), Files.end());
+      Names.push_back(E.path().filename().string());
+  std::sort(Names.begin(), Names.end());
+  return Names;
+}
+
+std::string ra::corpusText(const std::string &Name) {
+  std::ifstream In(std::string(RA_TESTS_DIR) + "/corpus/" + Name);
+  std::stringstream Text;
+  Text << In.rdbuf();
+  return Text.str();
+}
+
+void ra::forEachCorpusFunction(
+    const std::function<void(Module &, Function &, const std::string &)>
+        &Fn) {
+  std::vector<std::string> Files = corpusFileNames();
   ASSERT_FALSE(Files.empty());
-  for (const std::filesystem::path &P : Files) {
-    std::ifstream In(P);
-    std::stringstream Text;
-    Text << In.rdbuf();
+  for (const std::string &Name : Files) {
     Module M;
     std::string Error;
-    ASSERT_TRUE(parseModule(Text.str(), M, Error)) << P << ": " << Error;
+    ASSERT_TRUE(parseModule(corpusText(Name), M, Error)) << Name << ": "
+                                                         << Error;
     for (unsigned I = 0; I < M.numFunctions(); ++I)
-      Fn(M, M.function(I), P.filename().string());
+      Fn(M, M.function(I), Name);
   }
 }

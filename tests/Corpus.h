@@ -18,8 +18,15 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
 namespace ra {
+
+/// The tests/corpus/*.ral file names (without the directory), sorted.
+std::vector<std::string> corpusFileNames();
+
+/// The text of tests/corpus/<\p Name>.
+std::string corpusText(const std::string &Name);
 
 /// Parses every tests/corpus/*.ral file in path order and calls
 /// \p Fn(M, F, FileName) for each function F of its module M. Fails

@@ -246,7 +246,8 @@ const char *const ParseLines[] = {
     "%d:int = ftoi %x",        "%d:int = load @ia[%i]",
     "%g:flt = fload @fa[%i]",  "store @ia[%i], %i",
     "fstore @fa[%i], %x",      "%d:int = spill.ld 0",
-    "br lt %i, %i, left, right", "jmp left",
+    "spill.st %i, 0",          "br lt %i, %i, left, right",
+    "jmp left",
     "ret %i",                  "ret",
 };
 

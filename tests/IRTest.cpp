@@ -4,10 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Corpus.h"
+
 #include "ir/IRBuilder.h"
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
+#include "opt/Optimizer.h"
+#include "regalloc/Allocator.h"
 #include "sim/Simulator.h"
 #include "workloads/RandomProgram.h"
 #include "workloads/Workloads.h"
@@ -15,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 
 using namespace ra;
 
@@ -179,6 +184,34 @@ TEST(ParserTest, AcceptsLiteralsAtTheirLimits) {
   }
 }
 
+TEST(ParserTest, SpillSlotsNamedOutOfOrderKeepTheirClasses) {
+  // Slot 3 is named before slots 0-2; only the slots an instruction
+  // names take its class, and an unnamed slot is int.
+  const char *Text = R"(
+    module {
+      func @f {
+      block entry:
+        %x:flt = movf 1.5
+        %i:int = movi 2
+        spill.st %x, 3
+        spill.st %i, 1
+        %y:flt = spill.ld 3
+        ret %y
+      }
+    }
+  )";
+  Module M;
+  std::string Err;
+  ASSERT_TRUE(parseModule(Text, M, Err)) << Err;
+  const Function &F = M.function(0);
+  ASSERT_EQ(F.numSpillSlots(), 4u);
+  EXPECT_EQ(F.spillSlotClass(0), RegClass::Int);
+  EXPECT_EQ(F.spillSlotClass(1), RegClass::Int);
+  EXPECT_EQ(F.spillSlotClass(2), RegClass::Int);
+  EXPECT_EQ(F.spillSlotClass(3), RegClass::Float);
+  EXPECT_EQ(verifyFunction(M, F), std::vector<std::string>());
+}
+
 struct ParserErrorCase {
   const char *Name;
   const char *Text;
@@ -232,14 +265,21 @@ INSTANTIATE_TEST_SUITE_P(
 // Printer round-trips.
 //===--------------------------------------------------------------------===//
 
-class RoundTrip : public ::testing::TestWithParam<std::string> {};
+/// A round-trip input: a Figure 5 routine by name, else a tests/corpus
+/// file.
+Function &buildRoundTripInput(const std::string &Name, Module &M) {
+  if (const Workload *W = findWorkload(Name))
+    return W->Build(M);
+  std::string Err;
+  if (!parseModule(corpusText(Name), M, Err) || M.numFunctions() != 1)
+    throw std::runtime_error("bad corpus file " + Name + ": " + Err);
+  return M.function(0);
+}
 
-TEST_P(RoundTrip, WorkloadPrintsParsesAndRunsTheSame) {
-  const Workload *W = findWorkload(GetParam());
-  ASSERT_NE(W, nullptr);
-  Module M;
-  Function &F = W->Build(M);
-
+/// Prints \p M, parses it back, and checks that \p F's copy has the same
+/// shape, verifies, and runs the same: memory, return values and cycles.
+void expectRoundTrip(const Module &M, const Function &F,
+                     const std::string &Name) {
   std::string Text = printModule(M);
   Module M2;
   std::string Err;
@@ -248,18 +288,52 @@ TEST_P(RoundTrip, WorkloadPrintsParsesAndRunsTheSame) {
   ASSERT_NE(F2, nullptr);
   EXPECT_EQ(F2->numBlocks(), F.numBlocks());
   EXPECT_EQ(F2->numInstructions(), F.numInstructions());
-  EXPECT_EQ(F2->numVRegs(), F.numVRegs());
-  EXPECT_TRUE(verifyFunction(M2, *F2).empty());
+  EXPECT_EQ(verifyFunction(M2, *F2), std::vector<std::string>());
 
-  // Same behavior: run both and compare memory plus return values.
   Simulator S1(M), S2(M2);
   MemoryImage Mem1(M), Mem2(M2);
-  W->Init(M, Mem1);
-  W->Init(M2, Mem2);
+  if (const Workload *W = findWorkload(Name)) {
+    W->Init(M, Mem1);
+    W->Init(M2, Mem2);
+  }
   ExecutionResult R1 = S1.runVirtual(F, Mem1);
   ExecutionResult R2 = S2.runVirtual(*F2, Mem2);
   EXPECT_EQ(compareRuns(M, R1, Mem1, R2, Mem2), "");
   EXPECT_EQ(R1.Cycles, R2.Cycles);
+}
+
+class RoundTrip : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RoundTrip, WorkloadPrintsParsesAndRunsTheSame) {
+  Module M;
+  Function &F = buildRoundTripInput(GetParam(), M);
+  expectRoundTrip(M, F, GetParam());
+  Module M2;
+  std::string Err;
+  ASSERT_TRUE(parseModule(printModule(M), M2, Err)) << Err;
+  EXPECT_EQ(M2.function(0).numVRegs(), F.numVRegs());
+}
+
+// Allocated code, spill code included, is output: it must parse back,
+// verify and run the same. Figure 5 is allocated at the RT/PC's 16+8 and
+// a tight 6+4, the corpus at 4+3.
+TEST_P(RoundTrip, AllocatedCodePrintsParsesAndRunsTheSame) {
+  std::vector<std::pair<unsigned, unsigned>> Files = {{4, 3}};
+  if (findWorkload(GetParam()))
+    Files = {{16, 8}, {6, 4}};
+  for (const char *Allocator : {"chaitin", "briggs", "linear-scan"})
+    for (auto [Int, Flt] : Files) {
+      SCOPED_TRACE(std::string(Allocator) + " " + std::to_string(Int) + "+" +
+                   std::to_string(Flt));
+      Module M;
+      Function &F = buildRoundTripInput(GetParam(), M);
+      optimizeFunction(F);
+      AllocatorConfig C;
+      ASSERT_TRUE(parseAllocatorName(Allocator, C.B, C.H));
+      C.Machine = MachineInfo(Int, Flt);
+      allocateRegisters(F, C);
+      expectRoundTrip(M, F, GetParam());
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRoutines, RoundTrip, [] {
@@ -268,6 +342,9 @@ INSTANTIATE_TEST_SUITE_P(AllRoutines, RoundTrip, [] {
     Names.push_back(W.Routine);
   return ::testing::ValuesIn(Names);
 }());
+
+INSTANTIATE_TEST_SUITE_P(Corpus, RoundTrip,
+                         ::testing::ValuesIn(corpusFileNames()));
 
 TEST(RoundTripRandom, RandomProgramsSurviveTextRoundTrip) {
   for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
