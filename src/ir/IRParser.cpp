@@ -219,10 +219,12 @@ private:
     return at(Token::Kind::Punct) && peek().Punct == C;
   }
 
-  bool fail(const std::string &Msg) {
-    Error = "line " + std::to_string(peek().Line + 1) + ": " + Msg;
+  /// Reports \p Msg at the line of \p T, the token it is about.
+  bool failAt(const Token &T, const std::string &Msg) {
+    Error = "line " + std::to_string(T.Line + 1) + ": " + Msg;
     return false;
   }
+  bool fail(const std::string &Msg) { return failAt(peek(), Msg); }
 
   bool expectIdent(const char *S) {
     if (!atIdent(S))
@@ -246,7 +248,7 @@ private:
     take(); // 'array'
     if (!at(Token::Kind::Array))
       return fail("expected array name after 'array'");
-    std::string Name = take().Text;
+    const Token &NameTok = take();
     if (!expectPunct(':'))
       return false;
     RegClass RC;
@@ -256,16 +258,18 @@ private:
       return false;
     if (!at(Token::Kind::IntLit))
       return fail("expected array size");
-    int64_t Size = take().IntValue;
+    const Token &SizeTok = take();
+    int64_t Size = SizeTok.IntValue;
     if (Size < 0)
-      return fail("negative array size");
+      return failAt(SizeTok, "negative array size");
     if (Size > int64_t(UINT32_MAX))
-      return fail("array size " + std::to_string(Size) + " out of range");
+      return failAt(SizeTok,
+                    "array size " + std::to_string(Size) + " out of range");
     if (!expectPunct(']'))
       return false;
-    if (M.findArray(Name) != ~0u)
-      return fail("duplicate array @" + Name);
-    M.newArray(Name, uint32_t(Size), RC);
+    if (M.findArray(NameTok.Text) != ~0u)
+      return failAt(NameTok, "duplicate array @" + NameTok.Text);
+    M.newArray(NameTok.Text, uint32_t(Size), RC);
     return true;
   }
 
@@ -342,18 +346,20 @@ private:
     return expectPunct('}');
   }
 
-  /// Resolves (or, at a definition, creates) a register by name.
-  bool resolveReg(const std::string &Name, std::optional<RegClass> DefClass,
+  /// Resolves (or, at a definition, creates) the register \p T names.
+  bool resolveReg(const Token &T, std::optional<RegClass> DefClass,
                   VRegId &Out) {
+    const std::string &Name = T.Text;
     auto It = RegsByName.find(Name);
     if (It != RegsByName.end()) {
       Out = It->second;
       if (DefClass && F->regClass(Out) != *DefClass)
-        return fail("register %" + Name + " redefined with a different class");
+        return failAt(T, "register %" + Name +
+                             " redefined with a different class");
       return true;
     }
     if (!DefClass)
-      return fail("use of undefined register %" + Name);
+      return failAt(T, "use of undefined register %" + Name);
     Out = F->newVReg(*DefClass, Name);
     RegsByName[Name] = Out;
     return true;
@@ -362,16 +368,16 @@ private:
   bool parseUseReg(VRegId &Out) {
     if (!at(Token::Kind::Reg))
       return fail("expected register operand");
-    return resolveReg(take().Text, std::nullopt, Out);
+    return resolveReg(take(), std::nullopt, Out);
   }
 
   bool parseBlockRef(uint32_t &Out) {
     if (!at(Token::Kind::Ident))
       return fail("expected block name operand");
-    std::string Name = take().Text;
-    auto It = BlocksByName.find(Name);
+    const Token &T = take();
+    auto It = BlocksByName.find(T.Text);
     if (It == BlocksByName.end())
-      return fail("reference to unknown block '" + Name + "'");
+      return failAt(T, "reference to unknown block '" + T.Text + "'");
     Out = It->second;
     return true;
   }
@@ -386,10 +392,10 @@ private:
   bool parseArrayRef(uint32_t &Out) {
     if (!at(Token::Kind::Array))
       return fail("expected array operand");
-    std::string Name = take().Text;
-    Out = M.findArray(Name);
+    const Token &T = take();
+    Out = M.findArray(T.Text);
     if (Out == ~0u)
-      return fail("reference to unknown array @" + Name);
+      return failAt(T, "reference to unknown array @" + T.Text);
     return true;
   }
 
@@ -427,18 +433,20 @@ private:
     return std::nullopt;
   }
 
-  /// Records that \p Slot holds class \p RC. Textual spill code may name
-  /// slots in any order; the table is built when the function ends.
-  bool noteSpillSlot(int64_t Slot, RegClass RC) {
+  /// Records that the slot \p T names holds class \p RC. Textual spill
+  /// code may name slots in any order; the table is built when the
+  /// function ends.
+  bool noteSpillSlot(const Token &T, RegClass RC) {
+    int64_t Slot = T.IntValue;
     if (Slot < 0)
-      return fail("negative spill slot");
+      return failAt(T, "negative spill slot");
     if (SlotClasses.size() <= uint64_t(Slot))
       SlotClasses.resize(Slot + 1);
     if (!SlotClasses[Slot])
       SlotClasses[Slot] = RC;
     if (*SlotClasses[Slot] != RC)
-      return fail("spill slot " + std::to_string(Slot) +
-                  " used with two classes");
+      return failAt(T, "spill slot " + std::to_string(Slot) +
+                           " used with two classes");
     return true;
   }
 
@@ -446,7 +454,7 @@ private:
     // Optional "%dst:class =" prefix.
     std::optional<VRegId> Def;
     if (at(Token::Kind::Reg)) {
-      std::string DstName = take().Text;
+      const Token &DstTok = take();
       if (!expectPunct(':'))
         return false;
       RegClass RC;
@@ -455,22 +463,23 @@ private:
       if (!expectPunct('='))
         return false;
       VRegId R;
-      if (!resolveReg(DstName, RC, R))
+      if (!resolveReg(DstTok, RC, R))
         return false;
       Def = R;
     }
 
     if (!at(Token::Kind::Ident))
       return fail("expected an opcode");
-    std::string OpName = take().Text;
-    std::optional<Opcode> OpOrNone = opcodeByName(OpName);
+    const Token &OpTok = take();
+    std::optional<Opcode> OpOrNone = opcodeByName(OpTok.Text);
     if (!OpOrNone)
-      return fail("unknown opcode '" + OpName + "'");
+      return failAt(OpTok, "unknown opcode '" + OpTok.Text + "'");
     Opcode Op = *OpOrNone;
 
     if (opcodeHasDef(Op) != Def.has_value())
-      return fail(std::string("opcode '") + OpName +
-                  (Def ? "' does not produce a value" : "' needs a result"));
+      return failAt(OpTok, "opcode '" + OpTok.Text +
+                               (Def ? "' does not produce a value"
+                                    : "' needs a result"));
 
     Instruction I;
     I.Op = Op;
@@ -494,7 +503,7 @@ private:
 
     switch (I.Op) {
     case Opcode::MovI: {
-      int64_t V;
+      int64_t V = 0;
       if (!parseIntLit(V))
         return false;
       I.Ops.push_back(Operand::intImm(V));
@@ -532,7 +541,7 @@ private:
     case Opcode::MulI: {
       if (!UseReg() || !Comma())
         return false;
-      int64_t V;
+      int64_t V = 0;
       if (!parseIntLit(V))
         return false;
       I.Ops.push_back(Operand::intImm(V));
@@ -564,31 +573,34 @@ private:
       return true;
     }
     case Opcode::SpillLd: {
-      int64_t Slot;
-      if (!parseIntLit(Slot))
-        return false;
+      if (!at(Token::Kind::IntLit))
+        return fail("expected integer literal");
+      const Token &Slot = take();
       if (!noteSpillSlot(Slot, F->regClass(I.defReg())))
         return false;
-      I.Ops.push_back(Operand::intImm(Slot));
+      I.Ops.push_back(Operand::intImm(Slot.IntValue));
       return true;
     }
     case Opcode::SpillSt: {
-      int64_t Slot;
       VRegId Val;
-      if (!parseUseReg(Val) || !Comma() || !parseIntLit(Slot))
+      if (!parseUseReg(Val) || !Comma())
         return false;
+      if (!at(Token::Kind::IntLit))
+        return fail("expected integer literal");
+      const Token &Slot = take();
       if (!noteSpillSlot(Slot, F->regClass(Val)))
         return false;
       I.Ops.push_back(Operand::reg(Val));
-      I.Ops.push_back(Operand::intImm(Slot));
+      I.Ops.push_back(Operand::intImm(Slot.IntValue));
       return true;
     }
     case Opcode::Br: {
       if (!at(Token::Kind::Ident))
         return fail("expected comparison kind after 'br'");
-      std::optional<CmpKind> K = cmpByName(take().Text);
+      const Token &CmpTok = take();
+      std::optional<CmpKind> K = cmpByName(CmpTok.Text);
       if (!K)
-        return fail("unknown comparison kind");
+        return failAt(CmpTok, "unknown comparison kind");
       I.Cmp = *K;
       uint32_t T, E;
       if (!UseReg() || !Comma() || !UseReg() || !Comma() ||

@@ -83,7 +83,7 @@ const ParseCase ParseCases[] = {
      "line 2: expected register class 'int' or 'flt'"},
     {"DuplicateArray",
      "module {\n  array @a : int[4]\n  array @a : int[4]\n}\n",
-     "line 4: duplicate array @a"},
+     "line 3: duplicate array @a"},
     {"FunctionWithoutBlocks", "module {\n  func @f {\n  }\n}\n",
      "line 3: function @f has no blocks"},
     {"UseOfUndefinedRegister",
@@ -92,6 +92,14 @@ const ParseCase ParseCases[] = {
      "  block entry:\n"
      "    %x:int = addi %y, 1\n"
      "    ret\n"
+     "  }\n"
+     "}\n",
+     "line 4: use of undefined register %y"},
+    {"ReturnOfUndefinedRegister",
+     "module {\n"
+     "  func @f {\n"
+     "  block entry:\n"
+     "    ret %y\n"
      "  }\n"
      "}\n",
      "line 4: use of undefined register %y"},
@@ -121,7 +129,7 @@ const ParseCase ParseCases[] = {
      "    jmp nowhere\n"
      "  }\n"
      "}\n",
-     "line 5: reference to unknown block 'nowhere'"},
+     "line 4: reference to unknown block 'nowhere'"},
     {"UnknownArray",
      "module {\n"
      "  func @f {\n"
@@ -132,6 +140,18 @@ const ParseCase ParseCases[] = {
      "  }\n"
      "}\n",
      "line 5: reference to unknown array @ghost"},
+    {"SpillSlotWithTwoClasses",
+     "module {\n"
+     "  func @f {\n"
+     "  block entry:\n"
+     "    %i:int = movi 0\n"
+     "    %x:flt = movf 0.5\n"
+     "    spill.st %x, 2\n"
+     "    spill.st %i, 2\n"
+     "    ret\n"
+     "  }\n"
+     "}\n",
+     "line 7: spill slot 2 used with two classes"},
     {"TruncatedFunction",
      "module {\n"
      "  func @f {\n"
