@@ -39,51 +39,27 @@ private:
     Errors.push_back("@" + F.name() + ": " + Msg);
   }
 
-  void errorAt(const BasicBlock &B, const Instruction &I,
+  /// Reports \p Msg about \p I; returns false, for the checks below.
+  bool errorAt(const BasicBlock &B, const Instruction &I,
                const std::string &Msg) {
     error("in " + B.Name + ": '" + printInstruction(M, F, I) + "': " + Msg);
-  }
-
-  bool checkRegId(const BasicBlock &B, const Instruction &I,
-                  const Operand &O) {
-    if (!O.isReg()) {
-      errorAt(B, I, "expected a register operand");
-      return false;
-    }
-    if (O.Reg >= F.numVRegs()) {
-      errorAt(B, I, "register id out of range");
-      return false;
-    }
-    return true;
-  }
-
-  bool checkReg(const BasicBlock &B, const Instruction &I, const Operand &O,
-                RegClass Expected) {
-    if (!checkRegId(B, I, O))
-      return false;
-    if (F.regClass(O.Reg) != Expected) {
-      errorAt(B, I, std::string("operand must be of class ") +
-                        regClassName(Expected));
-      return false;
-    }
-    return true;
+    return false;
   }
 
   bool checkCount(const BasicBlock &B, const Instruction &I, unsigned N) {
     if (I.Ops.size() == N)
       return true;
-    errorAt(B, I, "expected " + std::to_string(N) + " operands, found " +
-                      std::to_string(I.Ops.size()));
-    return false;
+    return errorAt(B, I, "expected " + std::to_string(N) +
+                             " operands, found " +
+                             std::to_string(I.Ops.size()));
   }
 
   bool checkKind(const BasicBlock &B, const Instruction &I, unsigned Idx,
                  Operand::Kind K, const char *What) {
     if (I.Ops[Idx].K == K)
       return true;
-    errorAt(B, I, std::string("operand ") + std::to_string(Idx) +
-                      " must be " + What);
-    return false;
+    return errorAt(B, I, std::string("operand ") + std::to_string(Idx) +
+                             " must be " + What);
   }
 
   void checkBlock(const BasicBlock &B) {
@@ -103,156 +79,90 @@ private:
     }
   }
 
+  /// Checks \p I's operands against its opcode's row, in operand order.
+  /// Copy, br's first operand and ret keep messages of their own.
   void checkSignature(const BasicBlock &B, const Instruction &I) {
-    using K = Operand::Kind;
-    const RegClass IC = RegClass::Int, FC = RegClass::Float;
-    switch (I.Op) {
-    case Opcode::MovI:
-      if (checkCount(B, I, 2) && checkReg(B, I, I.Ops[0], IC))
-        checkKind(B, I, 1, K::IntImm, "an integer immediate");
-      return;
-    case Opcode::MovF:
-      if (checkCount(B, I, 2) && checkReg(B, I, I.Ops[0], FC))
-        checkKind(B, I, 1, K::FloatImm, "a floating immediate");
-      return;
-    case Opcode::Copy:
-      if (!checkCount(B, I, 2))
-        return;
-      if (!I.Ops[0].isReg() || !I.Ops[1].isReg() ||
-          I.Ops[0].Reg >= F.numVRegs() || I.Ops[1].Reg >= F.numVRegs()) {
-        errorAt(B, I, "copy needs two in-range registers");
-        return;
-      }
-      if (F.regClass(I.Ops[0].Reg) != F.regClass(I.Ops[1].Reg))
-        errorAt(B, I, "copy between different register classes");
-      return;
-    case Opcode::Add:
-    case Opcode::Sub:
-    case Opcode::Mul:
-    case Opcode::Div:
-    case Opcode::Rem:
-      if (checkCount(B, I, 3))
-        for (unsigned Idx = 0; Idx < 3; ++Idx)
-          checkReg(B, I, I.Ops[Idx], IC);
-      return;
-    case Opcode::AddI:
-    case Opcode::MulI:
-      if (checkCount(B, I, 3) && checkReg(B, I, I.Ops[0], IC) &&
-          checkReg(B, I, I.Ops[1], IC))
-        checkKind(B, I, 2, K::IntImm, "an integer immediate");
-      return;
-    case Opcode::FAdd:
-    case Opcode::FSub:
-    case Opcode::FMul:
-    case Opcode::FDiv:
-      if (checkCount(B, I, 3))
-        for (unsigned Idx = 0; Idx < 3; ++Idx)
-          checkReg(B, I, I.Ops[Idx], FC);
-      return;
-    case Opcode::FNeg:
-    case Opcode::FAbs:
-    case Opcode::FSqrt:
-      if (checkCount(B, I, 2)) {
-        checkReg(B, I, I.Ops[0], FC);
-        checkReg(B, I, I.Ops[1], FC);
-      }
-      return;
-    case Opcode::IToF:
-      if (checkCount(B, I, 2)) {
-        checkReg(B, I, I.Ops[0], FC);
-        checkReg(B, I, I.Ops[1], IC);
-      }
-      return;
-    case Opcode::FToI:
-      if (checkCount(B, I, 2)) {
-        checkReg(B, I, I.Ops[0], IC);
-        checkReg(B, I, I.Ops[1], FC);
-      }
-      return;
-    case Opcode::Load:
-    case Opcode::FLoad: {
-      if (!checkCount(B, I, 3))
-        return;
-      RegClass Elem = I.Op == Opcode::Load ? IC : FC;
-      checkReg(B, I, I.Ops[0], Elem);
-      checkArray(B, I, 1, Elem);
-      checkReg(B, I, I.Ops[2], IC);
-      return;
-    }
-    case Opcode::Store:
-    case Opcode::FStore: {
-      if (!checkCount(B, I, 3))
-        return;
-      RegClass Elem = I.Op == Opcode::Store ? IC : FC;
-      checkReg(B, I, I.Ops[0], Elem);
-      checkArray(B, I, 1, Elem);
-      checkReg(B, I, I.Ops[2], IC);
-      return;
-    }
-    case Opcode::SpillLd:
-    case Opcode::SpillSt:
-      if (checkCount(B, I, 2) && checkRegId(B, I, I.Ops[0]))
-        checkSlot(B, I, 1, F.regClass(I.Ops[0].Reg));
-      return;
-    case Opcode::Br: {
-      if (!checkCount(B, I, 4))
-        return;
-      if (!I.Ops[0].isReg() || I.Ops[0].Reg >= F.numVRegs()) {
-        errorAt(B, I, "bad comparison operand");
-        return;
-      }
-      RegClass RC = F.regClass(I.Ops[0].Reg);
-      checkReg(B, I, I.Ops[1], RC);
-      checkBlockRef(B, I, 2);
-      checkBlockRef(B, I, 3);
-      return;
-    }
-    case Opcode::Jmp:
-      if (checkCount(B, I, 1))
-        checkBlockRef(B, I, 0);
-      return;
-    case Opcode::Ret:
-      if (I.Ops.size() > 1) {
+    if (I.Op == Opcode::Ret) {
+      if (I.Ops.size() > 1)
         errorAt(B, I, "ret takes at most one register");
-        return;
-      }
-      if (I.Ops.size() == 1 &&
-          (!I.Ops[0].isReg() || I.Ops[0].Reg >= F.numVRegs()))
+      else if (I.Ops.size() == 1 && !inRangeReg(I.Ops[0]))
         errorAt(B, I, "bad ret operand");
       return;
     }
-  }
-
-  void checkArray(const BasicBlock &B, const Instruction &I, unsigned Idx,
-                  RegClass Elem) {
-    if (!checkKind(B, I, Idx, Operand::Kind::Array, "an array"))
+    const OpcodeInfo &Info = opcodeInfo(I.Op);
+    if (!checkCount(B, I, Info.NumOps))
       return;
-    if (I.Ops[Idx].Array >= M.numArrays()) {
-      errorAt(B, I, "array id out of range");
-      return;
-    }
-    if (M.array(I.Ops[Idx].Array).Elem != Elem)
-      errorAt(B, I, "array element class mismatch");
-  }
-
-  void checkSlot(const BasicBlock &B, const Instruction &I, unsigned Idx,
-                 RegClass RC) {
-    if (!checkKind(B, I, Idx, Operand::Kind::IntImm, "a spill slot"))
-      return;
-    int64_t Slot = I.Ops[Idx].Imm;
-    if (Slot < 0 || unsigned(Slot) >= F.numSpillSlots()) {
-      errorAt(B, I, "spill slot out of range");
+    if (I.Op == Opcode::Copy) {
+      if (!inRangeReg(I.Ops[0]) || !inRangeReg(I.Ops[1]))
+        errorAt(B, I, "copy needs two in-range registers");
+      else if (F.regClass(I.Ops[0].Reg) != F.regClass(I.Ops[1].Reg))
+        errorAt(B, I, "copy between different register classes");
       return;
     }
-    if (F.spillSlotClass(unsigned(Slot)) != RC)
-      errorAt(B, I, "spill slot class mismatch");
+    if (I.Op == Opcode::Br && !inRangeReg(I.Ops[0])) {
+      errorAt(B, I, "bad comparison operand");
+      return;
+    }
+    for (unsigned Idx = 0; Idx < Info.NumOps; ++Idx)
+      if (!checkOperand(B, I, Info.operand(Idx)) &&
+          Info.has(OpcodeInfo::StopAtBad))
+        return;
   }
 
-  void checkBlockRef(const BasicBlock &B, const Instruction &I, unsigned Idx) {
-    if (!checkKind(B, I, Idx, Operand::Kind::Block, "a block"))
-      return;
-    if (I.Ops[Idx].Block >= F.numBlocks())
-      errorAt(B, I, "branch to out-of-range block");
+  bool inRangeReg(const Operand &O) const {
+    return O.isReg() && O.Reg < F.numVRegs();
+  }
+
+  /// Checks the operand \p S describes. A SameAsOp0 rule reads operand
+  /// 0's class: the spill rows stop at a bad operand 0, and br checks it
+  /// before the walk.
+  bool checkOperand(const BasicBlock &B, const Instruction &I,
+                    const OperandSpec &S) {
+    const Operand &O = I.Ops[S.Index];
+    RegClass RC = S.Class == ClassRule::Float ? RegClass::Float
+                  : S.Class == ClassRule::SameAsOp0
+                      ? F.regClass(I.Ops[0].Reg)
+                      : RegClass::Int;
+    switch (S.Kind) {
+    case SyntaxKind::Reg:
+      if (!O.isReg())
+        return errorAt(B, I, "expected a register operand");
+      if (O.Reg >= F.numVRegs())
+        return errorAt(B, I, "register id out of range");
+      if (S.Class != ClassRule::Any && F.regClass(O.Reg) != RC)
+        return errorAt(B, I, std::string("operand must be of class ") +
+                                 regClassName(RC));
+      return true;
+    case SyntaxKind::IntImm:
+      return checkKind(B, I, S.Index, Operand::Kind::IntImm,
+                       "an integer immediate");
+    case SyntaxKind::FloatImm:
+      return checkKind(B, I, S.Index, Operand::Kind::FloatImm,
+                       "a floating immediate");
+    case SyntaxKind::Array:
+      if (!checkKind(B, I, S.Index, Operand::Kind::Array, "an array"))
+        return false;
+      if (O.Array >= M.numArrays())
+        return errorAt(B, I, "array id out of range");
+      if (M.array(O.Array).Elem != RC)
+        return errorAt(B, I, "array element class mismatch");
+      return true;
+    case SyntaxKind::Block:
+      if (!checkKind(B, I, S.Index, Operand::Kind::Block, "a block"))
+        return false;
+      if (O.Block >= F.numBlocks())
+        return errorAt(B, I, "branch to out-of-range block");
+      return true;
+    case SyntaxKind::Slot:
+      if (!checkKind(B, I, S.Index, Operand::Kind::IntImm, "a spill slot"))
+        return false;
+      if (O.Imm < 0 || uint64_t(O.Imm) >= F.numSpillSlots())
+        return errorAt(B, I, "spill slot out of range");
+      if (F.spillSlotClass(unsigned(O.Imm)) != RC)
+        return errorAt(B, I, "spill slot class mismatch");
+      return true;
+    }
+    return false;
   }
 
   /// A use is not definitely assigned iff a def-free path leads to it

@@ -365,74 +365,6 @@ private:
     return true;
   }
 
-  bool parseUseReg(VRegId &Out) {
-    if (!at(Token::Kind::Reg))
-      return fail("expected register operand");
-    return resolveReg(take(), std::nullopt, Out);
-  }
-
-  bool parseBlockRef(uint32_t &Out) {
-    if (!at(Token::Kind::Ident))
-      return fail("expected block name operand");
-    const Token &T = take();
-    auto It = BlocksByName.find(T.Text);
-    if (It == BlocksByName.end())
-      return failAt(T, "reference to unknown block '" + T.Text + "'");
-    Out = It->second;
-    return true;
-  }
-
-  bool parseIntLit(int64_t &Out) {
-    if (!at(Token::Kind::IntLit))
-      return fail("expected integer literal");
-    Out = take().IntValue;
-    return true;
-  }
-
-  bool parseArrayRef(uint32_t &Out) {
-    if (!at(Token::Kind::Array))
-      return fail("expected array operand");
-    const Token &T = take();
-    Out = M.findArray(T.Text);
-    if (Out == ~0u)
-      return failAt(T, "reference to unknown array @" + T.Text);
-    return true;
-  }
-
-  static std::optional<Opcode> opcodeByName(const std::string &S) {
-    static const std::pair<const char *, Opcode> Names[] = {
-        {"movi", Opcode::MovI},       {"movf", Opcode::MovF},
-        {"copy", Opcode::Copy},       {"add", Opcode::Add},
-        {"sub", Opcode::Sub},         {"mul", Opcode::Mul},
-        {"div", Opcode::Div},         {"rem", Opcode::Rem},
-        {"addi", Opcode::AddI},       {"muli", Opcode::MulI},
-        {"fadd", Opcode::FAdd},       {"fsub", Opcode::FSub},
-        {"fmul", Opcode::FMul},       {"fdiv", Opcode::FDiv},
-        {"fneg", Opcode::FNeg},       {"fabs", Opcode::FAbs},
-        {"fsqrt", Opcode::FSqrt},     {"itof", Opcode::IToF},
-        {"ftoi", Opcode::FToI},       {"load", Opcode::Load},
-        {"fload", Opcode::FLoad},     {"store", Opcode::Store},
-        {"fstore", Opcode::FStore},   {"spill.ld", Opcode::SpillLd},
-        {"spill.st", Opcode::SpillSt},{"br", Opcode::Br},
-        {"jmp", Opcode::Jmp},         {"ret", Opcode::Ret},
-    };
-    for (const auto &[Name, Op] : Names)
-      if (S == Name)
-        return Op;
-    return std::nullopt;
-  }
-
-  static std::optional<CmpKind> cmpByName(const std::string &S) {
-    static const std::pair<const char *, CmpKind> Names[] = {
-        {"eq", CmpKind::EQ}, {"ne", CmpKind::NE}, {"lt", CmpKind::LT},
-        {"le", CmpKind::LE}, {"gt", CmpKind::GT}, {"ge", CmpKind::GE},
-    };
-    for (const auto &[Name, K] : Names)
-      if (S == Name)
-        return K;
-    return std::nullopt;
-  }
-
   /// Records that the slot \p T names holds class \p RC. Textual spill
   /// code may name slots in any order; the table is built when the
   /// function ends.
@@ -471,159 +403,112 @@ private:
     if (!at(Token::Kind::Ident))
       return fail("expected an opcode");
     const Token &OpTok = take();
-    std::optional<Opcode> OpOrNone = opcodeByName(OpTok.Text);
-    if (!OpOrNone)
+    unsigned Op = 0;
+    while (Op < NumOpcodes && OpTok.Text != opcodeName(Opcode(Op)))
+      ++Op;
+    if (Op == NumOpcodes)
       return failAt(OpTok, "unknown opcode '" + OpTok.Text + "'");
-    Opcode Op = *OpOrNone;
-
-    if (opcodeHasDef(Op) != Def.has_value())
+    const OpcodeInfo &Info = opcodeInfo(Opcode(Op));
+    if (Info.has(OpcodeInfo::Def) != Def.has_value())
       return failAt(OpTok, "opcode '" + OpTok.Text +
                                (Def ? "' does not produce a value"
                                     : "' needs a result"));
 
     Instruction I;
-    I.Op = Op;
+    I.Op = Opcode(Op);
+    I.Ops.resize(Info.NumOps);
     if (Def)
-      I.Ops.push_back(Operand::reg(*Def));
-    if (!parseOperands(I))
+      I.Ops[0] = Operand::reg(*Def);
+    if (!parseOperands(Info, I))
       return false;
     F->block(Block).Insts.push_back(std::move(I));
     return true;
   }
 
-  bool parseOperands(Instruction &I) {
-    auto UseReg = [&](void) -> bool {
-      VRegId R;
-      if (!parseUseReg(R))
-        return false;
-      I.Ops.push_back(Operand::reg(R));
-      return true;
-    };
-    auto Comma = [&]() { return expectPunct(','); };
-
-    switch (I.Op) {
-    case Opcode::MovI: {
-      int64_t V = 0;
-      if (!parseIntLit(V))
-        return false;
-      I.Ops.push_back(Operand::intImm(V));
-      return true;
-    }
-    case Opcode::MovF: {
-      if (at(Token::Kind::FloatLit)) {
-        I.Ops.push_back(Operand::floatImm(take().FloatValue));
-        return true;
-      }
-      if (at(Token::Kind::IntLit)) {
-        I.Ops.push_back(Operand::floatImm(double(take().IntValue)));
-        return true;
-      }
-      return fail("expected floating literal");
-    }
-    case Opcode::Copy:
-    case Opcode::FNeg:
-    case Opcode::FAbs:
-    case Opcode::FSqrt:
-    case Opcode::IToF:
-    case Opcode::FToI:
-      return UseReg();
-    case Opcode::Add:
-    case Opcode::Sub:
-    case Opcode::Mul:
-    case Opcode::Div:
-    case Opcode::Rem:
-    case Opcode::FAdd:
-    case Opcode::FSub:
-    case Opcode::FMul:
-    case Opcode::FDiv:
-      return UseReg() && Comma() && UseReg();
-    case Opcode::AddI:
-    case Opcode::MulI: {
-      if (!UseReg() || !Comma())
-        return false;
-      int64_t V = 0;
-      if (!parseIntLit(V))
-        return false;
-      I.Ops.push_back(Operand::intImm(V));
-      return true;
-    }
-    case Opcode::Load:
-    case Opcode::FLoad: {
-      uint32_t Arr;
-      VRegId Idx;
-      if (!parseArrayRef(Arr) || !expectPunct('[') || !parseUseReg(Idx) ||
-          !expectPunct(']'))
-        return false;
-      I.Ops.push_back(Operand::array(Arr));
-      I.Ops.push_back(Operand::reg(Idx));
-      return true;
-    }
-    case Opcode::Store:
-    case Opcode::FStore: {
-      // Syntax: store @arr[%idx], %value — but operand order is
-      // (value, array, index).
-      uint32_t Arr;
-      VRegId Idx, Val;
-      if (!parseArrayRef(Arr) || !expectPunct('[') || !parseUseReg(Idx) ||
-          !expectPunct(']') || !Comma() || !parseUseReg(Val))
-        return false;
-      I.Ops.push_back(Operand::reg(Val));
-      I.Ops.push_back(Operand::array(Arr));
-      I.Ops.push_back(Operand::reg(Idx));
-      return true;
-    }
-    case Opcode::SpillLd: {
-      if (!at(Token::Kind::IntLit))
-        return fail("expected integer literal");
-      const Token &Slot = take();
-      if (!noteSpillSlot(Slot, F->regClass(I.defReg())))
-        return false;
-      I.Ops.push_back(Operand::intImm(Slot.IntValue));
-      return true;
-    }
-    case Opcode::SpillSt: {
-      VRegId Val;
-      if (!parseUseReg(Val) || !Comma())
-        return false;
-      if (!at(Token::Kind::IntLit))
-        return fail("expected integer literal");
-      const Token &Slot = take();
-      if (!noteSpillSlot(Slot, F->regClass(Val)))
-        return false;
-      I.Ops.push_back(Operand::reg(Val));
-      I.Ops.push_back(Operand::intImm(Slot.IntValue));
-      return true;
-    }
-    case Opcode::Br: {
+  /// Parses what follows the mnemonic by walking \p Info's operands:
+  /// separated by ',', an array's index in brackets.
+  bool parseOperands(const OpcodeInfo &Info, Instruction &I) {
+    if (Info.has(OpcodeInfo::Cmp)) {
       if (!at(Token::Kind::Ident))
-        return fail("expected comparison kind after 'br'");
+        return fail(std::string("expected comparison kind after '") +
+                    Info.Name + "'");
       const Token &CmpTok = take();
-      std::optional<CmpKind> K = cmpByName(CmpTok.Text);
-      if (!K)
+      unsigned K = 0;
+      while (K < NumCmpKinds && CmpTok.Text != cmpKindName(CmpKind(K)))
+        ++K;
+      if (K == NumCmpKinds)
         return failAt(CmpTok, "unknown comparison kind");
-      I.Cmp = *K;
-      uint32_t T, E;
-      if (!UseReg() || !Comma() || !UseReg() || !Comma() ||
-          !parseBlockRef(T) || !Comma() || !parseBlockRef(E))
+      I.Cmp = CmpKind(K);
+    }
+    const unsigned First = Info.has(OpcodeInfo::Def);
+    for (unsigned K = First; K < Info.NumOps; ++K) {
+      if (K + 1 == Info.NumOps && Info.has(OpcodeInfo::OptionalLast) &&
+          !at(Token::Kind::Reg)) {
+        I.Ops.pop_back();
+        break;
+      }
+      bool Subscript = K > 0 && Info.Ops[K - 1].Kind == SyntaxKind::Array;
+      if (K > First && !expectPunct(Subscript ? '[' : ','))
         return false;
-      I.Ops.push_back(Operand::block(T));
-      I.Ops.push_back(Operand::block(E));
-      return true;
-    }
-    case Opcode::Jmp: {
-      uint32_t T;
-      if (!parseBlockRef(T))
+      if (!parseOperand(Info.Ops[K], I) || (Subscript && !expectPunct(']')))
         return false;
-      I.Ops.push_back(Operand::block(T));
+    }
+    return true;
+  }
+
+  /// Parses one operand written as \p S says into its place in \p I.
+  bool parseOperand(const OperandSpec &S, Instruction &I) {
+    Operand &O = I.Ops[S.Index];
+    switch (S.Kind) {
+    case SyntaxKind::Reg: {
+      if (!at(Token::Kind::Reg))
+        return fail("expected register operand");
+      VRegId R;
+      if (!resolveReg(take(), std::nullopt, R))
+        return false;
+      O = Operand::reg(R);
       return true;
     }
-    case Opcode::Ret: {
-      if (at(Token::Kind::Reg))
-        return UseReg();
+    case SyntaxKind::IntImm:
+    case SyntaxKind::Slot: {
+      if (!at(Token::Kind::IntLit))
+        return fail("expected integer literal");
+      const Token &T = take();
+      O = Operand::intImm(T.IntValue);
+      // A slot's class is that of operand 0, which its row reads first.
+      return S.Kind == SyntaxKind::IntImm ||
+             noteSpillSlot(T, F->regClass(I.Ops[0].Reg));
+    }
+    case SyntaxKind::FloatImm:
+      if (at(Token::Kind::FloatLit))
+        O = Operand::floatImm(take().FloatValue);
+      else if (at(Token::Kind::IntLit))
+        O = Operand::floatImm(double(take().IntValue));
+      else
+        return fail("expected floating literal");
+      return true;
+    case SyntaxKind::Array: {
+      if (!at(Token::Kind::Array))
+        return fail("expected array operand");
+      const Token &T = take();
+      uint32_t A = M.findArray(T.Text);
+      if (A == ~0u)
+        return failAt(T, "reference to unknown array @" + T.Text);
+      O = Operand::array(A);
+      return true;
+    }
+    case SyntaxKind::Block: {
+      if (!at(Token::Kind::Ident))
+        return fail("expected block name operand");
+      const Token &T = take();
+      auto It = BlocksByName.find(T.Text);
+      if (It == BlocksByName.end())
+        return failAt(T, "reference to unknown block '" + T.Text + "'");
+      O = Operand::block(It->second);
       return true;
     }
     }
-    return fail("unhandled opcode");
+    return false;
   }
 
   std::vector<Token> Tokens;

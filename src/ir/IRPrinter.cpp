@@ -73,9 +73,10 @@ std::string operandText(const Module &M, const Function &F, const Operand &O) {
 
 std::string ra::printInstruction(const Module &M, const Function &F,
                                  const Instruction &I) {
+  const OpcodeInfo &Info = opcodeInfo(I.Op);
   std::string Out;
-  unsigned FirstSrc = 0;
-  if (I.hasDef() && !I.Ops.empty()) {
+  unsigned First = 0;
+  if (Info.has(OpcodeInfo::Def) && !I.Ops.empty()) {
     const Operand &Def = I.Ops[0];
     Out += operandText(M, F, Def);
     Out += ":";
@@ -83,30 +84,24 @@ std::string ra::printInstruction(const Module &M, const Function &F,
                ? regClassName(F.regClass(Def.Reg))
                : "<bad>";
     Out += " = ";
-    FirstSrc = 1;
+    First = 1;
   }
-  Out += opcodeName(I.Op);
-  if (I.Op == Opcode::Br) {
+  Out += Info.Name;
+  if (Info.has(OpcodeInfo::Cmp)) {
     Out += " ";
     Out += cmpKindName(I.Cmp);
   }
 
-  // Memory operations print with array-subscript syntax.
-  if ((I.Op == Opcode::Load || I.Op == Opcode::FLoad) && I.Ops.size() == 3) {
-    Out += " " + operandText(M, F, I.Ops[1]) + "[" +
-           operandText(M, F, I.Ops[2]) + "]";
-    return Out;
-  }
-  if ((I.Op == Opcode::Store || I.Op == Opcode::FStore) &&
-      I.Ops.size() == 3) {
-    Out += " " + operandText(M, F, I.Ops[1]) + "[" +
-           operandText(M, F, I.Ops[2]) + "], " + operandText(M, F, I.Ops[0]);
-    return Out;
-  }
-
-  for (unsigned Idx = FirstSrc, E = I.Ops.size(); Idx != E; ++Idx) {
-    Out += Idx == FirstSrc ? " " : ", ";
-    Out += operandText(M, F, I.Ops[Idx]);
+  // Operands are written in the row's text order; an instruction with
+  // the wrong operand count (the verifier quotes those) in index order.
+  const bool AsRow = I.Ops.size() == Info.NumOps;
+  for (unsigned K = First, E = I.Ops.size(); K != E; ++K) {
+    bool Subscript =
+        AsRow && K > 0 && Info.Ops[K - 1].Kind == SyntaxKind::Array;
+    Out += Subscript ? "[" : K == First ? " " : ", ";
+    Out += operandText(M, F, I.Ops[AsRow ? Info.Ops[K].Index : K]);
+    if (Subscript)
+      Out += "]";
   }
   return Out;
 }

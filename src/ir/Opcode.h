@@ -17,6 +17,7 @@
 #ifndef RA_IR_OPCODE_H
 #define RA_IR_OPCODE_H
 
+#include <cassert>
 #include <cstdint>
 
 namespace ra {
@@ -72,8 +73,67 @@ enum class Opcode : uint8_t {
   Ret, ///< return (optionally yielding one register to the harness)
 };
 
+/// Number of opcodes.
+inline constexpr unsigned NumOpcodes = unsigned(Opcode::Ret) + 1;
+
 /// Comparison kinds used by \c Opcode::Br.
 enum class CmpKind : uint8_t { EQ, NE, LT, LE, GT, GE };
+
+/// Number of comparison kinds.
+inline constexpr unsigned NumCmpKinds = unsigned(CmpKind::GE) + 1;
+
+/// How an operand is written, and what the verifier requires of it.
+enum class SyntaxKind : uint8_t {
+  Reg,      ///< %name
+  IntImm,   ///< an integer literal
+  FloatImm, ///< a floating literal (an integer literal is read as one)
+  Array,    ///< @name; the next operand is its index, written [%i]
+  Block,    ///< a block label
+  Slot,     ///< a spill slot, written as an integer literal
+};
+
+/// The register class an operand must have; for an array, its element
+/// class; for a spill slot, its slot class.
+enum class ClassRule : uint8_t { Any, Int, Float, SameAsOp0 };
+
+/// One operand of an opcode's syntax.
+struct OperandSpec {
+  uint8_t Index; ///< Its position in Instruction::Ops.
+  SyntaxKind Kind;
+  ClassRule Class;
+};
+
+/// One opcode's mnemonic, traits and operand syntax. The table of these
+/// is the one definition of the text format: the parser, the printer and
+/// the verifier's operand checks all walk it.
+struct OpcodeInfo {
+  enum Flag : uint8_t {
+    Def = 1,          ///< Operand 0 is a def, written "%d:C =" first.
+    Terminator = 2,   ///< Ends a basic block.
+    Cmp = 4,          ///< A comparison mnemonic follows the mnemonic.
+    StopAtBad = 8,    ///< The verifier reports only the first bad operand.
+    OptionalLast = 16 ///< The last operand, a register, may be left out.
+  };
+
+  const char *Name;
+  uint8_t Flags;
+  uint8_t NumOps;
+  OperandSpec Ops[4]; ///< In text order, the def first.
+
+  bool has(Flag F) const { return Flags & F; }
+
+  /// The operand at position \p Index of Instruction::Ops.
+  const OperandSpec &operand(unsigned Index) const {
+    unsigned K = 0;
+    while (K + 1 < NumOps && Ops[K].Index != Index)
+      ++K;
+    assert(Ops[K].Index == Index && "no such operand");
+    return Ops[K];
+  }
+};
+
+/// The table row of \p Op.
+const OpcodeInfo &opcodeInfo(Opcode Op);
 
 /// Printable mnemonic ("movi", "fadd", ...).
 const char *opcodeName(Opcode Op);

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <set>
 #include <stdexcept>
 
 using namespace ra;
@@ -36,6 +37,35 @@ TEST(OpcodeTest, TraitsAreConsistent) {
   EXPECT_FALSE(opcodeIsTerminator(Opcode::Copy));
   EXPECT_STREQ(opcodeName(Opcode::FSqrt), "fsqrt");
   EXPECT_STREQ(cmpKindName(CmpKind::LE), "le");
+}
+
+// What the parser, the printer and the verifier assume of every row.
+TEST(OpcodeTest, TableRowsAreWellFormed) {
+  std::set<std::string> Names;
+  for (unsigned Op = 0; Op < NumOpcodes; ++Op) {
+    const OpcodeInfo &Info = opcodeInfo(Opcode(Op));
+    SCOPED_TRACE(Info.Name);
+    EXPECT_TRUE(Names.insert(Info.Name).second) << "duplicate mnemonic";
+    ASSERT_TRUE(Info.NumOps >= 1 && Info.NumOps <= 4);
+    std::set<unsigned> Indices;
+    for (unsigned K = 0; K < Info.NumOps; ++K) {
+      const OperandSpec &S = Info.Ops[K];
+      Indices.insert(S.Index);
+      EXPECT_EQ(&Info.operand(S.Index), &S);
+      // Operand 0 is parsed before any operand whose class is its own.
+      EXPECT_TRUE(S.Class != ClassRule::SameAsOp0 || Info.Ops[0].Index == 0);
+      // An array's index follows it.
+      EXPECT_TRUE(S.Kind != SyntaxKind::Array || K + 1 < Info.NumOps);
+    }
+    EXPECT_EQ(Indices.size(), size_t(Info.NumOps)) << "repeated index";
+    EXPECT_EQ(*Indices.rbegin(), Info.NumOps - 1u) << "index out of range";
+    const OperandSpec &First = Info.Ops[0], &Last = Info.Ops[Info.NumOps - 1];
+    EXPECT_TRUE(!Info.has(OpcodeInfo::Def) ||
+                (First.Index == 0 && First.Kind == SyntaxKind::Reg));
+    EXPECT_TRUE(!Info.has(OpcodeInfo::OptionalLast) ||
+                (Last.Index == Info.NumOps - 1u &&
+                 Last.Kind == SyntaxKind::Reg));
+  }
 }
 
 TEST(OpcodeTest, CmpEvaluation) {
