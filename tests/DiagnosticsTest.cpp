@@ -13,8 +13,9 @@
 //    operand is dropped or replaced (a register of either class, an
 //    out-of-range register, an immediate, a float, an array of either
 //    class, an out-of-range array, a block, an out-of-range block), one
-//    operand is appended, and all operands are replaced at once. Each line is "<case>: <message>", one per
-//    verifier message in order, or "<case>: ok".
+//    operand is appended, and all operands are replaced at once. Each
+//    line is "<case>: <message>", one per verifier message in order, or
+//    "<case>: ok".
 //  - tests/golden/parse_diagnostics.golden: the instruction is text on
 //    line 8 of a small module. Each token after the mnemonic is dropped
 //    or replaced, and the result-register prefix is dropped or added.
