@@ -21,6 +21,10 @@ using namespace ra;
 
 namespace {
 
+/// Bounds the slot table a text can make the parser build. Allocated
+/// code numbers its slots from 0, one per spilled live range.
+constexpr int64_t MaxSpillSlots = int64_t(1) << 20;
+
 struct Token {
   enum class Kind {
     Ident,   // bare identifier (keywords, opcodes, block names)
@@ -372,6 +376,8 @@ private:
     int64_t Slot = T.IntValue;
     if (Slot < 0)
       return failAt(T, "negative spill slot");
+    if (Slot >= MaxSpillSlots)
+      return failAt(T, "spill slot " + std::to_string(Slot) + " out of range");
     if (SlotClasses.size() <= uint64_t(Slot))
       SlotClasses.resize(Slot + 1);
     if (!SlotClasses[Slot])

@@ -79,7 +79,7 @@ constexpr OpcodeInfo Table[NumOpcodes] = {
     row("spill.st", Stop, {reg(0, Any), slot(1)}),
     row("br", Term | Cmp,
         {reg(0, Any), reg(1, SameAsOp0), block(2), block(3)}),
-    row("jmp", Term | Stop, {block(0)}),
+    row("jmp", Term, {block(0)}),
     row("ret", Term | Opt, {reg(0, Any)}),
 };
 

@@ -152,6 +152,16 @@ const ParseCase ParseCases[] = {
      "  }\n"
      "}\n",
      "line 7: spill slot 2 used with two classes"},
+    {"SpillSlotPastTheBound",
+     "module {\n"
+     "  func @f {\n"
+     "  block entry:\n"
+     "    %i:int = movi 0\n"
+     "    spill.st %i, 9223372036854775807\n"
+     "    ret\n"
+     "  }\n"
+     "}\n",
+     "line 5: spill slot 9223372036854775807 out of range"},
     {"TruncatedFunction",
      "module {\n"
      "  func @f {\n"
