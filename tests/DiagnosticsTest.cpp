@@ -26,55 +26,20 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Golden.h"
+
 #include "ir/IRBuilder.h"
 #include "ir/IRParser.h"
 #include "ir/Verifier.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <set>
 
 using namespace ra;
 
 namespace {
-
-std::vector<std::string> readLines(const std::string &Path) {
-  std::ifstream In(Path);
-  std::vector<std::string> Lines;
-  for (std::string L; std::getline(In, L);)
-    Lines.push_back(L);
-  return Lines;
-}
-
-/// Compares \p Actual with the golden file \p Name line by line, or
-/// rewrites the file when RA_UPDATE_GOLDEN is set.
-void checkGolden(const std::string &Name,
-                 const std::vector<std::string> &Actual) {
-  const std::string Path = std::string(RA_TESTS_DIR) + "/golden/" + Name;
-  if (std::getenv("RA_UPDATE_GOLDEN")) {
-    std::ofstream Out(Path);
-    ASSERT_TRUE(Out) << "cannot write " << Path;
-    for (const std::string &L : Actual)
-      Out << L << "\n";
-    return;
-  }
-  std::vector<std::string> Golden = readLines(Path);
-  ASSERT_FALSE(Golden.empty())
-      << Path << " is missing; regenerate with RA_UPDATE_GOLDEN=1";
-  unsigned Shown = 0;
-  for (size_t I = 0; I < std::max(Golden.size(), Actual.size()); ++I) {
-    const std::string G = I < Golden.size() ? Golden[I] : "<none>";
-    const std::string A = I < Actual.size() ? Actual[I] : "<none>";
-    if (G != A && Shown++ < 20)
-      ADD_FAILURE() << Name << ":" << I + 1 << "\n  golden: " << G
-                    << "\n  actual: " << A;
-  }
-  EXPECT_EQ(Golden.size(), Actual.size()) << Name;
-}
 
 //===--------------------------------------------------------------------===//
 // Verifier.

@@ -214,6 +214,31 @@ TEST(ParserTest, AcceptsLiteralsAtTheirLimits) {
   }
 }
 
+TEST(ParserTest, AcceptsLongNamesAndLiterals) {
+  // A register name past the small-string buffer, a float literal of 35
+  // digits (strtod rounds it) and an int literal with a '+' sign.
+  const char *Text = R"(
+    module {
+      func @f {
+      block entry:
+        %abcdefghijklmnopqrstuvwxyz_0123456789.xy:int = movi +7
+        %f:flt = movf 3.1415926535897932384626433832795029
+        ret %abcdefghijklmnopqrstuvwxyz_0123456789.xy
+      }
+    }
+  )";
+  Module M;
+  std::string Err;
+  ASSERT_TRUE(parseModule(Text, M, Err)) << Err;
+  const Function &F = M.function(0);
+  EXPECT_EQ(F.vreg(0).Name, "abcdefghijklmnopqrstuvwxyz_0123456789.xy");
+  EXPECT_EQ(F.vreg(0).Name.size(), 40u);
+  const std::vector<Instruction> &Insts = F.block(0).Insts;
+  EXPECT_EQ(Insts[0].Ops[1].Imm, 7);
+  EXPECT_EQ(Insts[1].Ops[1].FImm, 3.141592653589793);
+  EXPECT_EQ(Insts[2].Ops[0].Reg, 0u);
+}
+
 TEST(ParserTest, SpillSlotsNamedOutOfOrderKeepTheirClasses) {
   // Slot 3 is named before slots 0-2; only the slots an instruction
   // names take its class, and an unnamed slot is int.

@@ -19,14 +19,17 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 using namespace ra;
+using namespace std::string_view_literals;
 
 namespace {
 
 struct ParseCase {
   const char *Name;
-  const char *Input;
-  const char *ExpectedError; ///< exact "line N: message"
+  std::string_view Input; ///< may hold a NUL byte
+  std::string_view ExpectedError; ///< exact "line N: message"
 };
 
 // Without a printer gtest names each case by the raw bytes of its
@@ -162,6 +165,39 @@ const ParseCase ParseCases[] = {
      "  }\n"
      "}\n",
      "line 5: spill slot 9223372036854775807 out of range"},
+    // The lexer reads bytes in the "C" locale: a byte of 0x80 or more
+    // (here UTF-8 for 'e' with an acute accent) is in no identifier.
+    {"HighByteInsideRegisterName",
+     "module {\n"
+     "  func @f {\n"
+     "  block entry:\n"
+     "    %ab\xC3\xA9:int = movi 1\n"
+     "    ret\n"
+     "  }\n"
+     "}\n",
+     "line 4: unexpected character '\xC3'"},
+    {"HighByteStartsRegisterName",
+     "module {\n"
+     "  func @f {\n"
+     "  block entry:\n"
+     "    %\xC3\xA9:int = movi 1\n"
+     "    ret\n"
+     "  }\n"
+     "}\n",
+     "line 4: empty register/array name"},
+    {"NulByte", "module {\n  \0\n}\n"sv,
+     "line 2: unexpected character '\0'"sv},
+    // Tab and CR are spaces; only LF ends a line.
+    {"TabAndCarriageReturnBeforeNewline", "module {\t\r\n  gadget\t\r\n}\n",
+     "line 2: expected 'array' or 'func'"},
+    {"CommentAtEndWithoutNewline",
+     "module {\n"
+     "  func @f {\n"
+     "  block entry:\n"
+     "    ret\n"
+     "  }\n"
+     "// no closing brace",
+     "line 6: unexpected end of input inside module"},
     {"TruncatedFunction",
      "module {\n"
      "  func @f {\n"
@@ -176,7 +212,8 @@ TEST_P(NegativeParse, RejectsWithExactDiagnostic) {
   const ParseCase &C = GetParam();
   Module M;
   std::string Error;
-  EXPECT_FALSE(parseModule(C.Input, M, Error)) << "input parsed unexpectedly";
+  EXPECT_FALSE(parseModule(std::string(C.Input), M, Error))
+      << "input parsed unexpectedly";
   EXPECT_EQ(Error, C.ExpectedError);
 }
 

@@ -7,8 +7,8 @@
 // IR text from outside must never crash or hang the front end. The
 // corpus programs and the printed Figure 5 modules (as built, and after
 // a tight Briggs allocation, so spill code is in the mix) are mutated
-// with seeded byte flips, token deletions, splices, truncations and
-// moved lines.
+// with seeded byte flips, token deletions, splices (of seed text or of
+// bytes of 0x80 and up), truncations and moved lines.
 // Every mutant must either be rejected with a "line N: " diagnostic
 // whose N lies within the text (or one past its last line, at its end),
 // or parse and run through verifyModule. Under the sanitizer build this
@@ -88,10 +88,17 @@ std::string mutate(std::string S, const std::vector<std::string> &Seeds,
       S.erase(Begin, End - Begin);
       break;
     }
-    case 2: { // splice: a piece of some seed text at a random position
-      const std::string &From = Seeds[R.nextBelow(Seeds.size())];
-      size_t At = R.nextBelow(From.size());
-      std::string Piece = From.substr(At, 1 + R.nextBelow(160));
+    case 2: { // splice: a piece of some seed text, or a run of bytes of
+              // 0x80 and up (a UTF-8 name), at a random position
+      std::string Piece;
+      if (R.nextBelow(4) == 0) {
+        for (unsigned K = 1 + R.nextBelow(4); K; --K)
+          Piece += char(0x80 + R.nextBelow(0x80));
+      } else {
+        const std::string &From = Seeds[R.nextBelow(Seeds.size())];
+        size_t At = R.nextBelow(From.size());
+        Piece = From.substr(At, 1 + R.nextBelow(160));
+      }
       S.insert(R.nextBelow(S.size() + 1), Piece);
       break;
     }
@@ -137,7 +144,7 @@ TEST(TextMutationTest, MutantsParseOrFailAtALineOfTheText) {
         << "mutant " << N << " (" << Lines << " newlines): " << Error;
   }
   // Every outcome must occur, or the mutations are too weak or too wild:
-  // 125 mutants parse (52 of them verify clean) and 2,275 are rejected.
+  // 128 mutants parse (50 of them verify clean) and 2,272 are rejected.
   EXPECT_GT(Parsed, 50u);
   EXPECT_GT(Verified, 20u);
   EXPECT_GT(Parsed - Verified, 20u);
