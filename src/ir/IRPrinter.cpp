@@ -3,83 +3,111 @@
 // Part of briggs-regalloc. SPDX-License-Identifier: MIT
 //
 //===----------------------------------------------------------------------===//
+//
+// Every piece of text is appended to one output buffer: numbers through
+// std::to_chars, names sanitized straight into it, no temporary string
+// per operand. The three public functions wrap the append* helpers.
+//
+//===----------------------------------------------------------------------===//
 
 #include "ir/IRPrinter.h"
 
-#include <cctype>
+#include <charconv>
 #include <cstdio>
+#include <cstring>
 
 using namespace ra;
 
 namespace {
 
-/// Keeps only characters that are legal in identifiers.
-std::string sanitize(const std::string &S) {
-  std::string Out;
+template <typename Int> void appendInt(std::string &Out, Int V) {
+  char Buf[24];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+}
+
+/// Appends the bytes of \p S that are legal in identifiers ([A-Za-z0-9_]),
+/// or "v" when none is.
+void appendSanitized(std::string &Out, const std::string &S) {
+  const size_t Start = Out.size();
+  Out.resize(Start + S.size());
+  size_t At = Start;
   for (char C : S)
-    if (std::isalnum(static_cast<unsigned char>(C)) || C == '_')
-      Out += C;
-  if (Out.empty())
-    Out = "v";
-  return Out;
+    if ((C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') ||
+        (C >= '0' && C <= '9') || C == '_')
+      Out[At++] = C;
+  Out.resize(At);
+  if (At == Start)
+    Out += 'v';
 }
 
 // The printer is also used to render verifier diagnostics, so it must
 // tolerate out-of-range ids instead of asserting on them.
 
-std::string regName(const Function &F, VRegId R) {
+void appendBad(std::string &Out, const char *Prefix, uint64_t Id) {
+  Out += Prefix;
+  Out += "<bad:";
+  appendInt(Out, Id);
+  Out += '>';
+}
+
+void appendReg(std::string &Out, const Function &F, VRegId R) {
   if (R >= F.numVRegs())
-    return "%<bad:" + std::to_string(R) + ">";
-  return "%" + sanitize(F.vreg(R).Name) + "." + std::to_string(R);
+    return appendBad(Out, "%", R);
+  Out += '%';
+  appendSanitized(Out, F.vreg(R).Name);
+  Out += '.';
+  appendInt(Out, R);
 }
 
-std::string blockName(const Function &F, uint32_t B) {
+void appendBlock(std::string &Out, const Function &F, uint32_t B) {
   if (B >= F.numBlocks())
-    return "<bad:" + std::to_string(B) + ">";
-  return sanitize(F.block(B).Name) + "." + std::to_string(B);
+    return appendBad(Out, "", B);
+  appendSanitized(Out, F.block(B).Name);
+  Out += '.';
+  appendInt(Out, B);
 }
 
-std::string floatLit(double V) {
+void appendFloat(std::string &Out, double V) {
   char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
-  std::string S = Buf;
+  int N = std::snprintf(Buf, sizeof(Buf), "%.17g", V);
+  Out.append(Buf, N);
   // Guarantee the literal re-parses as a float, not an integer.
-  if (S.find_first_of(".eEnN") == std::string::npos)
-    S += ".0";
-  return S;
+  if (!std::strpbrk(Buf, ".eEnN"))
+    Out += ".0";
 }
 
-std::string operandText(const Module &M, const Function &F, const Operand &O) {
+void appendOperand(std::string &Out, const Module &M, const Function &F,
+                   const Operand &O) {
   switch (O.K) {
   case Operand::Kind::None:
-    return "<none>";
+    Out += "<none>";
+    return;
   case Operand::Kind::Reg:
-    return regName(F, O.Reg);
+    return appendReg(Out, F, O.Reg);
   case Operand::Kind::IntImm:
-    return std::to_string(O.Imm);
+    return appendInt(Out, O.Imm);
   case Operand::Kind::FloatImm:
-    return floatLit(O.FImm);
+    return appendFloat(Out, O.FImm);
   case Operand::Kind::Array:
     if (O.Array >= M.numArrays())
-      return "@<bad:" + std::to_string(O.Array) + ">";
-    return "@" + M.array(O.Array).Name;
+      return appendBad(Out, "@", O.Array);
+    Out += '@';
+    Out += M.array(O.Array).Name;
+    return;
   case Operand::Kind::Block:
-    return blockName(F, O.Block);
+    return appendBlock(Out, F, O.Block);
   }
-  return "<bad>";
+  Out += "<bad>";
 }
 
-} // namespace
-
-std::string ra::printInstruction(const Module &M, const Function &F,
-                                 const Instruction &I) {
+void appendInstruction(std::string &Out, const Module &M, const Function &F,
+                       const Instruction &I) {
   const OpcodeInfo &Info = opcodeInfo(I.Op);
-  std::string Out;
   unsigned First = 0;
   if (Info.has(OpcodeInfo::Def) && !I.Ops.empty()) {
     const Operand &Def = I.Ops[0];
-    Out += operandText(M, F, Def);
-    Out += ":";
+    appendOperand(Out, M, F, Def);
+    Out += ':';
     Out += Def.isReg() && Def.Reg < F.numVRegs()
                ? regClassName(F.regClass(Def.Reg))
                : "<bad>";
@@ -88,7 +116,7 @@ std::string ra::printInstruction(const Module &M, const Function &F,
   }
   Out += Info.Name;
   if (Info.has(OpcodeInfo::Cmp)) {
-    Out += " ";
+    Out += ' ';
     Out += cmpKindName(I.Cmp);
   }
 
@@ -99,33 +127,68 @@ std::string ra::printInstruction(const Module &M, const Function &F,
     bool Subscript =
         AsRow && K > 0 && Info.Ops[K - 1].Kind == SyntaxKind::Array;
     Out += Subscript ? "[" : K == First ? " " : ", ";
-    Out += operandText(M, F, I.Ops[AsRow ? Info.Ops[K].Index : K]);
+    appendOperand(Out, M, F, I.Ops[AsRow ? Info.Ops[K].Index : K]);
     if (Subscript)
-      Out += "]";
+      Out += ']';
   }
+}
+
+void appendFunction(std::string &Out, const Module &M, const Function &F) {
+  Out += "func @";
+  Out += F.name();
+  Out += " {\n";
+  for (const BasicBlock &B : F.blocks()) {
+    Out += "block ";
+    appendBlock(Out, F, B.Id);
+    Out += ":\n";
+    for (const Instruction &I : B.Insts) {
+      Out += "  ";
+      appendInstruction(Out, M, F, I);
+      Out += '\n';
+    }
+  }
+  Out += "}\n";
+}
+
+/// A guess at \p F's text size that is rarely short: printed fig5 and
+/// mega code averages under 30 bytes an instruction.
+size_t sizeHint(const Function &F) { return 32 * F.numInstructions() + 64; }
+
+} // namespace
+
+std::string ra::printInstruction(const Module &M, const Function &F,
+                                 const Instruction &I) {
+  std::string Out;
+  appendInstruction(Out, M, F, I);
   return Out;
 }
 
 std::string ra::printFunction(const Module &M, const Function &F) {
-  std::string Out = "func @" + F.name() + " {\n";
-  for (const BasicBlock &B : F.blocks()) {
-    Out += "block " + blockName(F, B.Id) + ":\n";
-    for (const Instruction &I : B.Insts)
-      Out += "  " + printInstruction(M, F, I) + "\n";
-  }
-  Out += "}\n";
+  std::string Out;
+  Out.reserve(sizeHint(F));
+  appendFunction(Out, M, F);
   return Out;
 }
 
 std::string ra::printModule(const Module &M) {
-  std::string Out = "module {\n";
+  size_t Hint = 16;
+  for (unsigned FI = 0; FI < M.numFunctions(); ++FI)
+    Hint += sizeHint(M.function(FI));
+  std::string Out;
+  Out.reserve(Hint);
+  Out += "module {\n";
   for (unsigned A = 0; A < M.numArrays(); ++A) {
     const ArrayInfo &AI = M.array(A);
-    Out += "array @" + AI.Name + " : " + regClassName(AI.Elem) + "[" +
-           std::to_string(AI.Size) + "]\n";
+    Out += "array @";
+    Out += AI.Name;
+    Out += " : ";
+    Out += regClassName(AI.Elem);
+    Out += '[';
+    appendInt(Out, AI.Size);
+    Out += "]\n";
   }
   for (unsigned FI = 0; FI < M.numFunctions(); ++FI)
-    Out += printFunction(M, M.function(FI));
+    appendFunction(Out, M, M.function(FI));
   Out += "}\n";
   return Out;
 }

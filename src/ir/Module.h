@@ -20,6 +20,7 @@
 #include <cassert>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ra {
@@ -48,7 +49,7 @@ public:
   }
 
   /// Finds an array by name; returns ~0u when absent.
-  uint32_t findArray(const std::string &Name) const {
+  uint32_t findArray(std::string_view Name) const {
     for (uint32_t I = 0, E = Arrays.size(); I != E; ++I)
       if (Arrays[I].Name == Name)
         return I;

@@ -21,6 +21,13 @@
 
 using namespace ra;
 
+uint64_t MemoryImage::elementCount(const Module &M) {
+  uint64_t N = 0;
+  for (uint32_t A = 0; A < M.numArrays(); ++A)
+    N += M.array(A).Size;
+  return N;
+}
+
 MemoryImage::MemoryImage(const Module &M) {
   IntData.resize(M.numArrays());
   FloatData.resize(M.numArrays());

@@ -38,6 +38,15 @@ namespace ra {
 /// Typed storage for every array in a module.
 class MemoryImage {
 public:
+  /// The most elements, summed over a module's arrays, an image holds:
+  /// 2^24, 128 MiB of 8-byte elements. The parser accepts arrays of up to
+  /// 2^32 - 1 elements, so a caller building an image for text from
+  /// outside checks elementCount first.
+  static constexpr uint64_t MaxElements = uint64_t(1) << 24;
+
+  /// The elements of \p M's arrays, summed.
+  static uint64_t elementCount(const Module &M);
+
   /// Allocates zero-initialized storage shaped like \p M's arrays.
   explicit MemoryImage(const Module &M);
 
