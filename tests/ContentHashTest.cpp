@@ -14,18 +14,30 @@
 //    classified keyed, neutral or cache-bypass, and each is flipped: a
 //    keyed flip changes the key, a neutral flip changes neither the key
 //    nor any fig5 allocation, a bypass flip makes the config uncacheable.
-//    A new field fails to compile until it is classified here.
+//    A new field fails to compile until it is classified here;
+//  * tests/golden/config_key.golden pins the bytes the settings write:
+//    the key's config line for the default and each keyed setting
+//    flipped, the FNV-1a hash of every fig5 routine's and corpus
+//    function's key, the wire line for the default and each wire key
+//    flipped, and the shared flags' usage text. Regenerate on purpose
+//    with
+//      RA_UPDATE_GOLDEN=1 build/tests/ra_tests --gtest_filter='*Golden*'
 //
 //===----------------------------------------------------------------------===//
+
+#include "Corpus.h"
+#include "Golden.h"
 
 #include "ir/IRPrinter.h"
 #include "ir/Module.h"
 #include "service/ContentHash.h"
+#include "service/Protocol.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <type_traits>
 
@@ -201,6 +213,94 @@ TEST(ContentHashTest, EveryConfigFieldIsClassified) {
       break;
     }
   }
+}
+
+/// "<label> <line>" for a one-line text that ends in a newline.
+std::string goldenLine(const std::string &Label, std::string Text) {
+  EXPECT_EQ(Text.back(), '\n') << Label;
+  Text.pop_back();
+  return Label + " " + Text;
+}
+
+std::string hexHash(const std::string &Key) {
+  char Hash[17];
+  std::snprintf(Hash, sizeof(Hash), "%016llx",
+                (unsigned long long)contentHash(Key));
+  return Hash;
+}
+
+TEST(ContentHashTest, ConfigKeyMatchesGolden) {
+  // The base is the default wire line applied, so RA_AUDIT cannot move
+  // the audit field.
+  const WireConfig BaseW;
+  AllocatorConfig BaseC;
+  ASSERT_TRUE(BaseW.apply(BaseC).ok());
+  std::vector<std::string> Lines;
+  Lines.push_back(goldenLine("key default", canonicalConfigText(BaseC, true)));
+  using C = AllocatorConfig &;
+  using W = WireConfig &;
+  const std::pair<const char *, std::function<void(W, C, bool &)>> Keyed[] = {
+      {"Allocator", [](W Wc, C A, bool &) {
+         Wc.Allocator = "chaitin";
+         ASSERT_TRUE(parseAllocatorName(Wc.Allocator, A.B, A.H));
+       }},
+      {"B", [](W, C A, bool &) { A.B = Backend::LinearScan; }},
+      {"H", [](W, C A, bool &) { A.H = Heuristic::Chaitin; }},
+      {"Machine.Int", [](W, C A, bool &) { A.Machine = A.Machine.withIntRegs(5); }},
+      {"Machine.Float",
+       [](W, C A, bool &) { A.Machine = A.Machine.withFloatRegs(3); }},
+      {"Optimize", [](W, C, bool &Opt) { Opt = false; }},
+      {"MaxPasses", [](W, C A, bool &) { A.MaxPasses = 2; }},
+      {"Coalesce", [](W, C A, bool &) { A.Coalesce = false; }},
+      {"Coalescing",
+       [](W, C A, bool &) { A.Coalescing = CoalescePolicy::Conservative; }},
+      {"Rematerialize", [](W, C A, bool &) { A.Rematerialize = true; }},
+      {"Audit", [](W, C A, bool &) { A.Audit = false; }},
+      {"CollectMetrics", [](W, C A, bool &) { A.CollectMetrics = true; }},
+  };
+  for (const auto &[Field, Flip] : Keyed) {
+    WireConfig Wc = BaseW;
+    AllocatorConfig A = BaseC;
+    bool Opt = true;
+    Flip(Wc, A, Opt);
+    Lines.push_back(goldenLine("key " + std::string(Field),
+                               canonicalConfigText(A, Opt)));
+  }
+  for (const Workload &Wl : allWorkloads()) {
+    Module M;
+    Function &F = Wl.Build(M);
+    Lines.push_back("hash fig5." + Wl.Routine + " " +
+                    hexHash(canonicalFunctionKey(M, F, BaseC, true)));
+  }
+  forEachCorpusFunction([&](Module &M, Function &F, const std::string &File) {
+    Lines.push_back("hash corpus." + File + "@" + F.name() + " " +
+                    hexHash(canonicalFunctionKey(M, F, BaseC, true)));
+  });
+  Lines.push_back("wire default " + BaseW.render());
+  const std::pair<const char *, std::function<void(W)>> Wire[] = {
+      {"Allocator", [](W Wc) { Wc.Allocator = "chaitin"; }},
+      {"Machine.Int", [](W Wc) { Wc.IntK = 5; }},
+      {"Machine.Float", [](W Wc) { Wc.FltK = 3; }},
+      {"Optimize", [](W Wc) { Wc.Optimize = false; }},
+      {"Rematerialize", [](W Wc) { Wc.Remat = true; }},
+      {"Audit", [](W Wc) { Wc.Audit = false; }},
+      {"UseCache", [](W Wc) { Wc.UseCache = false; }},
+      {"Print", [](W Wc) { Wc.Print = true; }},
+      {"DeadlineSeconds", [](W Wc) { Wc.DeadlineMs = 3600000; }},
+      {"MemoryBudgetBytes", [](W Wc) { Wc.MemBudgetMb = 4096; }},
+  };
+  for (const auto &[Field, Flip] : Wire) {
+    WireConfig Wc = BaseW;
+    Flip(Wc);
+    Lines.push_back("wire " + std::string(Field) + " " + Wc.render());
+  }
+  const std::string Usage = WireConfig::flagUsage();
+  for (size_t Pos = 0; Pos < Usage.size();) {
+    size_t End = Usage.find('\n', Pos);
+    Lines.push_back("usage " + Usage.substr(Pos, End - Pos));
+    Pos = End + 1;
+  }
+  checkGolden("config_key.golden", Lines);
 }
 
 } // namespace
