@@ -7,6 +7,7 @@
 #include "ir/Verifier.h"
 
 #include "analysis/Liveness.h"
+#include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "support/Trace.h"
 
@@ -31,6 +32,8 @@ public:
       checkBlock(B);
     if (Errors.empty())
       checkDefiniteAssignment();
+    if (!isParsableName(F.name()))
+      error("function name must be one or more of [A-Za-z0-9_.]");
     return Errors;
   }
 
@@ -228,7 +231,13 @@ std::vector<std::string> ra::verifyFunction(const Module &M,
 
 std::vector<std::string> ra::verifyModule(const Module &M) {
   RA_TRACE_SPAN("Verify", "ir");
+  // The printer writes array and function names as stored, so a name
+  // must be one the parser reads back.
   std::vector<std::string> All;
+  for (unsigned A = 0; A < M.numArrays(); ++A)
+    if (!isParsableName(M.array(A).Name))
+      All.push_back("array '" + M.array(A).Name +
+                    "': name must be one or more of [A-Za-z0-9_.]");
   for (unsigned I = 0; I < M.numFunctions(); ++I) {
     auto Errs = verifyFunction(M, M.function(I));
     All.insert(All.end(), Errs.begin(), Errs.end());

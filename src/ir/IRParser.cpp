@@ -649,6 +649,12 @@ private:
 
 } // namespace
 
+bool ra::isParsableName(std::string_view Name) {
+  return !Name.empty() && std::all_of(Name.begin(), Name.end(), [](char C) {
+    return is(C, IdentChar);
+  });
+}
+
 bool ra::parseModule(const std::string &Text, Module &M, std::string &Error) {
   RA_TRACE_SPAN("Parse", "ir");
   std::vector<Token> Tokens;

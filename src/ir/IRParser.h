@@ -16,12 +16,17 @@
 #include "ir/Module.h"
 
 #include <string>
+#include <string_view>
 
 namespace ra {
 
 /// Parses \p Text into \p M (which should be empty). On failure returns
 /// false and stores a "line N: message" diagnostic in \p Error.
 bool parseModule(const std::string &Text, Module &M, std::string &Error);
+
+/// True when \p Name reads back as the name of an @array or @function:
+/// one or more of the lexer's name bytes, [A-Za-z0-9_.].
+bool isParsableName(std::string_view Name);
 
 } // namespace ra
 

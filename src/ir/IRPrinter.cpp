@@ -6,7 +6,7 @@
 //
 // Every piece of text is appended to one output buffer: numbers through
 // std::to_chars, names sanitized straight into it, no temporary string
-// per operand. The three public functions wrap the append* helpers.
+// per operand. The public functions wrap the append* helpers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -133,7 +133,13 @@ void appendInstruction(std::string &Out, const Module &M, const Function &F,
   }
 }
 
-void appendFunction(std::string &Out, const Module &M, const Function &F) {
+/// A guess at \p F's text size that is rarely short: printed fig5 and
+/// mega code averages under 30 bytes an instruction.
+size_t sizeHint(const Function &F) { return 32 * F.numInstructions() + 64; }
+
+} // namespace
+
+void ra::appendFunction(std::string &Out, const Module &M, const Function &F) {
   Out += "func @";
   Out += F.name();
   Out += " {\n";
@@ -150,11 +156,18 @@ void appendFunction(std::string &Out, const Module &M, const Function &F) {
   Out += "}\n";
 }
 
-/// A guess at \p F's text size that is rarely short: printed fig5 and
-/// mega code averages under 30 bytes an instruction.
-size_t sizeHint(const Function &F) { return 32 * F.numInstructions() + 64; }
-
-} // namespace
+void ra::appendArrayTable(std::string &Out, const Module &M) {
+  for (unsigned A = 0; A < M.numArrays(); ++A) {
+    const ArrayInfo &AI = M.array(A);
+    Out += "array @";
+    Out += AI.Name;
+    Out += " : ";
+    Out += regClassName(AI.Elem);
+    Out += '[';
+    appendInt(Out, AI.Size);
+    Out += "]\n";
+  }
+}
 
 std::string ra::printInstruction(const Module &M, const Function &F,
                                  const Instruction &I) {
@@ -177,16 +190,7 @@ std::string ra::printModule(const Module &M) {
   std::string Out;
   Out.reserve(Hint);
   Out += "module {\n";
-  for (unsigned A = 0; A < M.numArrays(); ++A) {
-    const ArrayInfo &AI = M.array(A);
-    Out += "array @";
-    Out += AI.Name;
-    Out += " : ";
-    Out += regClassName(AI.Elem);
-    Out += '[';
-    appendInt(Out, AI.Size);
-    Out += "]\n";
-  }
+  appendArrayTable(Out, M);
   for (unsigned FI = 0; FI < M.numFunctions(); ++FI)
     appendFunction(Out, M, M.function(FI));
   Out += "}\n";

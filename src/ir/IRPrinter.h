@@ -26,6 +26,13 @@ std::string printModule(const Module &M);
 /// Renders one function (with its enclosing module for array names).
 std::string printFunction(const Module &M, const Function &F);
 
+/// Appends \p M's array table to \p Out: one "array @name : class[size]"
+/// line per array, in id order, as printModule writes it.
+void appendArrayTable(std::string &Out, const Module &M);
+
+/// Appends \p F's text to \p Out, as printFunction returns it.
+void appendFunction(std::string &Out, const Module &M, const Function &F);
+
 /// Renders one instruction on a single line (no trailing newline).
 std::string printInstruction(const Module &M, const Function &F,
                              const Instruction &I);

@@ -103,7 +103,9 @@ struct AllocatorConfig {
   /// fallback's residual coloring under any backend).
   Heuristic H = Heuristic::Briggs;
   MachineInfo Machine = MachineInfo::rtpc();
-  CostModel Costs = CostModel::rtpc();
+  /// The paper's RT/PC cost model. It has one value, so it is not a
+  /// setting; ROADMAP item 1 deletes it with perfbench's read of it.
+  static constexpr CostModel Costs{};
   /// Safety bound on Build-Simplify-Color cycles (the paper observed at
   /// most three in practice).
   unsigned MaxPasses = 32;
@@ -116,11 +118,9 @@ struct AllocatorConfig {
   /// reloading them (off by default: the paper's allocator predates
   /// rematerialization; turn on to measure the refinement).
   bool Rematerialize = false;
-  /// Inert: read only by perfbench; deleted by ROADMAP item 5.
+  /// Inert: read only by perfbench; deleted by ROADMAP item 1.
   bool ParallelGraph = false;
-  /// Inert: read only by perfbench; deleted by ROADMAP item 5.
   unsigned ParallelGraphJobs = 0;
-  /// Inert: read only by perfbench; deleted by ROADMAP item 5.
   unsigned ParallelGraphMinNodes = 2048;
   /// Run the independent post-allocation audit (AllocationAudit.h) on
   /// every allocation. An audit failure triggers the spill-everything

@@ -12,8 +12,8 @@
 /// The key is the *canonical printed form* of the allocation input —
 /// the module's array table (IRPrinter's `array` lines, so array-id
 /// order, names, element classes and sizes all participate) followed by
-/// the function's printed body — concatenated with a rendering of every
-/// AllocatorConfig field that can change the allocation result.
+/// the function's printed body — after canonicalConfigText's line of
+/// every setting that can change the allocation result.
 ///
 /// Deliberately NOT semantic: two textually different but semantically
 /// identical modules (renamed registers, reordered blocks, a renamed
@@ -23,25 +23,20 @@
 /// byte-identical sources, where the printed form is exactly stable.
 /// ServiceTest pins this contract in both directions.
 ///
-/// Config fields that cannot change the result are excluded: the three
-/// inert fields only perfbench still sets, which nothing in the
-/// allocator reads. Keying on them would only split the cache. Deadline
-/// and memory budgets are excluded too: only Converged results are ever
-/// inserted (AllocationService), and a governed run that converges is
-/// byte-identical to the ungoverned run by construction — budget
-/// polling can abort work, never steer it.
-///
-/// ContentHashTest.EveryConfigFieldIsClassified guards this split: it
-/// lists every AllocatorConfig field as keyed, neutral or cache-bypass
-/// and flips each one, and a new field does not compile until it is
-/// listed there.
+/// Which settings the key holds is the Class of each row of the settings
+/// table (service/Config.cpp): Keyed rows are in it; Neutral rows (the
+/// budgets, printing, the inert fields perfbench still sets) are left
+/// out, since keying on them would only split the cache; Bypass rows
+/// keep a request out of the cache altogether. The row comments give
+/// the reasons, and ContentHashTest.EveryConfigFieldIsClassified flips
+/// every row and checks its class.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RA_SERVICE_CONTENTHASH_H
 #define RA_SERVICE_CONTENTHASH_H
 
-#include "regalloc/Allocator.h"
+#include "service/Config.h"
 
 #include <cstdint>
 #include <string>
@@ -56,10 +51,6 @@ namespace service {
 /// 64-bit FNV-1a over \p Len bytes starting at \p Data.
 uint64_t fnv1a64(const void *Data, size_t Len,
                  uint64_t Seed = 0xCBF29CE484222325ull);
-
-/// Renders every result-affecting AllocatorConfig field (plus the
-/// optimizer toggle) as one deterministic "k=v" line.
-std::string canonicalConfigText(const AllocatorConfig &C, bool Optimize);
 
 /// The full cache key for allocating \p F inside \p M under \p C:
 /// canonical config text + array-table text + printed function.

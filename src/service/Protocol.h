@@ -36,12 +36,11 @@
 #ifndef RA_SERVICE_PROTOCOL_H
 #define RA_SERVICE_PROTOCOL_H
 
-#include "regalloc/Allocator.h"
 #include "service/AllocCache.h"
+#include "service/Config.h"
 #include "support/Status.h"
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -87,49 +86,6 @@ public:
 private:
   std::string Buf;
   bool Poisoned = false;
-};
-
-/// The per-request allocation configuration, rendered as one
-/// space-separated "k=v" text line. The option table in Protocol.cpp
-/// gives each wire key its rac/racc spellings, value kind and member.
-/// Unknown keys are a parse error — a client speaking a newer dialect
-/// must fail loudly, not silently lose a knob — and so is any value
-/// outside its kind (Protocol.cpp lists the kinds' rules).
-struct WireConfig {
-  std::string Allocator = "briggs"; ///< rac --allocator spellings.
-  unsigned IntK = 16, FltK = 8;
-  bool Optimize = true;
-  bool Remat = false;
-  bool Audit = true;
-  bool UseCache = true;
-  bool Print = false; ///< Return printed allocated functions.
-  double DeadlineMs = 0;
-  uint64_t MemBudgetMb = 0;
-  /// The largest MemBudgetMb whose byte count (<< 20) fits in 64 bits.
-  static constexpr uint64_t MaxMemBudgetMb = UINT64_MAX >> 20;
-
-  std::string render() const;
-  Status parse(const std::string &Text);
-
-  /// Parses one command-line flag's value \p Val as wire key \p Key,
-  /// under parse()'s rules; a value holding a space is rejected rather
-  /// than read as several tokens. A bad value is an invalid-input
-  /// Status naming \p Flag.
-  Status parseFlag(const std::string &Flag, const std::string &Key,
-                   const std::string &Val);
-
-  /// Reads Argv[I] when it spells a table option, advancing \p I past
-  /// its value, and returns parseFlag's Status. Returns nullopt, leaving
-  /// \p I alone, for any other argument or a value flag at the end.
-  std::optional<Status> parseArg(int Argc, const char *const *Argv, int &I);
-
-  /// The usage lines of the shared flags.
-  static std::string flagUsage();
-
-  /// Resolves into the allocator configuration (validating Allocator).
-  /// Only wire-carried fields are set. rac and racd both build their
-  /// AllocatorConfig through this call.
-  Status apply(AllocatorConfig &C) const;
 };
 
 /// AllocRequest payload: config line + module source text.

@@ -38,13 +38,11 @@ bool RacdServer::handleFrame(MsgType T, const std::string &Payload,
       return true;
     }
     ServiceRequest R;
-    if (Status S = Req.Config.apply(R.Alloc); !S.ok()) {
+    if (Status S = Req.Config.apply(R); !S.ok()) {
       appendFrame(Out, MsgType::Error, S.toString());
       return true;
     }
     R.Source = std::move(Req.Source);
-    R.Optimize = Req.Config.Optimize;
-    R.UseCache = Req.Config.UseCache;
 
     ServiceReply Reply = Svc.run(R);
 

@@ -1,4 +1,4 @@
-//===- tests/ContentHashTest.cpp - Cache-key coverage of AllocatorConfig --===//
+//===- tests/ContentHashTest.cpp - Cache-key coverage of the settings -----===//
 //
 // Part of briggs-regalloc. SPDX-License-Identifier: MIT
 //
@@ -10,17 +10,17 @@
 //  * canonicalConfigText renders the default and one non-default
 //    AllocatorConfig as fixed literal lines, so a refactor of the key
 //    cannot silently change (and thereby cold-start or alias) it;
-//  * every AllocatorConfig field, plus the optimize toggle, is
-//    classified keyed, neutral or cache-bypass, and each is flipped: a
-//    keyed flip changes the key, a neutral flip changes neither the key
-//    nor any fig5 allocation, a bypass flip makes the config uncacheable.
-//    A new field fails to compile until it is classified here;
+//  * every row of the settings table (service/Config.cpp) is flipped
+//    and checked against its class: a keyed flip changes the key, a
+//    neutral flip changes neither the key nor any fig5 allocation, a
+//    bypass flip keeps the request out of the cache. Config.cpp pins the
+//    size of each struct the rows cover, so a new field does not compile
+//    until it has a row;
 //  * tests/golden/config_key.golden pins the bytes the settings write:
-//    the key's config line for the default and each keyed setting
-//    flipped, the FNV-1a hash of every fig5 routine's and corpus
-//    function's key, the wire line for the default and each wire key
-//    flipped, and the shared flags' usage text. Regenerate on purpose
-//    with
+//    the key's config line for the default and each keyed row flipped,
+//    the FNV-1a hash of every fig5 routine's and corpus function's key,
+//    the wire line for the default and each wire row flipped, and the
+//    shared flags' usage text. Regenerate on purpose with
 //      RA_UPDATE_GOLDEN=1 build/tests/ra_tests --gtest_filter='*Golden*'
 //
 //===----------------------------------------------------------------------===//
@@ -30,16 +30,14 @@
 
 #include "ir/IRPrinter.h"
 #include "ir/Module.h"
+#include "service/AllocationService.h"
 #include "service/ContentHash.h"
-#include "service/Protocol.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
-#include <type_traits>
 
 using namespace ra;
 using namespace ra::service;
@@ -72,98 +70,28 @@ TEST(ContentHashTest, ConfigTextIsPinned) {
             "opt=0\n");
 }
 
-// Every field below is classified in classifiedFields(). Adding a field
-// to AllocatorConfig or FaultInjectOptions changes its size and stops
-// this file from compiling: classify the new field there, then update
-// the size. (A field small enough to fit in existing padding would slip
-// past, which is why the list names each field it covers.) The sizes
-// are those of 64-bit libstdc++ builds, the CI toolchain. CostModel
-// holds no state, so there is no second value to flip Costs to; if it
-// gains one, it prices spills and must be keyed.
-#if defined(__GLIBCXX__) && UINTPTR_MAX == UINT64_MAX
-static_assert(sizeof(AllocatorConfig) == 112,
-              "AllocatorConfig changed: classify the new field below");
-static_assert(sizeof(FaultInjectOptions) == 48,
-              "FaultInjectOptions changed: classify the new field below");
-#endif
-static_assert(std::is_empty_v<CostModel>,
-              "CostModel gained state: key it in canonicalConfigText");
-
-/// How a field relates to the cache key.
-enum class KeyClass {
-  Keyed,   ///< can change the allocation, so it is part of the key
-  Neutral, ///< never changes a converged allocation; left out of the key
-  Bypass,  ///< deliberate breakage: the config is never cached
-};
-
-struct ClassifiedField {
-  const char *Name;
-  KeyClass Class;
-  /// Sets the field away from the base config. The inert ParallelGraph
-  /// fields are flipped together, the way perfbench sets them.
-  std::function<void(AllocatorConfig &, bool &Optimize)> Flip;
-};
-
-std::vector<ClassifiedField> classifiedFields() {
-  using K = KeyClass;
-  using C = AllocatorConfig &;
-  return {
-      {"B", K::Keyed, [](C A, bool &) { A.B = Backend::LinearScan; }},
-      {"H", K::Keyed, [](C A, bool &) { A.H = Heuristic::Chaitin; }},
-      {"Machine.Int", K::Keyed,
-       [](C A, bool &) { A.Machine = A.Machine.withIntRegs(5); }},
-      {"Machine.Float", K::Keyed,
-       [](C A, bool &) { A.Machine = A.Machine.withFloatRegs(3); }},
-      {"MaxPasses", K::Keyed, [](C A, bool &) { A.MaxPasses = 2; }},
-      {"Coalesce", K::Keyed, [](C A, bool &) { A.Coalesce = false; }},
-      {"Coalescing", K::Keyed,
-       [](C A, bool &) { A.Coalescing = CoalescePolicy::Conservative; }},
-      {"Rematerialize", K::Keyed,
-       [](C A, bool &) { A.Rematerialize = true; }},
-      {"Audit", K::Keyed, [](C A, bool &) { A.Audit = !A.Audit; }},
-      {"CollectMetrics", K::Keyed,
-       [](C A, bool &) { A.CollectMetrics = true; }},
-      {"Optimize", K::Keyed, [](C, bool &Opt) { Opt = false; }},
-      {"ParallelGraph", K::Neutral,
-       [](C A, bool &) {
-         A.ParallelGraph = true;
-         A.ParallelGraphMinNodes = 0;
-       }},
-      {"ParallelGraphJobs", K::Neutral,
-       [](C A, bool &) {
-         A.ParallelGraph = true;
-         A.ParallelGraphMinNodes = 0;
-         A.ParallelGraphJobs = 3;
-       }},
-      {"ParallelGraphMinNodes", K::Neutral,
-       [](C A, bool &) {
-         A.ParallelGraph = true;
-         A.ParallelGraphMinNodes = 16;
-       }},
-      {"DeadlineSeconds", K::Neutral,
-       [](C A, bool &) { A.DeadlineSeconds = 3600; }},
-      {"MemoryBudgetBytes", K::Neutral,
-       [](C A, bool &) { A.MemoryBudgetBytes = uint64_t(1) << 32; }},
-      {"FaultInject.Miscolor", K::Bypass,
-       [](C A, bool &) { A.FaultInject.Miscolor = true; }},
-      {"FaultInject.NonConvergence", K::Bypass,
-       [](C A, bool &) { A.FaultInject.NonConvergence = true; }},
-      {"FaultInject.ThrowInFunction", K::Bypass,
-       [](C A, bool &) { A.FaultInject.ThrowInFunction = "f"; }},
-      {"FaultInject.SlowPhaseMicros", K::Bypass,
-       [](C A, bool &) { A.FaultInject.SlowPhaseMicros = 1; }},
-      {"FaultInject.GraphMemorySpike", K::Bypass,
-       [](C A, bool &) { A.FaultInject.GraphMemorySpike = true; }},
-  };
+/// \p Base with \p S moved off its default: a shared flag's Other value
+/// parsed into \p W and applied to the request, or the row's Flip.
+ServiceRequest flipped(const Setting &S, WireConfig &W,
+                       const ServiceRequest &Base) {
+  ServiceRequest R = Base;
+  if (S.onWire()) {
+    const std::string Before = W.render();
+    EXPECT_TRUE(S.Other && W.parse(std::string(S.Key) + "=" + S.Other).ok())
+        << S.Field << " has no other value";
+    EXPECT_NE(W.render(), Before) << S.Field << "'s other value is its default";
+    if (S.Apply)
+      S.Apply(W, R);
+  } else {
+    EXPECT_TRUE(S.Flip) << S.Field << " has no flip";
+    if (S.Flip)
+      S.Flip(R.Alloc);
+  }
+  return R;
 }
 
-/// The base every flip starts from: the default config at a 6+4 file,
-/// with Audit pinned so RA_AUDIT cannot move it.
-AllocatorConfig baseConfig() {
-  AllocatorConfig C;
-  C.Machine = MachineInfo(6, 4);
-  C.Audit = false;
-  return C;
+bool cached(const ServiceRequest &R) {
+  return R.UseCache && cacheableConfig(R.Alloc);
 }
 
 /// printFunction + ColorOf of every fig5 routine allocated under \p C.
@@ -182,26 +110,32 @@ std::vector<std::string> fig5Allocations(const AllocatorConfig &C) {
 }
 
 TEST(ContentHashTest, EveryConfigFieldIsClassified) {
-  const AllocatorConfig Base = baseConfig();
+  // The base is the default wire line at a 6+4 file, so fig5 spills;
+  // applying it sets the audit, so RA_AUDIT cannot move it.
+  WireConfig BaseW;
+  BaseW.IntK = 6;
+  BaseW.FltK = 4;
+  ServiceRequest Base;
+  ASSERT_TRUE(BaseW.apply(Base).ok());
   Module M;
   Function &F = allWorkloads().front().Build(M);
-  const std::string BaseKey = canonicalFunctionKey(M, F, Base, true);
-  const std::vector<std::string> BaseAllocs = fig5Allocations(Base);
-  ASSERT_TRUE(cacheableConfig(Base));
+  const std::string BaseKey =
+      canonicalFunctionKey(M, F, Base.Alloc, Base.Optimize);
+  const std::vector<std::string> BaseAllocs = fig5Allocations(Base.Alloc);
+  ASSERT_TRUE(cached(Base));
 
-  for (const ClassifiedField &Field : classifiedFields()) {
-    SCOPED_TRACE(Field.Name);
-    AllocatorConfig C = Base;
-    bool Optimize = true;
-    Field.Flip(C, Optimize);
-    const std::string Key = canonicalFunctionKey(M, F, C, Optimize);
-    switch (Field.Class) {
+  for (const Setting &S : settings()) {
+    SCOPED_TRACE(S.Field);
+    WireConfig W = BaseW;
+    const ServiceRequest R = flipped(S, W, Base);
+    const std::string Key = canonicalFunctionKey(M, F, R.Alloc, R.Optimize);
+    switch (S.Class) {
     case KeyClass::Keyed:
       EXPECT_NE(Key, BaseKey) << "a result-changing field is not keyed";
       break;
     case KeyClass::Neutral: {
       EXPECT_EQ(Key, BaseKey) << "a neutral field splits the cache";
-      std::vector<std::string> Allocs = fig5Allocations(C);
+      std::vector<std::string> Allocs = fig5Allocations(R.Alloc);
       ASSERT_EQ(Allocs.size(), BaseAllocs.size());
       for (size_t I = 0; I < Allocs.size(); ++I)
         EXPECT_EQ(Allocs[I], BaseAllocs[I])
@@ -209,7 +143,7 @@ TEST(ContentHashTest, EveryConfigFieldIsClassified) {
       break;
     }
     case KeyClass::Bypass:
-      EXPECT_FALSE(cacheableConfig(C)) << "breakage would be cached";
+      EXPECT_FALSE(cached(R)) << "breakage would be cached";
       break;
     }
   }
@@ -233,38 +167,18 @@ TEST(ContentHashTest, ConfigKeyMatchesGolden) {
   // The base is the default wire line applied, so RA_AUDIT cannot move
   // the audit field.
   const WireConfig BaseW;
-  AllocatorConfig BaseC;
-  ASSERT_TRUE(BaseW.apply(BaseC).ok());
+  ServiceRequest Base;
+  ASSERT_TRUE(BaseW.apply(Base).ok());
+  const AllocatorConfig &BaseC = Base.Alloc;
   std::vector<std::string> Lines;
   Lines.push_back(goldenLine("key default", canonicalConfigText(BaseC, true)));
-  using C = AllocatorConfig &;
-  using W = WireConfig &;
-  const std::pair<const char *, std::function<void(W, C, bool &)>> Keyed[] = {
-      {"Allocator", [](W Wc, C A, bool &) {
-         Wc.Allocator = "chaitin";
-         ASSERT_TRUE(parseAllocatorName(Wc.Allocator, A.B, A.H));
-       }},
-      {"B", [](W, C A, bool &) { A.B = Backend::LinearScan; }},
-      {"H", [](W, C A, bool &) { A.H = Heuristic::Chaitin; }},
-      {"Machine.Int", [](W, C A, bool &) { A.Machine = A.Machine.withIntRegs(5); }},
-      {"Machine.Float",
-       [](W, C A, bool &) { A.Machine = A.Machine.withFloatRegs(3); }},
-      {"Optimize", [](W, C, bool &Opt) { Opt = false; }},
-      {"MaxPasses", [](W, C A, bool &) { A.MaxPasses = 2; }},
-      {"Coalesce", [](W, C A, bool &) { A.Coalesce = false; }},
-      {"Coalescing",
-       [](W, C A, bool &) { A.Coalescing = CoalescePolicy::Conservative; }},
-      {"Rematerialize", [](W, C A, bool &) { A.Rematerialize = true; }},
-      {"Audit", [](W, C A, bool &) { A.Audit = false; }},
-      {"CollectMetrics", [](W, C A, bool &) { A.CollectMetrics = true; }},
-  };
-  for (const auto &[Field, Flip] : Keyed) {
-    WireConfig Wc = BaseW;
-    AllocatorConfig A = BaseC;
-    bool Opt = true;
-    Flip(Wc, A, Opt);
-    Lines.push_back(goldenLine("key " + std::string(Field),
-                               canonicalConfigText(A, Opt)));
+  for (const Setting &S : settings()) {
+    if (S.Class != KeyClass::Keyed)
+      continue;
+    WireConfig W = BaseW;
+    ServiceRequest R = flipped(S, W, Base);
+    Lines.push_back(goldenLine("key " + std::string(S.Field),
+                               canonicalConfigText(R.Alloc, R.Optimize)));
   }
   for (const Workload &Wl : allWorkloads()) {
     Module M;
@@ -277,22 +191,12 @@ TEST(ContentHashTest, ConfigKeyMatchesGolden) {
                     hexHash(canonicalFunctionKey(M, F, BaseC, true)));
   });
   Lines.push_back("wire default " + BaseW.render());
-  const std::pair<const char *, std::function<void(W)>> Wire[] = {
-      {"Allocator", [](W Wc) { Wc.Allocator = "chaitin"; }},
-      {"Machine.Int", [](W Wc) { Wc.IntK = 5; }},
-      {"Machine.Float", [](W Wc) { Wc.FltK = 3; }},
-      {"Optimize", [](W Wc) { Wc.Optimize = false; }},
-      {"Rematerialize", [](W Wc) { Wc.Remat = true; }},
-      {"Audit", [](W Wc) { Wc.Audit = false; }},
-      {"UseCache", [](W Wc) { Wc.UseCache = false; }},
-      {"Print", [](W Wc) { Wc.Print = true; }},
-      {"DeadlineSeconds", [](W Wc) { Wc.DeadlineMs = 3600000; }},
-      {"MemoryBudgetBytes", [](W Wc) { Wc.MemBudgetMb = 4096; }},
-  };
-  for (const auto &[Field, Flip] : Wire) {
-    WireConfig Wc = BaseW;
-    Flip(Wc);
-    Lines.push_back("wire " + std::string(Field) + " " + Wc.render());
+  for (const Setting &S : settings()) {
+    if (!S.onWire())
+      continue;
+    WireConfig W = BaseW;
+    flipped(S, W, Base);
+    Lines.push_back("wire " + std::string(S.Field) + " " + W.render());
   }
   const std::string Usage = WireConfig::flagUsage();
   for (size_t Pos = 0; Pos < Usage.size();) {

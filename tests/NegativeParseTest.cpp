@@ -14,6 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ir/IRBuilder.h"
 #include "ir/IRParser.h"
 #include "ir/Verifier.h"
 
@@ -229,7 +230,20 @@ struct VerifyCase {
   const char *Input;
   /// Every verifier message, in order; empty for an input it accepts.
   std::vector<const char *> ExpectedErrors;
+  /// Builds the module through the API instead of parsing Input, for
+  /// names the text cannot spell.
+  void (*Build)(Module &M) = nullptr;
 };
+
+/// A module of one array named \p Array and one function named \p Func
+/// that returns at once.
+void buildNamed(Module &M, const char *Array, const char *Func) {
+  M.newArray(Array, 4, RegClass::Int);
+  Function &F = M.newFunction(Func);
+  IRBuilder B(M, F);
+  B.setInsertPoint(B.newBlock("entry"));
+  B.ret();
+}
 
 // Named by its case, like ParseCase above, so the test name is stable.
 void PrintTo(const VerifyCase &C, std::ostream *OS) { *OS << C.Name; }
@@ -314,6 +328,20 @@ const VerifyCase VerifyCases[] = {
      "}\n",
      {"@f: in entry: '%x.0:int = addi %x.0, 1': register %x may be used "
       "before definition"}},
+    // The printer writes array and function names as stored; these would
+    // print text the parser rejects.
+    {"ArrayNamedEmpty", nullptr,
+     {"array '': name must be one or more of [A-Za-z0-9_.]"},
+     [](Module &M) { buildNamed(M, "", "f"); }},
+    {"ArrayNameWithSpace", nullptr,
+     {"array 'a b': name must be one or more of [A-Za-z0-9_.]"},
+     [](Module &M) { buildNamed(M, "a b", "f"); }},
+    {"ArrayNameWithDash", nullptr,
+     {"array 'x-y': name must be one or more of [A-Za-z0-9_.]"},
+     [](Module &M) { buildNamed(M, "x-y", "f"); }},
+    {"FunctionNameWithDash", nullptr,
+     {"@f-g: function name must be one or more of [A-Za-z0-9_.]"},
+     [](Module &M) { buildNamed(M, "a", "f-g"); }},
 };
 
 const VerifyCase CleanVerifyCases[] = {
@@ -372,11 +400,14 @@ const VerifyCase CleanVerifyCases[] = {
      {}},
 };
 
-/// \p Input's verifier messages; fails the test if it does not parse.
-std::vector<std::string> verifyText(const char *Input) {
+/// \p C's verifier messages; fails the test if its input does not parse.
+std::vector<std::string> verifyCase(const VerifyCase &C) {
   Module M;
   std::string Error;
-  EXPECT_TRUE(parseModule(Input, M, Error)) << Error;
+  if (C.Build)
+    C.Build(M);
+  else
+    EXPECT_TRUE(parseModule(C.Input, M, Error)) << Error;
   return verifyModule(M);
 }
 
@@ -385,7 +416,7 @@ class NegativeVerify : public ::testing::TestWithParam<VerifyCase> {};
 TEST_P(NegativeVerify, RejectsWithExactDiagnostic) {
   const VerifyCase &C = GetParam();
   EXPECT_FALSE(C.ExpectedErrors.empty());
-  EXPECT_EQ(verifyText(C.Input),
+  EXPECT_EQ(verifyCase(C),
             std::vector<std::string>(C.ExpectedErrors.begin(),
                                      C.ExpectedErrors.end()));
 }
@@ -397,7 +428,7 @@ INSTANTIATE_TEST_SUITE_P(Table, NegativeVerify,
 class CleanVerify : public ::testing::TestWithParam<VerifyCase> {};
 
 TEST_P(CleanVerify, Accepts) {
-  EXPECT_EQ(verifyText(GetParam().Input), std::vector<std::string>());
+  EXPECT_EQ(verifyCase(GetParam()), std::vector<std::string>());
 }
 
 INSTANTIATE_TEST_SUITE_P(Table, CleanVerify,

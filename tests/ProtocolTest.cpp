@@ -221,8 +221,8 @@ TEST(ProtocolTest, WireConfigRoundTripsAndRejectsUnknownKeys) {
   // apply() validates the allocator spelling against rac's parser.
   WireConfig Bogus;
   Bogus.Allocator = "bogus";
-  AllocatorConfig AC;
-  Status S = Bogus.apply(AC);
+  ServiceRequest R;
+  Status S = Bogus.apply(R);
   ASSERT_FALSE(S.ok());
   EXPECT_NE(S.toString().find("unknown allocator 'bogus'"),
             std::string::npos);
@@ -319,11 +319,11 @@ TEST(ProtocolTest, WireDeadlineRoundTripsExactly) {
     AllocRequestMsg Back;
     ASSERT_TRUE(Back.decode(Req.encode()).ok()) << Req.Config.render();
     EXPECT_EQ(Back.Config.DeadlineMs, Ms) << Req.Config.render();
-    AllocatorConfig Sent, Got;
+    ServiceRequest Sent, Got;
     ASSERT_TRUE(Req.Config.apply(Sent).ok());
     ASSERT_TRUE(Back.Config.apply(Got).ok());
-    EXPECT_EQ(Got.DeadlineSeconds, Sent.DeadlineSeconds);
-    EXPECT_TRUE(Got.governed()) << Req.Config.render();
+    EXPECT_EQ(Got.Alloc.DeadlineSeconds, Sent.Alloc.DeadlineSeconds);
+    EXPECT_TRUE(Got.Alloc.governed()) << Req.Config.render();
   }
 }
 
@@ -390,9 +390,9 @@ TEST(ProtocolTest, WireConfigMemoryBudgetMustNotWrap) {
   WireConfig C;
   ASSERT_TRUE(
       C.parse("mem_mb=" + std::to_string(WireConfig::MaxMemBudgetMb)).ok());
-  AllocatorConfig AC;
-  ASSERT_TRUE(C.apply(AC).ok());
-  EXPECT_EQ(AC.MemoryBudgetBytes >> 20, WireConfig::MaxMemBudgetMb);
+  ServiceRequest R;
+  ASSERT_TRUE(C.apply(R).ok());
+  EXPECT_EQ(R.Alloc.MemoryBudgetBytes >> 20, WireConfig::MaxMemBudgetMb);
 }
 
 TEST(ProtocolTest, HandleFrameServesWarmRepliesStatsAndShutdown) {

@@ -10,7 +10,7 @@
 //
 // The allocation options (allocator, register files, optimizer,
 // rematerialization, audit, cache, printing, deadline and memory budget)
-// come from the option table in service/Protocol.cpp that racc and the
+// come from the settings table in service/Config.cpp that racc and the
 // racd wire share; rac adds its own scheduling and output flags.
 //
 // Every input file is processed even after an earlier one fails, so a
@@ -72,11 +72,11 @@ void report(const std::string &Path, const Status &S) {
   std::fprintf(stderr, "rac: %s: %s\n", Path.c_str(), S.toString().c_str());
 }
 
-/// rac's options: the shared ones in W (applied to C), and its output
+/// rac's options: the shared ones in W (applied to Req), and its output
 /// flags.
 struct Options {
   service::WireConfig W;
-  AllocatorConfig C;
+  ServiceRequest Req; ///< every request's settings; Source is per file
   bool Run = false, Quiet = false;
   std::string TracePath;   ///< --trace: Chrome trace JSON output.
   std::string MetricsPath; ///< --metrics: per-range CSV output.
@@ -93,11 +93,8 @@ Status processFile(AllocationService &Svc, const std::string &Path,
   std::stringstream Buffer;
   Buffer << In.rdbuf();
 
-  ServiceRequest Req;
+  ServiceRequest Req = Opt.Req;
   Req.Source = Buffer.str();
-  Req.Alloc = Opt.C;
-  Req.Optimize = Opt.W.Optimize;
-  Req.UseCache = Opt.W.UseCache;
   ServiceReply Reply = Svc.run(Req);
   if (!Reply.S.ok())
     return Reply.S;
@@ -116,7 +113,7 @@ Status processFile(AllocationService &Svc, const std::string &Path,
     return S;
   }
 
-  if (Opt.C.CollectMetrics)
+  if (Opt.Req.Alloc.CollectMetrics)
     for (unsigned FI = 0; FI < M.numFunctions(); ++FI)
       appendMetricsCsv(MetricsCsv, M.function(FI).name(),
                        MA.Functions[FI].Metrics);
@@ -178,7 +175,7 @@ Status processFile(AllocationService &Svc, const std::string &Path,
 
   if (!Opt.Quiet) {
     std::printf("%s: %s allocator, %u int / %u flt registers%s%s%s\n",
-                Path.c_str(), allocatorName(Opt.C.B, Opt.C.H),
+                Path.c_str(), allocatorName(Opt.Req.Alloc.B, Opt.Req.Alloc.H),
                 Opt.W.IntK, Opt.W.FltK,
                 Opt.W.Optimize ? ", optimized" : "",
                 Opt.W.Remat ? ", rematerialization" : "",
@@ -237,12 +234,12 @@ int main(int Argc, char **Argv) {
   }
 
   // The shared fields go through WireConfig::apply, as racd builds its
-  // config.
-  if (Status S = Opt.W.apply(Opt.C); !S.ok()) {
+  // requests.
+  if (Status S = Opt.W.apply(Opt.Req); !S.ok()) {
     std::fprintf(stderr, "rac: %s\n", S.toString().c_str());
     return 1;
   }
-  Opt.C.CollectMetrics = !Opt.MetricsPath.empty();
+  Opt.Req.Alloc.CollectMetrics = !Opt.MetricsPath.empty();
 
   // One service instance spans the whole batch, so a function repeated
   // across input files (or files repeated on the command line) is

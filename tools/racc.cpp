@@ -10,8 +10,8 @@
 //   racc --socket PATH --stats                 print daemon cache stats
 //   racc --socket PATH --shutdown              stop the daemon cleanly
 //
-// The allocation flags are rac's, read through the option table in
-// service/Protocol.cpp that also renders the wire config; racc --help
+// The allocation flags are rac's, read through the settings table in
+// service/Config.cpp that also renders the wire config; racc --help
 // lists them. A bad value is an invalid-input diagnostic naming the flag,
 // reported before racc connects. `racc --print --quiet` prints each
 // allocated function exactly as `rac --print --quiet` would — `diff`
