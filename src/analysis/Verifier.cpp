@@ -234,10 +234,14 @@ std::vector<std::string> ra::verifyModule(const Module &M) {
   // The printer writes array and function names as stored, so a name
   // must be one the parser reads back.
   std::vector<std::string> All;
-  for (unsigned A = 0; A < M.numArrays(); ++A)
-    if (!isParsableName(M.array(A).Name))
-      All.push_back("array '" + M.array(A).Name +
+  for (unsigned A = 0; A < M.numArrays(); ++A) {
+    const std::string &Name = M.array(A).Name;
+    if (!isParsableName(Name))
+      All.push_back("array '" + Name +
                     "': name must be one or more of [A-Za-z0-9_.]");
+    else if (M.findArray(Name) != A)
+      All.push_back("array '" + Name + "': duplicate name");
+  }
   for (unsigned I = 0; I < M.numFunctions(); ++I) {
     auto Errs = verifyFunction(M, M.function(I));
     All.insert(All.end(), Errs.begin(), Errs.end());

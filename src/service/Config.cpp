@@ -266,11 +266,17 @@ std::string WireConfig::render() const {
 }
 
 Status WireConfig::parse(const std::string &Text) {
-  for (size_t Pos = 0, End; Pos < Text.size(); Pos = End + 1) {
-    End = std::min(Text.find(' ', Pos), Text.size());
-    if (End == Pos)
-      continue;
+  size_t Pos = 0;
+  while (Pos < Text.size()) {
+    while (Pos < Text.size() && Text[Pos] == ' ')
+      ++Pos;
+    if (Pos >= Text.size())
+      break;
+    size_t End = Text.find(' ', Pos);
+    if (End == std::string::npos)
+      End = Text.size();
     std::string Token = Text.substr(Pos, End - Pos);
+    Pos = End;
     size_t Eq = Token.find('=');
     if (Eq == std::string::npos)
       return Status::error(StatusCode::InvalidInput,

@@ -7,7 +7,6 @@
 #include "service/Protocol.h"
 
 #include <algorithm>
-#include <type_traits>
 
 using namespace ra;
 using namespace ra::service;
@@ -79,45 +78,62 @@ FrameReader::Result FrameReader::pop(MsgType &T, std::string &Payload,
 
 namespace {
 
-/// Appends payload fields: integers little-endian at their own width,
-/// strings as a u32 length and the bytes. Returns true, so a field list
-/// reads the same for Writer and Reader.
-struct Writer {
-  std::string Out;
+void putU8(std::string &Out, uint8_t V) { Out.push_back(char(V)); }
 
-  template <typename T> bool operator()(const T &V) {
-    if constexpr (std::is_same_v<T, std::string>) {
-      (*this)(uint32_t(V.size()));
-      Out += V;
-    } else {
-      for (size_t I = 0; I < sizeof(T); ++I)
-        Out.push_back(char((uint64_t(V) >> (8 * I)) & 0xFF));
-    }
-    return true;
-  }
-};
+void putU32(std::string &Out, uint32_t V) {
+  for (int I = 0; I < 4; ++I)
+    Out.push_back(char((V >> (8 * I)) & 0xFF));
+}
 
-/// Bounds-checked payload reader. Each field read returns false past the
+void putU64(std::string &Out, uint64_t V) {
+  for (int I = 0; I < 8; ++I)
+    Out.push_back(char((V >> (8 * I)) & 0xFF));
+}
+
+void putStr(std::string &Out, const std::string &S) {
+  putU32(Out, uint32_t(S.size()));
+  Out += S;
+}
+
+/// Bounds-checked payload reader. Every get* returns false past the
 /// end; decode() turns that into one truncated-payload Status.
 struct Reader {
   const std::string &P;
   size_t Off = 0;
 
-  template <typename T> bool operator()(T &V) {
-    if constexpr (std::is_same_v<T, std::string>) {
-      uint32_t Len;
-      if (!(*this)(Len) || Len > P.size() - Off)
-        return false;
-      V.assign(P, Off, Len);
-      Off += Len;
-    } else {
-      if (sizeof(T) > P.size() - Off)
-        return false;
-      V = 0;
-      for (size_t I = 0; I < sizeof(T); ++I)
-        V |= T(uint64_t(uint8_t(P[Off + I])) << (8 * I));
-      Off += sizeof(T);
-    }
+  bool getU8(uint8_t &V) {
+    if (Off + 1 > P.size())
+      return false;
+    V = uint8_t(P[Off++]);
+    return true;
+  }
+
+  bool getU32(uint32_t &V) {
+    if (Off + 4 > P.size())
+      return false;
+    V = 0;
+    for (int I = 0; I < 4; ++I)
+      V |= uint32_t(uint8_t(P[Off + I])) << (8 * I);
+    Off += 4;
+    return true;
+  }
+
+  bool getU64(uint64_t &V) {
+    if (Off + 8 > P.size())
+      return false;
+    V = 0;
+    for (int I = 0; I < 8; ++I)
+      V |= uint64_t(uint8_t(P[Off + I])) << (8 * I);
+    Off += 8;
+    return true;
+  }
+
+  bool getStr(std::string &S) {
+    uint32_t Len;
+    if (!getU32(Len) || Off + Len > P.size())
+      return false;
+    S.assign(P, Off, Len);
+    Off += Len;
     return true;
   }
 
@@ -130,21 +146,6 @@ Status truncated(const char *What) {
                            " payload");
 }
 
-/// The fields of one function's reply, in wire order.
-template <typename IO, typename Msg> bool functionFields(IO &F, Msg &M) {
-  return F(M.Name) && F(M.Outcome) && F(M.Success) && F(M.CacheHit) &&
-         F(M.Diag) && F(M.Passes) && F(M.Spills) && F(M.LiveRanges) &&
-         F(M.Printed);
-}
-
-/// The fields of a stats reply, in wire order.
-template <typename IO, typename Msg> bool statsFields(IO &F, Msg &M) {
-  auto &S = M.Stats;
-  return F(S.Hits) && F(S.Misses) && F(S.Insertions) && F(S.Evictions) &&
-         F(S.Refusals) && F(S.Entries) && F(S.BytesInUse) &&
-         F(S.PeakBytes) && F(M.Requests) && F(M.PoolWidth);
-}
-
 } // namespace
 
 //===--------------------------------------------------------------------===//
@@ -152,51 +153,82 @@ template <typename IO, typename Msg> bool statsFields(IO &F, Msg &M) {
 //===--------------------------------------------------------------------===//
 
 std::string AllocRequestMsg::encode() const {
-  Writer W;
-  W(Config.render());
-  W(Source);
-  return W.Out;
+  std::string Out;
+  putStr(Out, Config.render());
+  putStr(Out, Source);
+  return Out;
 }
 
 Status AllocRequestMsg::decode(const std::string &Payload) {
   Reader R{Payload};
   std::string ConfigText;
-  if (!R(ConfigText) || !R(Source) || !R.done())
+  if (!R.getStr(ConfigText) || !R.getStr(Source) || !R.done())
     return truncated("alloc-request");
   return Config.parse(ConfigText);
 }
 
 std::string AllocReplyMsg::encode() const {
-  Writer W;
-  W(Ok);
-  W(Diag);
-  W(uint32_t(Functions.size()));
-  for (const FunctionReplyMsg &F : Functions)
-    functionFields(W, F);
-  return W.Out;
+  std::string Out;
+  putU8(Out, Ok);
+  putStr(Out, Diag);
+  putU32(Out, uint32_t(Functions.size()));
+  for (const FunctionReplyMsg &F : Functions) {
+    putStr(Out, F.Name);
+    putU8(Out, F.Outcome);
+    putU8(Out, F.Success);
+    putU8(Out, F.CacheHit);
+    putStr(Out, F.Diag);
+    putU32(Out, F.Passes);
+    putU32(Out, F.Spills);
+    putU32(Out, F.LiveRanges);
+    putStr(Out, F.Printed);
+  }
+  return Out;
 }
 
 Status AllocReplyMsg::decode(const std::string &Payload) {
   Reader R{Payload};
   uint32_t N;
-  if (!R(Ok) || !R(Diag) || !R(N))
+  if (!R.getU8(Ok) || !R.getStr(Diag) || !R.getU32(N))
     return truncated("alloc-reply");
   Functions.clear();
   Functions.reserve(std::min<uint32_t>(N, 1u << 16));
-  for (uint32_t I = 0; I < N; ++I)
-    if (!functionFields(R, Functions.emplace_back()))
+  for (uint32_t I = 0; I < N; ++I) {
+    FunctionReplyMsg F;
+    if (!R.getStr(F.Name) || !R.getU8(F.Outcome) || !R.getU8(F.Success) ||
+        !R.getU8(F.CacheHit) || !R.getStr(F.Diag) || !R.getU32(F.Passes) ||
+        !R.getU32(F.Spills) || !R.getU32(F.LiveRanges) ||
+        !R.getStr(F.Printed))
       return truncated("alloc-reply");
-  return R.done() ? Status() : truncated("alloc-reply");
+    Functions.push_back(std::move(F));
+  }
+  if (!R.done())
+    return truncated("alloc-reply");
+  return Status();
 }
 
 std::string StatsReplyMsg::encode() const {
-  Writer W;
-  statsFields(W, *this);
-  return W.Out;
+  std::string Out;
+  putU64(Out, Stats.Hits);
+  putU64(Out, Stats.Misses);
+  putU64(Out, Stats.Insertions);
+  putU64(Out, Stats.Evictions);
+  putU64(Out, Stats.Refusals);
+  putU64(Out, Stats.Entries);
+  putU64(Out, Stats.BytesInUse);
+  putU64(Out, Stats.PeakBytes);
+  putU64(Out, Requests);
+  putU32(Out, PoolWidth);
+  return Out;
 }
 
 Status StatsReplyMsg::decode(const std::string &Payload) {
   Reader R{Payload};
-  return statsFields(R, *this) && R.done() ? Status()
-                                           : truncated("stats-reply");
+  if (!R.getU64(Stats.Hits) || !R.getU64(Stats.Misses) ||
+      !R.getU64(Stats.Insertions) || !R.getU64(Stats.Evictions) ||
+      !R.getU64(Stats.Refusals) || !R.getU64(Stats.Entries) ||
+      !R.getU64(Stats.BytesInUse) || !R.getU64(Stats.PeakBytes) ||
+      !R.getU64(Requests) || !R.getU32(PoolWidth) || !R.done())
+    return truncated("stats-reply");
+  return Status();
 }

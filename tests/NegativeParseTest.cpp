@@ -329,7 +329,7 @@ const VerifyCase VerifyCases[] = {
      {"@f: in entry: '%x.0:int = addi %x.0, 1': register %x may be used "
       "before definition"}},
     // The printer writes array and function names as stored; these would
-    // print text the parser rejects.
+    // print text the parser rejects, a second array of one name included.
     {"ArrayNamedEmpty", nullptr,
      {"array '': name must be one or more of [A-Za-z0-9_.]"},
      [](Module &M) { buildNamed(M, "", "f"); }},
@@ -339,6 +339,11 @@ const VerifyCase VerifyCases[] = {
     {"ArrayNameWithDash", nullptr,
      {"array 'x-y': name must be one or more of [A-Za-z0-9_.]"},
      [](Module &M) { buildNamed(M, "x-y", "f"); }},
+    {"ArrayNameDuplicated", nullptr, {"array 'a': duplicate name"},
+     [](Module &M) {
+       M.newArray("a", 4, RegClass::Float);
+       buildNamed(M, "a", "f");
+     }},
     {"FunctionNameWithDash", nullptr,
      {"@f-g: function name must be one or more of [A-Za-z0-9_.]"},
      [](Module &M) { buildNamed(M, "a", "f-g"); }},

@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <thread>
 
@@ -393,6 +394,31 @@ TEST(ProtocolTest, WireConfigMemoryBudgetMustNotWrap) {
   ServiceRequest R;
   ASSERT_TRUE(C.apply(R).ok());
   EXPECT_EQ(R.Alloc.MemoryBudgetBytes >> 20, WireConfig::MaxMemBudgetMb);
+}
+
+TEST(ProtocolTest, ApplyChecksMembersSetDirectly) {
+  // A member set on the struct, not parsed, is held to its kind's rule
+  // before anything reaches the request.
+  const std::pair<void (*)(WireConfig &), const char *> Bad[] = {
+      {[](WireConfig &W) { W.IntK = 0; }, "'int'"},
+      {[](WireConfig &W) { W.FltK = 0; }, "'flt'"},
+      {[](WireConfig &W) { W.DeadlineMs = -1; }, "'deadline_ms'"},
+      {[](WireConfig &W) { W.DeadlineMs = std::nan(""); }, "'deadline_ms'"},
+      {[](WireConfig &W) { W.MemBudgetMb = WireConfig::MaxMemBudgetMb + 1; },
+       "'mem_mb'"},
+      {[](WireConfig &W) { W.Allocator = "briggs opt=0"; },
+       "unknown allocator 'briggs opt=0'"}};
+  for (const auto &[Set, Named] : Bad) {
+    WireConfig W;
+    Set(W);
+    ServiceRequest R;
+    Status S = W.apply(R);
+    ASSERT_FALSE(S.ok()) << Named;
+    EXPECT_EQ(S.code(), StatusCode::InvalidInput);
+    EXPECT_NE(S.toString().find(Named), std::string::npos) << S.toString();
+    EXPECT_EQ(R.Alloc.Machine.numRegs(RegClass::Int), 16u) << Named;
+    EXPECT_EQ(R.Alloc.DeadlineSeconds, 0.0) << Named;
+  }
 }
 
 TEST(ProtocolTest, HandleFrameServesWarmRepliesStatsAndShutdown) {
