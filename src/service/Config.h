@@ -10,8 +10,8 @@
 /// token, and for a shared flag its wire key, rac/racc spellings, help
 /// line and WireConfig member. The cache key's config line, the wire
 /// line, the shared flags and ContentHashTest walk the rows; Config.cpp
-/// pins the size of each struct they cover, so a field with no row fails
-/// the build.
+/// pins the size of each struct they cover, so a new field that changes
+/// one fails the build until it has a row.
 ///
 //===----------------------------------------------------------------------===//
 
